@@ -3,7 +3,8 @@ trace-equivalence checking between the two.
 
 The package has three layers: the process language (`cspast`, `parser`,
 `semantics`), the automata side (`tamodel`, `translate`, `taexec`,
-`uppaalxml`), and the comparison harness (`harness`, `cli`).
+`uppaalxml`), and the comparison harness (`harness`, `cli`).  Both
+engines' state spaces are searched by the same routines (`lts`).
 """
 
 from .cspast import (

@@ -32,6 +32,7 @@ from .cspast import (
     Stop,
     format_process,
 )
+from .lts import bounded_traces
 from .semantics import TERMINATED, TraceSet, csp_traces, step
 from .tamodel import ChannelKind, NetworkModel, erasure_set
 from .taexec import network_traces, raw_network_traces
@@ -256,25 +257,13 @@ def _component_free_traces(net: NetworkModel, automaton_index: int, depth: int) 
     every synchronisation label (either direction) is recorded."""
     ta = net.automata[automaton_index]
     outgoing: dict[str, list] = {}
-    for edge in ta.edges:
-        outgoing.setdefault(edge.source, []).append(edge)
-    traces = {()}
-    frontier = [(ta.initial, ())]
-    seen = {(ta.initial, ())}
-    while frontier:
-        loc, trace = frontier.pop()
-        for edge in outgoing.get(loc, ()):  # guards ignored: path view only
-            if edge.sync is None:
-                nxt = (edge.target, trace)
-            elif len(trace) < depth:
-                nxt = (edge.target, trace + (edge.sync.channel,))
-            else:
-                continue
-            if nxt not in seen:
-                seen.add(nxt)
-                traces.add(nxt[1])
-                frontier.append(nxt)
-    return frozenset(traces)
+    for edge in ta.edges:  # guards ignored: path view only
+        outgoing.setdefault(edge.source, []).append(
+            (edge.sync.channel if edge.sync else None, edge.target)
+        )
+    return bounded_traces(
+        ta.initial, lambda loc: outgoing.get(loc, ()), depth, state_cap=len(ta.locations)
+    )
 
 
 def prove_stop_base(max_n: int, *, net: NetworkModel | None = None) -> StopBaseReport:

@@ -35,6 +35,7 @@ from .cspast import (
     Skip,
     Stop,
 )
+from .lts import BoundExceeded, bounded_traces
 
 __all__ = [
     "ActionKind",
@@ -79,10 +80,6 @@ class Terminated(CspProcess):
 
 
 TERMINATED = Terminated()
-
-
-class BoundExceeded(RuntimeError):
-    """Raised when exploration exceeds the configured state cap."""
 
 
 def step(p: CspProcess, defs: dict[str, CspProcess]) -> frozenset[tuple[Action, CspProcess]]:
@@ -207,28 +204,24 @@ def step(p: CspProcess, defs: dict[str, CspProcess]) -> frozenset[tuple[Action, 
     raise TypeError(f"unknown process node {p!r}")
 
 
-def _tau_closure(p: CspProcess, defs: dict[str, CspProcess], cap: int) -> frozenset[CspProcess]:
-    closure = {p}
-    frontier = [p]
-    while frontier:
-        state = frontier.pop()
-        for act, succ in step(state, defs):
-            if act.kind is ActionKind.TAU and succ not in closure:
-                closure.add(succ)
-                frontier.append(succ)
-                if len(closure) > cap:
-                    raise BoundExceeded(f"tau closure exceeded {cap} states")
-    return frozenset(closure)
+def _successors(defs: dict[str, CspProcess]):
+    """``step`` as labelled moves: tau is internal, the termination signal
+    is dropped, visible events and tock keep their name."""
+
+    def successors(p: CspProcess):
+        for act, succ in step(p, defs):
+            if act.kind is ActionKind.TAU:
+                yield None, succ
+            elif act.kind is not ActionKind.TICK:
+                yield act.name, succ
+
+    return successors
 
 
 def initials(p: CspProcess, defs: dict[str, CspProcess]) -> frozenset[str]:
     """First visible non-tock events of ``p``, looking through tau steps."""
-    out: set[str] = set()
-    for state in _tau_closure(p, defs, cap=100_000):
-        for act, _ in step(state, defs):
-            if act.kind is ActionKind.VISIBLE:
-                out.add(act.name)
-    return frozenset(out)
+    firsts = bounded_traces(p, _successors(defs), 1, state_cap=100_000)
+    return frozenset(t[0] for t in firsts if t and t[0] != TOCK)
 
 
 # --- bounded traces --------------------------------------------------------
@@ -253,48 +246,15 @@ class TraceSet:
 def csp_traces(
     spec: CspSpec, depth: int, *, state_cap: int = 200_000
 ) -> TraceSet:
-    """All traces of length <= depth, breadth-first with memoisation.
+    """All traces of length <= depth.
 
     Visible events and tocks count toward the depth; tau and the
     termination signal are projected out.  Exceeding ``state_cap``
     distinct process states raises :class:`BoundExceeded` rather than
     silently truncating.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    defs = spec.definitions
-    obs_memo: dict[CspProcess, tuple[tuple[str, CspProcess], ...]] = {}
-    trace_memo: dict[tuple[CspProcess, int], frozenset[tuple[str, ...]]] = {}
-
-    def observable(p: CspProcess) -> tuple[tuple[str, CspProcess], ...]:
-        cached = obs_memo.get(p)
-        if cached is None:
-            moves = set()
-            for state in _tau_closure(p, defs, cap=state_cap):
-                for act, succ in step(state, defs):
-                    if act.kind in (ActionKind.VISIBLE, ActionKind.TOCK):
-                        moves.add((act.name, succ))
-            cached = tuple(sorted(moves, key=lambda m: m[0]))
-            obs_memo[p] = cached
-            if len(obs_memo) > state_cap:
-                raise BoundExceeded(f"exploration exceeded {state_cap} states")
-        return cached
-
-    def traces_from(p: CspProcess, remaining: int) -> frozenset[tuple[str, ...]]:
-        key = (p, remaining)
-        cached = trace_memo.get(key)
-        if cached is not None:
-            return cached
-        result: set[tuple[str, ...]] = {()}
-        if remaining > 0:
-            for name, succ in observable(p):
-                for tail in traces_from(succ, remaining - 1):
-                    result.add((name,) + tail)
-        frozen = frozenset(result)
-        trace_memo[key] = frozen
-        return frozen
-
-    return TraceSet(traces_from(spec.body(), depth), depth)
+    traces = bounded_traces(spec.body(), _successors(spec.definitions), depth, state_cap=state_cap)
+    return TraceSet(traces, depth)
 
 
 # --- canonical text format --------------------------------------------------

@@ -21,12 +21,13 @@ compared against the source process semantics.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .semantics import BoundExceeded, TraceSet
+from .lts import BoundExceeded  # noqa: F401  (re-exported: every search here raises it)
+from .lts import bounded_traces, cannot_reach, reachable
+from .semantics import TraceSet
 from .tamodel import ClockAtom, IntAtom, LocationKind, NetworkModel, erasure_set
 
 __all__ = [
@@ -320,74 +321,32 @@ def _normalise(rt: _Runtime, cfg: Configuration) -> Configuration:
     return Configuration(cfg.locations, cfg.ints, tuple(min(v, cap) for v in cfg.clocks))
 
 
-class _Explorer:
-    """Label-annotated successor expansion with per-configuration caching."""
+def _start(net: NetworkModel) -> Configuration:
+    return _normalise(_runtime(net), initial_configuration(net))
 
-    def __init__(self, net: NetworkModel, state_cap: int):
-        self.net = net
-        self.rt = _runtime(net)
-        self.state_cap = state_cap
-        self.cache: dict[Configuration, tuple[tuple[str | None, Configuration], ...]] = {}
 
-    def successors(self, cfg: Configuration) -> tuple[tuple[str | None, Configuration], ...]:
-        cached = self.cache.get(cfg)
-        if cached is not None:
-            return cached
-        out = []
-        for step in enabled_steps(self.net, cfg):
-            label = None
-            if isinstance(step, (Binary, Broadcast)):
-                label = step.channel
-            out.append((label, _normalise(self.rt, apply_step(self.net, cfg, step))))
-        result = tuple(out)
-        self.cache[cfg] = result
-        if len(self.cache) > self.state_cap:
-            raise BoundExceeded(f"network exploration exceeded {self.state_cap} configurations")
-        return result
+def _successors(net: NetworkModel, ticking: set[Configuration] | None = None):
+    """Steps as labelled moves: a binary or broadcast step carries its
+    channel name, silent edges and time ticks are internal.  Configurations
+    that let time pass are added to ``ticking`` when it is given."""
+    rt = _runtime(net)
+
+    def successors(cfg: Configuration):
+        for step in enabled_steps(net, cfg):
+            if isinstance(step, TimeTick) and ticking is not None:
+                ticking.add(cfg)
+            label = step.channel if isinstance(step, (Binary, Broadcast)) else None
+            yield label, _normalise(rt, apply_step(net, cfg, step))
+
+    return successors
 
 
 def raw_network_traces(
     net: NetworkModel, depth: int, *, state_cap: int = 500_000
 ) -> TraceSet:
     """Bounded traces over *all* channel names, coordinating ones included."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    explorer = _Explorer(net, state_cap)
-    start = _normalise(explorer.rt, initial_configuration(net))
-    seen: set[tuple[Configuration, tuple[str, ...]]] = {(start, ())}
-    traces: set[tuple[str, ...]] = {()}
-    queue = deque([(start, ())])
-    while queue:
-        cfg, trace = queue.popleft()
-        for label, succ in explorer.successors(cfg):
-            if label is None:
-                nxt = (succ, trace)
-            elif len(trace) < depth:
-                nxt = (succ, trace + (label,))
-            else:
-                continue
-            if nxt not in seen:
-                seen.add(nxt)
-                traces.add(nxt[1])
-                queue.append(nxt)
-                if len(seen) > state_cap:
-                    raise BoundExceeded(f"network exploration exceeded {state_cap} states")
-    return TraceSet(frozenset(traces), depth)
-
-
-def _coordinating_budget(net: NetworkModel, depth: int) -> int:
-    # Guardedness of the source guarantees no coordinating-only cycle, so
-    # between two observable actions each coordinating send edge fires at
-    # most once; that bounds the raw length needed to see every erased
-    # trace of the requested length.
-    erased = erasure_set(net)
-    per_gap = sum(
-        1
-        for ta in net.automata
-        for edge in ta.edges
-        if edge.sync is not None and edge.sync.direction == "send" and edge.sync.channel in erased
-    )
-    return depth * (1 + per_gap) + per_gap
+    traces = bounded_traces(_start(net), _successors(net), depth, state_cap=state_cap)
+    return TraceSet(traces, depth)
 
 
 def network_traces(
@@ -395,46 +354,14 @@ def network_traces(
 ) -> TraceSet:
     """Bounded traces with coordinating actions erased.
 
-    Erasure shortens traces, so internally the exploration runs to a raw
-    budget derived from the network structure; blowing the state cap is an
-    explicit failure, never a silent truncation.
+    Erased actions are internal moves of the search, so they never count
+    toward the depth; blowing the state cap is an explicit failure, never
+    a silent truncation.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    erased = erasure_set(net)
-    budget = _coordinating_budget(net, depth)
-    explorer = _Explorer(net, state_cap)
-    start = _normalise(explorer.rt, initial_configuration(net))
-    # 0/1 breadth-first search ordered by raw recorded length, deduplicated
-    # on (configuration, erased trace): the first visit uses the fewest
-    # recorded actions, so the raw budget prunes soundly.
-    seen: set[tuple[Configuration, tuple[str, ...]]] = {(start, ())}
-    traces: set[tuple[str, ...]] = {()}
-    queue = deque([(start, (), 0)])
-    while queue:
-        cfg, trace, raw = queue.popleft()
-        for label, succ in explorer.successors(cfg):
-            if label is None:
-                nxt = (succ, trace, raw)
-            elif raw >= budget:
-                continue
-            elif label in erased:
-                nxt = (succ, trace, raw + 1)
-            elif len(trace) < depth:
-                nxt = (succ, trace + (label,), raw + 1)
-            else:
-                continue
-            key = (nxt[0], nxt[1])
-            if key not in seen:
-                seen.add(key)
-                traces.add(nxt[1])
-                if nxt[2] == raw:
-                    queue.appendleft(nxt)
-                else:
-                    queue.append(nxt)
-                if len(seen) > state_cap:
-                    raise BoundExceeded(f"network exploration exceeded {state_cap} states")
-    return TraceSet(frozenset(traces), depth)
+    traces = bounded_traces(
+        _start(net), _successors(net), depth, hidden=erasure_set(net), state_cap=state_cap
+    )
+    return TraceSet(traces, depth)
 
 
 def reachable_configurations(
@@ -442,75 +369,24 @@ def reachable_configurations(
 ) -> frozenset[Configuration]:
     """Configurations reachable while recording at most ``observable_depth``
     non-coordinating actions."""
-    erased = erasure_set(net)
-    budget = _coordinating_budget(net, observable_depth)
-    explorer = _Explorer(net, state_cap)
-    start = _normalise(explorer.rt, initial_configuration(net))
-    best: dict[Configuration, tuple[int, int]] = {start: (0, 0)}
-    queue = deque([(start, 0, 0)])
-    while queue:
-        cfg, obs, raw = queue.popleft()
-        for label, succ in explorer.successors(cfg):
-            if label is None:
-                nxt = (succ, obs, raw)
-            elif label in erased:
-                if raw >= budget:
-                    continue
-                nxt = (succ, obs, raw + 1)
-            else:
-                if obs >= observable_depth or raw >= budget:
-                    continue
-                nxt = (succ, obs + 1, raw + 1)
-            prev = best.get(nxt[0])
-            if prev is None or (nxt[1], nxt[2]) < prev:
-                best[nxt[0]] = (nxt[1], nxt[2])
-                queue.append(nxt)
-                if len(best) > state_cap:
-                    raise BoundExceeded(f"network exploration exceeded {state_cap} states")
-    return frozenset(best)
+    return reachable(
+        _start(net), _successors(net), observable_depth, hidden=erasure_set(net), state_cap=state_cap
+    )
 
 
 def timelock_witnesses(
-    net: NetworkModel,
-    *,
-    observable_depth: int = 4,
-    search_depth: int = 20,
-    state_cap: int = 500_000,
+    net: NetworkModel, *, observable_depth: int = 4, state_cap: int = 500_000
 ) -> list[Configuration]:
-    """Reachable configurations from which no bounded step sequence
-    re-enables the passage of time.  Empty on a healthy translation."""
-    explorer = _Explorer(net, state_cap)
-    witnesses = []
-    can_tick: dict[Configuration, bool] = {}
-
-    def ticks_here(cfg: Configuration) -> bool:
-        cached = can_tick.get(cfg)
-        if cached is None:
-            cached = any(isinstance(s, TimeTick) for s in enabled_steps(net, cfg))
-            can_tick[cfg] = cached
-        return cached
-
-    def can_tick_within(cfg: Configuration, bound: int) -> bool:
-        frontier = {cfg}
-        visited = set(frontier)
-        for _ in range(bound + 1):
-            if any(ticks_here(state) for state in frontier):
-                return True
-            nxt = set()
-            for state in frontier:
-                for _, succ in explorer.successors(state):
-                    if succ not in visited:
-                        visited.add(succ)
-                        nxt.add(succ)
-            if not nxt:
-                return False
-            frontier = nxt
-        return False
-
-    for cfg in sorted(
-        reachable_configurations(net, observable_depth, state_cap=state_cap),
-        key=lambda c: (c.locations, c.ints, c.clocks),
-    ):
-        if not can_tick_within(cfg, search_depth):
-            witnesses.append(cfg)
-    return witnesses
+    """Configurations reachable within ``observable_depth`` recorded
+    non-coordinating actions from which no step sequence at all re-enables
+    the passage of time.  Empty on a healthy translation."""
+    ticking: set[Configuration] = set()
+    stuck = cannot_reach(
+        _start(net),
+        _successors(net, ticking),
+        observable_depth,
+        ticking.__contains__,
+        hidden=erasure_set(net),
+        state_cap=state_cap,
+    )
+    return sorted(stuck, key=lambda c: (c.locations, c.ints, c.clocks))

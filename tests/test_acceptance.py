@@ -114,7 +114,7 @@ def test_criterion_7_time_liveness_everywhere():
     stuck = []
     for entry in generate_corpus():
         net = assemble(entry.spec)
-        if timelock_witnesses(net, observable_depth=4, search_depth=20):
+        if timelock_witnesses(net, observable_depth=4):
             stuck.append(entry.id)
     report("7 (no timelocks)", not stuck, f"witnesses in {stuck[:5]}" if stuck else "")
 

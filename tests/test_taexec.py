@@ -2,7 +2,7 @@ import pytest
 
 from tockta.cspast import Skip, Stop
 from tockta.parser import parse
-from tockta.semantics import csp_traces
+from tockta.semantics import BoundExceeded, csp_traces
 from tockta.tamodel import (
     ChannelDecl,
     ChannelKind,
@@ -183,13 +183,21 @@ def test_erased_traces_examples():
 
 def test_erasure_is_exactly_strip_and_retruncate():
     from tockta.tamodel import erasure_set
-    from tockta.taexec import _coordinating_budget
 
     for source in ("P = a -> tock -> b -> STOP", "Pe = (left->STOP)[](right->STOP)"):
         net = assemble(parse(source))
         depth = 3
         erased = erasure_set(net)
-        raw = raw_network_traces(net, _coordinating_budget(net, depth))
+        # The source is guarded, so no cycle fires only coordinating
+        # actions: between two observable actions each coordinating send
+        # edge fires at most once, which bounds the raw depth needed.
+        per_gap = sum(
+            1
+            for ta in net.automata
+            for edge in ta.edges
+            if edge.sync is not None and edge.sync.direction == "send" and edge.sync.channel in erased
+        )
+        raw = raw_network_traces(net, depth * (1 + per_gap) + per_gap)
         stripped = set()
         for trace in raw.traces:
             image = tuple(a for a in trace if a not in erased)[:depth]
@@ -222,6 +230,44 @@ def test_translated_networks_never_timelock():
         assert timelock_witnesses(net, observable_depth=3) == []
 
 
+def _silent_chain(kinds, final):
+    """One automaton walking silently through locations of the given kinds
+    into a last location of kind ``final``, which has no outgoing edge."""
+    kinds = list(kinds) + [final]
+    locations = tuple(Location(f"s{i}", f"s{i}", kind) for i, kind in enumerate(kinds))
+    edges = tuple(Edge(f"s{i}", f"s{i + 1}") for i in range(len(kinds) - 1))
+    ta = TimedAutomaton("T", locations, "s0", (), edges)
+    return NetworkModel((ta,), (), (), (), environment_index=0)
+
+
+def test_timelock_reports_a_dead_committed_location():
+    net = _silent_chain([LocationKind.NORMAL], LocationKind.COMMITTED)
+    (stuck,) = timelock_witnesses(net)
+    assert stuck.locations == ("s1",)
+
+
+def test_timelock_follows_a_long_committed_chain_to_time():
+    # 25 committed silent edges, then a location where time passes
+    net = _silent_chain([LocationKind.COMMITTED] * 25, LocationKind.NORMAL)
+    assert len(reachable_configurations(net, 0)) == 26
+    assert timelock_witnesses(net) == []
+
+
+@pytest.mark.parametrize(
+    "explore",
+    [
+        lambda: csp_traces(ADS, 4, state_cap=3),
+        lambda: network_traces(assemble(ADS), 4, state_cap=3),
+        lambda: raw_network_traces(assemble(ADS), 4, state_cap=3),
+        lambda: timelock_witnesses(assemble(ADS), state_cap=3),
+    ],
+    ids=["csp_traces", "network_traces", "raw_network_traces", "timelock_witnesses"],
+)
+def test_state_cap_raises_instead_of_truncating(explore):
+    with pytest.raises(BoundExceeded):
+        explore()
+
+
 def test_reachable_configurations_cover_the_initial():
     net = assemble(Stop())
     assert initial_configuration(net) in reachable_configurations(net, 1)
@@ -231,3 +277,11 @@ def test_network_and_source_traces_agree_on_ads():
     net = assemble(ADS)
     for depth in (0, 1, 4):
         assert network_traces(net, depth).traces == csp_traces(ADS, depth).traces
+
+
+def test_network_and_source_traces_agree_on_three_interleaved_cycles():
+    spec = parse(
+        "MAIN = P0 ||| P1 ||| P2\n"
+        + "".join(f"P{i} = a{i} -> tock -> b{i} -> P{i}\n" for i in range(3))
+    )
+    assert network_traces(assemble(spec), 9).traces == csp_traces(spec, 9).traces
