@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import eq, ge, gt, le, lt
+from typing import Callable
 
 from .lts import BoundExceeded  # noqa: F401  (re-exported: every search here raises it)
 from .lts import bounded_traces, cannot_reach, reachable
@@ -84,6 +86,14 @@ class Broadcast:
     receivers: tuple[tuple[int, int], ...]  # (automaton, edge), ascending
 
 
+#: Comparison function for each relation a guard or invariant atom may use;
+#: the runtime resolves every atom's relation once, when it is built.
+_RELATIONS = {"<": lt, "<=": le, "==": eq, ">=": ge, ">": gt}
+
+#: A resolved clock atom: (clock slot, comparison, constant).
+_ClockTest = tuple[int, Callable[[int, int], bool], int]
+
+
 class _Runtime:
     """Index structures for fast stepping of one network."""
 
@@ -107,16 +117,16 @@ class _Runtime:
         self.edges: list[list[dict]] = []
         self.out_edges: list[dict[str, list[int]]] = []
         self.loc_kind: list[dict[str, LocationKind]] = []
-        self.invariants: list[dict[str, list[tuple[int, str, int]]]] = []
+        self.invariants: list[dict[str, list[_ClockTest]]] = []
         for ai, ta in enumerate(net.automata):
             resolved = []
             outs: dict[str, list[int]] = {loc.id: [] for loc in ta.locations}
             kinds = {loc.id: loc.kind for loc in ta.locations}
-            invs: dict[str, list[tuple[int, str, int]]] = {}
+            invs: dict[str, list[_ClockTest]] = {}
             for loc in ta.locations:
                 if loc.invariant:
                     invs[loc.id] = [
-                        (self._clock_slot(ai, atom.clock), atom.op, atom.const)
+                        (self._clock_slot(ai, atom.clock), _RELATIONS[atom.op], atom.const)
                         for atom in loc.invariant
                     ]
                     max_const = max([max_const] + [a.const for a in loc.invariant])
@@ -126,11 +136,17 @@ class _Runtime:
                 if edge.guard is not None:
                     for atom in edge.guard.atoms:
                         if isinstance(atom, ClockAtom):
-                            clock_atoms.append((self._clock_slot(ai, atom.clock), atom.op, atom.const))
+                            clock_atoms.append(
+                                (self._clock_slot(ai, atom.clock), _RELATIONS[atom.op], atom.const)
+                            )
                             max_const = max(max_const, atom.const)
                         else:
                             int_atoms.append(
-                                (tuple(self.var_pos[v] for v in atom.variables), atom.op, atom.const)
+                                (
+                                    tuple(self.var_pos[v] for v in atom.variables),
+                                    _RELATIONS[atom.op],
+                                    atom.const,
+                                )
                             )
                 updates = []
                 for upd in edge.updates:
@@ -178,25 +194,13 @@ def initial_configuration(net: NetworkModel) -> Configuration:
     )
 
 
-def _holds(op: str, lhs: int, rhs: int) -> bool:
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == "==":
-        return lhs == rhs
-    if op == ">=":
-        return lhs >= rhs
-    return lhs > rhs
-
-
 def _edge_enabled(rt: _Runtime, ai: int, ei: int, cfg: Configuration) -> bool:
     edge = rt.edges[ai][ei]
-    for slot, op, const in edge["clock_atoms"]:
-        if not _holds(op, cfg.clocks[slot], const):
+    for slot, holds, const in edge["clock_atoms"]:
+        if not holds(cfg.clocks[slot], const):
             return False
-    for positions, op, const in edge["int_atoms"]:
-        if not _holds(op, sum(cfg.ints[p] for p in positions), const):
+    for positions, holds, const in edge["int_atoms"]:
+        if not holds(sum(cfg.ints[p] for p in positions), const):
             return False
     inv = rt.invariants[ai].get(edge["target"])
     if inv:
@@ -204,8 +208,8 @@ def _edge_enabled(rt: _Runtime, ai: int, ei: int, cfg: Configuration) -> bool:
         for kind, slot, value in edge["updates"]:
             if kind == "clock":
                 clocks[slot] = value
-        for slot, op, const in inv:
-            if not _holds(op, clocks[slot], const):
+        for slot, holds, const in inv:
+            if not holds(clocks[slot], const):
                 return False
     return True
 
@@ -273,7 +277,7 @@ def enabled_steps(net: NetworkModel, cfg: Configuration) -> frozenset:
         ok = True
         for ai in range(n):
             inv = rt.invariants[ai].get(cfg.locations[ai])
-            if inv and not all(_holds(op, ticked[slot], const) for slot, op, const in inv):
+            if inv and not all(holds(ticked[slot], const) for slot, holds, const in inv):
                 ok = False
                 break
         if ok:

@@ -203,6 +203,23 @@ class NetworkModel:
     int_vars: tuple[tuple[str, int], ...]
     global_clocks: tuple[str, ...] = ()
     environment_index: int = -1
+    # The structural hash walks every automaton, and the executor looks
+    # its per-network index up by this hash on every step, so it is
+    # computed once per instance.  String hashes are salted per process,
+    # so the memo must never be pickled or copied: ``__reduce__`` rebuilds
+    # from the compared fields alone.
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def _key(self) -> tuple:
+        return (self.automata, self.channels, self.int_vars, self.global_clocks, self.environment_index)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._key()))
+        return self._hash
+
+    def __reduce__(self):
+        return (NetworkModel, self._key())
 
     def channel(self, name: str) -> ChannelDecl | None:
         for decl in self.channels:

@@ -285,3 +285,25 @@ def test_network_and_source_traces_agree_on_three_interleaved_cycles():
         + "".join(f"P{i} = a{i} -> tock -> b{i} -> P{i}\n" for i in range(3))
     )
     assert network_traces(assemble(spec), 9).traces == csp_traces(spec, 9).traces
+
+
+def test_each_automaton_is_hashed_at_most_once(monkeypatch):
+    # The executor looks its per-network index up by the network's hash on
+    # every step; the network must not be re-hashed on each lookup.
+    spec = parse(
+        "MAIN = P0 ||| P1\n"
+        + "".join(f"P{i} = a{i} -> tock -> b{i} -> P{i}\n" for i in range(2))
+    )
+    net = assemble(spec)
+    calls = 0
+    structural_hash = TimedAutomaton.__hash__
+
+    def counting_hash(self):
+        nonlocal calls
+        calls += 1
+        return structural_hash(self)
+
+    monkeypatch.setattr(TimedAutomaton, "__hash__", counting_hash)
+    network_traces(net, 6)
+    timelock_witnesses(net)
+    assert calls <= len(net.automata)

@@ -1,3 +1,12 @@
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import tockta
 from tockta.cspast import Stop
 from tockta.parser import parse
 from tockta.tamodel import (
@@ -14,11 +23,12 @@ from tockta.tamodel import (
 )
 from tockta.translate import assemble
 
-ADS = parse(
+ADS_SOURCE = (
     "ADS = Controller [|{close}|] Lighting\n"
     "Controller = open -> tock -> close -> Controller\n"
     "Lighting = close -> offLight -> Lighting\n"
 )
+ADS = parse(ADS_SOURCE)
 
 
 def tiny_ta(name="T", edges=(), locations=None):
@@ -100,3 +110,37 @@ def test_erasure_never_contains_user_events():
     for entry in generate_corpus()[::5]:
         net = assemble(entry.spec)
         assert erasure_set(net).isdisjoint(alphabet(entry.spec))
+
+
+_LOAD_IN_FRESH_PROCESS = """
+import pickle, sys
+from tockta.parser import parse
+from tockta.translate import assemble
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = assemble(parse(sys.argv[1]))
+assert hash(fresh) != int(sys.argv[2]), "the child process did not get a new hash salt"
+assert loaded == fresh
+assert hash(loaded) == hash(fresh)
+assert len({loaded, fresh}) == 1
+"""
+
+
+def test_network_hash_memo_never_leaves_its_process():
+    net = assemble(ADS)
+    digest = hash(net)  # fills the memo before pickling
+    assert hash(copy.copy(net)) == digest
+    assert hash(copy.deepcopy(net)) == digest
+    assert hash(dataclasses.replace(net)) == digest
+    assert "_hash" not in repr(net)
+
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(tockta.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    child = subprocess.run(
+        [sys.executable, "-c", _LOAD_IN_FRESH_PROCESS, ADS_SOURCE, str(digest)],
+        input=pickle.dumps(net),
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr.decode()
