@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import eq, ge, gt, le, lt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .lts import BoundExceeded  # noqa: F401  (re-exported: every search here raises it)
 from .lts import bounded_traces, cannot_reach, reachable
 from .semantics import TraceSet
-from .tamodel import ClockAtom, IntAtom, LocationKind, NetworkModel, erasure_set
+from .tamodel import ClockAtom, LocationKind, NetworkModel, erasure_set
 
 __all__ = [
     "Configuration",
@@ -48,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Locations, integer variable values and clock values, in the fixed
     orders defined by the network (automata order, declaration order)."""
 
@@ -90,12 +89,15 @@ class Broadcast:
 #: the runtime resolves every atom's relation once, when it is built.
 _RELATIONS = {"<": lt, "<=": le, "==": eq, ">=": ge, ">": gt}
 
+_COMMITTED, _URGENT = LocationKind.COMMITTED, LocationKind.URGENT
+
 #: A resolved clock atom: (clock slot, comparison, constant).
 _ClockTest = tuple[int, Callable[[int, int], bool], int]
 
 
 class _Runtime:
-    """Index structures for fast stepping of one network."""
+    """Index structures for fast stepping of one network, and the moves
+    explored on it so far (see :meth:`successors`)."""
 
     def __init__(self, net: NetworkModel):
         self.net = net
@@ -114,64 +116,78 @@ class _Runtime:
         self.channel_mode = {c.name: c.mode for c in net.channels}
 
         max_const = 1
-        self.edges: list[list[dict]] = []
-        self.out_edges: list[dict[str, list[int]]] = []
-        self.loc_kind: list[dict[str, LocationKind]] = []
-        self.invariants: list[dict[str, list[_ClockTest]]] = []
+        # edges[ai][ei] = (source, target, clock updates, int updates).
+        self.edges: list[tuple[tuple, ...]] = []
+        # locs[ai][location] = (kind, invariant, silent and send edges,
+        # channel -> receive edges).  Each edge there is (clock tests, int
+        # tests, channel or None, step): the step is Silent(ai, ei) for a
+        # silent edge, (ai, ei) otherwise.  The clock tests include the
+        # target's invariant on every clock the edge does not reset.
+        self.locs: list[dict[str, tuple]] = []
+        receivers: dict[str, set[int]] = {}
         for ai, ta in enumerate(net.automata):
-            resolved = []
-            outs: dict[str, list[int]] = {loc.id: [] for loc in ta.locations}
-            kinds = {loc.id: loc.kind for loc in ta.locations}
-            invs: dict[str, list[_ClockTest]] = {}
+            invs: dict[str, tuple[_ClockTest, ...]] = {}
             for loc in ta.locations:
-                if loc.invariant:
-                    invs[loc.id] = [
-                        (self._clock_slot(ai, atom.clock), _RELATIONS[atom.op], atom.const)
-                        for atom in loc.invariant
-                    ]
-                    max_const = max([max_const] + [a.const for a in loc.invariant])
-            for ei, edge in enumerate(ta.edges):
-                clock_atoms = []
-                int_atoms = []
-                if edge.guard is not None:
-                    for atom in edge.guard.atoms:
-                        if isinstance(atom, ClockAtom):
-                            clock_atoms.append(
-                                (self._clock_slot(ai, atom.clock), _RELATIONS[atom.op], atom.const)
-                            )
-                            max_const = max(max_const, atom.const)
-                        else:
-                            int_atoms.append(
-                                (
-                                    tuple(self.var_pos[v] for v in atom.variables),
-                                    _RELATIONS[atom.op],
-                                    atom.const,
-                                )
-                            )
-                updates = []
-                for upd in edge.updates:
-                    key = (ai, upd.target)
-                    if key in self.clock_pos or (None, upd.target) in self.clock_pos:
-                        slot = self.clock_pos.get(key, self.clock_pos.get((None, upd.target)))
-                        updates.append(("clock", slot, upd.value))
-                    else:
-                        updates.append(("int", self.var_pos[upd.target], upd.value))
-                resolved.append(
-                    {
-                        "source": edge.source,
-                        "target": edge.target,
-                        "clock_atoms": clock_atoms,
-                        "int_atoms": int_atoms,
-                        "sync": (edge.sync.channel, edge.sync.direction) if edge.sync else None,
-                        "updates": updates,
-                    }
+                invs[loc.id] = tuple(
+                    (self._clock_slot(ai, atom.clock), _RELATIONS[atom.op], atom.const)
+                    for atom in loc.invariant
                 )
-                outs[edge.source].append(ei)
-            self.edges.append(resolved)
-            self.out_edges.append(outs)
-            self.loc_kind.append(kinds)
-            self.invariants.append(invs)
+                max_const = max([max_const] + [a.const for a in loc.invariant])
+            local: dict[str, list] = {loc.id: [] for loc in ta.locations}
+            receive: dict[str, dict[str, list]] = {loc.id: {} for loc in ta.locations}
+            resolved = []
+            for ei, edge in enumerate(ta.edges):
+                clock_tests = []
+                int_tests = []
+                for atom in edge.guard.atoms if edge.guard is not None else ():
+                    if isinstance(atom, ClockAtom):
+                        slot = self._clock_slot(ai, atom.clock)
+                        clock_tests.append((slot, _RELATIONS[atom.op], atom.const))
+                        max_const = max(max_const, atom.const)
+                    else:
+                        positions = tuple(self.var_pos[v] for v in atom.variables)
+                        int_tests.append((positions, _RELATIONS[atom.op], atom.const))
+                clock_updates: dict[int, int] = {}
+                int_updates = []
+                for upd in edge.updates:
+                    if (ai, upd.target) in self.clock_pos or (None, upd.target) in self.clock_pos:
+                        clock_updates[self._clock_slot(ai, upd.target)] = upd.value
+                    else:
+                        int_updates.append((self.var_pos[upd.target], upd.value))
+                resolved.append((edge.source, edge.target, tuple(clock_updates.items()), tuple(int_updates)))
+                # A test on a clock the edge resets is decided here, once.
+                fires = True
+                for slot, holds, const in invs[edge.target]:
+                    if slot not in clock_updates:
+                        clock_tests.append((slot, holds, const))
+                    elif not holds(clock_updates[slot], const):
+                        fires = False
+                if not fires:
+                    continue
+                channel = edge.sync.channel if edge.sync else None
+                step = Silent(ai, ei) if channel is None else (ai, ei)
+                entry = (tuple(clock_tests), tuple(int_tests), channel, step)
+                if channel is not None and edge.sync.direction == "receive":
+                    receive[edge.source].setdefault(channel, []).append(entry)
+                    receivers.setdefault(channel, set()).add(ai)
+                else:
+                    local[edge.source].append(entry)
+            self.edges.append(tuple(resolved))
+            self.locs.append(
+                {
+                    loc.id: (
+                        loc.kind,
+                        invs[loc.id],
+                        tuple(local[loc.id]),
+                        {channel: tuple(es) for channel, es in receive[loc.id].items()},
+                    )
+                    for loc in ta.locations
+                }
+            )
+        self.receivers = {channel: tuple(sorted(autos)) for channel, autos in receivers.items()}
         self.clock_cap = max_const + 1
+        self.moves: dict[Configuration, tuple] = {}
+        self.ticking: set[Configuration] = set()
 
     def _clock_slot(self, automaton: int, name: str) -> int:
         key = (automaton, name)
@@ -179,8 +195,32 @@ class _Runtime:
             return self.clock_pos[key]
         return self.clock_pos[(None, name)]
 
+    def successors(self, cfg: Configuration) -> tuple:
+        """Steps as labelled moves: a binary or broadcast step carries its
+        channel name, silent edges and time ticks are internal.
 
-@lru_cache(maxsize=64)
+        The moves of each configuration are computed once for the life of
+        the runtime and shared by every search over its network;
+        configurations that let time pass are collected in ``ticking``.
+        A miss looks ``enabled_steps`` and ``apply_step`` up by their
+        module names, so a wrapper patched in their place sees every call.
+        """
+        out = self.moves.get(cfg)
+        if out is None:
+            net = self.net
+            out = []
+            for step in enabled_steps(net, cfg):
+                if isinstance(step, TimeTick):
+                    self.ticking.add(cfg)
+                label = step.channel if isinstance(step, (Binary, Broadcast)) else None
+                out.append((label, _normalise(self, apply_step(net, cfg, step))))
+            out = self.moves[cfg] = tuple(out)
+        return out
+
+
+# Each runtime keeps every move explored on its network, so only a few
+# are kept alive.
+@lru_cache(maxsize=8)
 def _runtime(net: NetworkModel) -> _Runtime:
     return _Runtime(net)
 
@@ -194,70 +234,65 @@ def initial_configuration(net: NetworkModel) -> Configuration:
     )
 
 
-def _edge_enabled(rt: _Runtime, ai: int, ei: int, cfg: Configuration) -> bool:
-    edge = rt.edges[ai][ei]
-    for slot, holds, const in edge["clock_atoms"]:
-        if not holds(cfg.clocks[slot], const):
+def _guard_holds(
+    clock_tests: tuple, int_tests: tuple, clocks: tuple[int, ...], ints: tuple[int, ...]
+) -> bool:
+    for slot, holds, const in clock_tests:
+        if not holds(clocks[slot], const):
             return False
-    for positions, holds, const in edge["int_atoms"]:
-        if not holds(sum(cfg.ints[p] for p in positions), const):
+    for positions, holds, const in int_tests:
+        if not holds(sum([ints[p] for p in positions]), const):
             return False
-    inv = rt.invariants[ai].get(edge["target"])
-    if inv:
-        clocks = list(cfg.clocks)
-        for kind, slot, value in edge["updates"]:
-            if kind == "clock":
-                clocks[slot] = value
-        for slot, holds, const in inv:
-            if not holds(clocks[slot], const):
-                return False
     return True
 
 
 def enabled_steps(net: NetworkModel, cfg: Configuration) -> frozenset:
     """All steps legal from ``cfg``; a pure function of its arguments."""
     rt = _runtime(net)
-    n = len(net.automata)
-    enabled: list[list[int]] = []
+    locations, ints, clocks = cfg
     committed = set()
     urgent_loc = False
-    for ai in range(n):
-        loc = cfg.locations[ai]
-        kind = rt.loc_kind[ai][loc]
-        if kind is LocationKind.COMMITTED:
-            committed.add(ai)
-        elif kind is LocationKind.URGENT:
-            urgent_loc = True
-        enabled.append([ei for ei in rt.out_edges[ai].get(loc, ()) if _edge_enabled(rt, ai, ei, cfg)])
-
-    sends: dict[str, list[tuple[int, int]]] = {}
-    receives: dict[str, list[tuple[int, int]]] = {}
+    invariants: list[_ClockTest] = []
     steps: list = []
-    for ai in range(n):
-        for ei in enabled[ai]:
-            sync = rt.edges[ai][ei]["sync"]
-            if sync is None:
-                steps.append(Silent(ai, ei))
-            elif sync[1] == "send":
-                sends.setdefault(sync[0], []).append((ai, ei))
+    senders: dict[str, list[tuple[int, int]]] = {}
+    for ai, loc in enumerate(locations):
+        kind, inv, local, _ = rt.locs[ai][loc]
+        if kind is _COMMITTED:
+            committed.add(ai)
+        elif kind is _URGENT:
+            urgent_loc = True
+        if inv:
+            invariants.extend(inv)
+        for clock_tests, int_tests, channel, step in local:
+            if (clock_tests or int_tests) and not _guard_holds(clock_tests, int_tests, clocks, ints):
+                continue
+            if channel is None:
+                steps.append(step)
             else:
-                receives.setdefault(sync[0], []).append((ai, ei))
+                senders.setdefault(channel, []).append(step)
 
+    # A receive edge only matters on a channel with an enabled sender.
     urgent_pair = False
-    for channel, senders in sends.items():
+    for channel, sends in senders.items():
+        receives = [
+            receiver
+            for rj in rt.receivers.get(channel, ())
+            for clock_tests, int_tests, _, receiver in rt.locs[rj][locations[rj]][3].get(channel, ())
+            if not (clock_tests or int_tests) or _guard_holds(clock_tests, int_tests, clocks, ints)
+        ]
         mode = rt.channel_mode.get(channel, "binary")
         if mode == "broadcast":
-            for ai, ei in senders:
+            for ai, ei in sends:
                 by_auto: dict[int, list[int]] = {}
-                for rj, re in receives.get(channel, ()):
+                for rj, re in receives:
                     if rj != ai:
                         by_auto.setdefault(rj, []).append(re)
                 autos = sorted(by_auto)
                 for combo in product(*(by_auto[a] for a in autos)):
                     steps.append(Broadcast(channel, ai, ei, tuple(zip(autos, combo))))
         else:
-            for ai, ei in senders:
-                for rj, re in receives.get(channel, ()):
+            for ai, ei in sends:
+                for rj, re in receives:
                     if rj != ai:
                         steps.append(Binary(channel, ai, ei, rj, re))
                         if mode == "urgent-binary":
@@ -273,46 +308,31 @@ def enabled_steps(net: NetworkModel, cfg: Configuration) -> frozenset:
 
         steps = [s for s in steps if involves_committed(s)]
     elif not urgent_loc and not urgent_pair:
-        ticked = [v + 1 for v in cfg.clocks]
-        ok = True
-        for ai in range(n):
-            inv = rt.invariants[ai].get(cfg.locations[ai])
-            if inv and not all(holds(ticked[slot], const) for slot, holds, const in inv):
-                ok = False
-                break
-        if ok:
+        if all(holds(clocks[slot] + 1, const) for slot, holds, const in invariants):
             steps.append(TimeTick())
     return frozenset(steps)
 
 
 def apply_step(net: NetworkModel, cfg: Configuration, step) -> Configuration:
     """Advance the configuration; ``step`` must come from enabled_steps."""
-    rt = _runtime(net)
     if isinstance(step, TimeTick):
         return Configuration(cfg.locations, cfg.ints, tuple(v + 1 for v in cfg.clocks))
-    locations = list(cfg.locations)
-    ints = list(cfg.ints)
-    clocks = list(cfg.clocks)
-
-    def move(ai: int, ei: int) -> None:
-        edge = rt.edges[ai][ei]
-        assert locations[ai] == edge["source"], "step not enabled in this configuration"
-        locations[ai] = edge["target"]
-        for kind, slot, value in edge["updates"]:
-            if kind == "clock":
-                clocks[slot] = value
-            else:
-                ints[slot] = value
-
     if isinstance(step, Silent):
-        move(step.automaton, step.edge)
+        moves: tuple = ((step.automaton, step.edge),)
     elif isinstance(step, Binary):
-        move(step.sender, step.sender_edge)
-        move(step.receiver, step.receiver_edge)
+        moves = ((step.sender, step.sender_edge), (step.receiver, step.receiver_edge))
     else:
-        move(step.sender, step.sender_edge)
-        for ai, ei in step.receivers:
-            move(ai, ei)
+        moves = ((step.sender, step.sender_edge),) + step.receivers
+    edges = _runtime(net).edges
+    locations, ints, clocks = map(list, cfg)
+    for ai, ei in moves:
+        source, target, clock_updates, int_updates = edges[ai][ei]
+        assert locations[ai] == source, "step not enabled in this configuration"
+        locations[ai] = target
+        for slot, value in clock_updates:
+            clocks[slot] = value
+        for slot, value in int_updates:
+            ints[slot] = value
     return Configuration(tuple(locations), tuple(ints), tuple(clocks))
 
 
@@ -320,36 +340,21 @@ def _normalise(rt: _Runtime, cfg: Configuration) -> Configuration:
     # Clock values beyond every constant are indistinguishable; capping them
     # keeps the reachable configuration space finite.
     cap = rt.clock_cap
-    if all(v <= cap for v in cfg.clocks):
+    if max(cfg.clocks, default=0) <= cap:
         return cfg
     return Configuration(cfg.locations, cfg.ints, tuple(min(v, cap) for v in cfg.clocks))
 
 
-def _start(net: NetworkModel) -> Configuration:
-    return _normalise(_runtime(net), initial_configuration(net))
-
-
-def _successors(net: NetworkModel, ticking: set[Configuration] | None = None):
-    """Steps as labelled moves: a binary or broadcast step carries its
-    channel name, silent edges and time ticks are internal.  Configurations
-    that let time pass are added to ``ticking`` when it is given."""
-    rt = _runtime(net)
-
-    def successors(cfg: Configuration):
-        for step in enabled_steps(net, cfg):
-            if isinstance(step, TimeTick) and ticking is not None:
-                ticking.add(cfg)
-            label = step.channel if isinstance(step, (Binary, Broadcast)) else None
-            yield label, _normalise(rt, apply_step(net, cfg, step))
-
-    return successors
+def _start(rt: _Runtime) -> Configuration:
+    return _normalise(rt, initial_configuration(rt.net))
 
 
 def raw_network_traces(
     net: NetworkModel, depth: int, *, state_cap: int = 500_000
 ) -> TraceSet:
     """Bounded traces over *all* channel names, coordinating ones included."""
-    traces = bounded_traces(_start(net), _successors(net), depth, state_cap=state_cap)
+    rt = _runtime(net)
+    traces = bounded_traces(_start(rt), rt.successors, depth, state_cap=state_cap)
     return TraceSet(traces, depth)
 
 
@@ -362,8 +367,9 @@ def network_traces(
     toward the depth; blowing the state cap is an explicit failure, never
     a silent truncation.
     """
+    rt = _runtime(net)
     traces = bounded_traces(
-        _start(net), _successors(net), depth, hidden=erasure_set(net), state_cap=state_cap
+        _start(rt), rt.successors, depth, hidden=erasure_set(net), state_cap=state_cap
     )
     return TraceSet(traces, depth)
 
@@ -373,8 +379,9 @@ def reachable_configurations(
 ) -> frozenset[Configuration]:
     """Configurations reachable while recording at most ``observable_depth``
     non-coordinating actions."""
+    rt = _runtime(net)
     return reachable(
-        _start(net), _successors(net), observable_depth, hidden=erasure_set(net), state_cap=state_cap
+        _start(rt), rt.successors, observable_depth, hidden=erasure_set(net), state_cap=state_cap
     )
 
 
@@ -384,12 +391,12 @@ def timelock_witnesses(
     """Configurations reachable within ``observable_depth`` recorded
     non-coordinating actions from which no step sequence at all re-enables
     the passage of time.  Empty on a healthy translation."""
-    ticking: set[Configuration] = set()
+    rt = _runtime(net)
     stuck = cannot_reach(
-        _start(net),
-        _successors(net, ticking),
+        _start(rt),
+        rt.successors,
         observable_depth,
-        ticking.__contains__,
+        rt.ticking.__contains__,
         hidden=erasure_set(net),
         state_cap=state_cap,
     )

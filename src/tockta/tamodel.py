@@ -85,6 +85,10 @@ def kind_from_name(name: str) -> ChannelKind:
     return ChannelKind.USER_EVENT
 
 
+#: The relations a guard or invariant atom may use.
+_RELATIONS = ("<", "<=", "==", ">=", ">")
+
+
 class LocationKind(Enum):
     NORMAL = "normal"
     URGENT = "urgent"
@@ -98,7 +102,7 @@ class ClockAtom:
     const: int
 
     def __post_init__(self) -> None:
-        if self.op not in ("<", "<=", "==", ">=", ">"):
+        if self.op not in _RELATIONS:
             raise ValueError(f"bad relation {self.op!r}")
         if self.const < 0:
             raise ValueError("clock constants must be >= 0")
@@ -112,8 +116,12 @@ class IntAtom:
     """Linear atom: sum of integer variables compared with a constant."""
 
     variables: tuple[str, ...]
-    op: str
+    op: str  # one of < <= == >= >
     const: int
+
+    def __post_init__(self) -> None:
+        if self.op not in _RELATIONS:
+            raise ValueError(f"bad relation {self.op!r}")
 
     def render(self) -> str:
         if len(self.variables) == 1:

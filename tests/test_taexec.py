@@ -1,12 +1,22 @@
+from itertools import product
+from operator import eq, ge, gt, le, lt
+from pathlib import Path
+
 import pytest
 
+from tockta import taexec
 from tockta.cspast import Skip, Stop
-from tockta.parser import parse
+from tockta.harness import generate_corpus
+from tockta.parser import parse, parse_file
 from tockta.semantics import BoundExceeded, csp_traces
 from tockta.tamodel import (
+    Assignment,
     ChannelDecl,
     ChannelKind,
+    ClockAtom,
     Edge,
+    GuardExpr,
+    IntAtom,
     Location,
     LocationKind,
     NetworkModel,
@@ -33,6 +43,11 @@ ADS = parse(
     "Controller = open -> tock -> close -> Controller\n"
     "Lighting = close -> offLight -> Lighting\n"
 )
+THREE_CYCLES = parse(
+    "MAIN = P0 ||| P1 ||| P2\n"
+    + "".join(f"P{i} = a{i} -> tock -> b{i} -> P{i}\n" for i in range(3))
+)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_initial_steps_of_translated_stop_is_exactly_the_start():
@@ -280,11 +295,7 @@ def test_network_and_source_traces_agree_on_ads():
 
 
 def test_network_and_source_traces_agree_on_three_interleaved_cycles():
-    spec = parse(
-        "MAIN = P0 ||| P1 ||| P2\n"
-        + "".join(f"P{i} = a{i} -> tock -> b{i} -> P{i}\n" for i in range(3))
-    )
-    assert network_traces(assemble(spec), 9).traces == csp_traces(spec, 9).traces
+    assert network_traces(assemble(THREE_CYCLES), 9).traces == csp_traces(THREE_CYCLES, 9).traces
 
 
 def test_each_automaton_is_hashed_at_most_once(monkeypatch):
@@ -307,3 +318,213 @@ def test_each_automaton_is_hashed_at_most_once(monkeypatch):
     network_traces(net, 6)
     timelock_witnesses(net)
     assert calls <= len(net.automata)
+
+
+_RELATION = {"<": lt, "<=": le, "==": eq, ">=": ge, ">": gt}
+
+
+def reference_enabled_steps(net, cfg):
+    """``enabled_steps`` without indexes: every out-edge of every automaton
+    is tested, then each enabled sender is paired with every enabled
+    receiver on its channel."""
+    slots = {(None, name): i for i, name in enumerate(net.global_clocks)}
+    for ai, ta in enumerate(net.automata):
+        slots.update({(ai, name): len(slots) + i for i, name in enumerate(ta.clocks)})
+    var_pos = {name: i for i, (name, _) in enumerate(net.int_vars)}
+
+    def slot(ai, name):
+        return slots[(ai, name)] if (ai, name) in slots else slots.get((None, name))
+
+    def all_hold(ai, atoms, clocks):
+        for atom in atoms:
+            if isinstance(atom, ClockAtom):
+                value = clocks[slot(ai, atom.clock)]
+            else:
+                value = sum(cfg.ints[var_pos[v]] for v in atom.variables)
+            if not _RELATION[atom.op](value, atom.const):
+                return False
+        return True
+
+    def enabled(ai, ta, edge):
+        if edge.guard is not None and not all_hold(ai, edge.guard.atoms, cfg.clocks):
+            return False
+        clocks = list(cfg.clocks)
+        for upd in edge.updates:
+            if slot(ai, upd.target) is not None:
+                clocks[slot(ai, upd.target)] = upd.value
+        return all_hold(ai, ta.location(edge.target).invariant, clocks)
+
+    steps, sends, receives, committed, urgent = [], {}, {}, set(), False
+    for ai, ta in enumerate(net.automata):
+        kind = ta.location(cfg.locations[ai]).kind
+        if kind is LocationKind.COMMITTED:
+            committed.add(ai)
+        urgent = urgent or kind is LocationKind.URGENT
+        for ei, edge in enumerate(ta.edges):
+            if edge.source == cfg.locations[ai] and enabled(ai, ta, edge):
+                if edge.sync is None:
+                    steps.append(Silent(ai, ei))
+                else:
+                    side = sends if edge.sync.direction == "send" else receives
+                    side.setdefault(edge.sync.channel, []).append((ai, ei))
+    for channel, senders in sends.items():
+        mode = net.channel(channel).mode if net.channel(channel) else "binary"
+        for ai, ei in senders:
+            others = [(rj, re) for rj, re in receives.get(channel, ()) if rj != ai]
+            if mode == "broadcast":
+                autos = sorted({rj for rj, _ in others})
+                choices = [[re for rj, re in others if rj == a] for a in autos]
+                steps += [Broadcast(channel, ai, ei, tuple(zip(autos, c))) for c in product(*choices)]
+            else:
+                steps += [Binary(channel, ai, ei, rj, re) for rj, re in others]
+                urgent = urgent or (mode == "urgent-binary" and bool(others))
+
+    def involves(step):
+        if isinstance(step, Silent):
+            return {step.automaton}
+        if isinstance(step, Binary):
+            return {step.sender, step.receiver}
+        return {step.sender} | {a for a, _ in step.receivers}
+
+    if committed:
+        return frozenset(s for s in steps if involves(s) & committed)
+    ticked = [v + 1 for v in cfg.clocks]
+    if not urgent and all(
+        all_hold(ai, ta.location(cfg.locations[ai]).invariant, ticked)
+        for ai, ta in enumerate(net.automata)
+    ):
+        steps.append(TimeTick())
+    return frozenset(steps)
+
+
+def _mixed_network():
+    """What no translated network has: invariants (some decided by a clock
+    reset, one never satisfiable), an urgent location and channel, a
+    global clock, a sum guard, and a broadcast receiver with a choice."""
+    def guard(*atoms):
+        return GuardExpr(atoms)
+
+    def sync(channel, direction):
+        return SyncLabel(channel, direction)
+
+    reset_x = (Assignment("x", 0),)
+    sender = TimedAutomaton(
+        "S",
+        (
+            Location("s0", "s0", invariant=(ClockAtom("x", "<=", 2),)),
+            Location("s1", "s1", LocationKind.URGENT),
+            Location("s2", "s2", LocationKind.COMMITTED),
+            Location("s3", "s3", invariant=(ClockAtom("x", ">=", 1),)),
+        ),
+        "s0",
+        ("x",),
+        (
+            Edge("s0", "s0", guard(ClockAtom("x", ">=", 1)), updates=reset_x),
+            Edge("s0", "s3", updates=reset_x),
+            Edge("s0", "s1", guard(IntAtom(("a", "b"), ">=", 1)), sync("bin", "send")),
+            Edge("s1", "s2", sync=sync("urg", "send")),
+            Edge("s2", "s0", sync=sync("bc", "send"), updates=(Assignment("a", 1),)),
+            Edge("s3", "s0"),
+            Edge("s0", "s3", guard(ClockAtom("g", ">=", 2))),
+        ),
+    )
+    receiver = TimedAutomaton(
+        "R",
+        (Location("r0", "r0"), Location("r1", "r1", invariant=(ClockAtom("y", "<=", 1),))),
+        "r0",
+        ("y",),
+        (
+            Edge("r0", "r1", sync=sync("bin", "receive")),
+            Edge("r0", "r1", sync=sync("bin", "receive"), updates=(Assignment("y", 0),)),
+            Edge("r1", "r0", sync=sync("urg", "receive")),
+            Edge("r0", "r0", sync=sync("bc", "receive")),
+            Edge("r0", "r1", guard(IntAtom(("a",), "==", 0)), sync("bc", "receive")),
+            Edge("r1", "r1", sync=sync("bc", "receive")),
+            Edge("r1", "r0", guard(ClockAtom("y", ">=", 1))),
+        ),
+    )
+    bystander = TimedAutomaton(
+        "Q",
+        (Location("q0", "q0"),),
+        "q0",
+        (),
+        (
+            Edge("q0", "q0", sync=sync("bc", "receive")),
+            Edge("q0", "q0", guard(IntAtom(("b",), "==", 1)), sync("bin", "receive")),
+        ),
+    )
+    channels = (
+        ChannelDecl("bin", "binary", ChannelKind.USER_EVENT),
+        ChannelDecl("urg", "urgent-binary", ChannelKind.USER_EVENT),
+        ChannelDecl("bc", "broadcast", ChannelKind.USER_EVENT),
+    )
+    return NetworkModel((sender, receiver, bystander), channels, (("a", 0), ("b", 1)), ("g",), 0)
+
+
+def every_reachable_configuration(net):
+    depth, found = 0, reachable_configurations(net, 0)
+    while True:
+        depth += 1
+        more = reachable_configurations(net, depth)
+        if more == found:
+            return found
+        found = more
+
+
+def test_indexed_enabled_steps_equal_the_unindexed_reference():
+    specs = [entry.spec for entry in generate_corpus()]
+    specs += [parse_file(str(path)) for path in sorted(FIXTURES.glob("*.tcsp"))]
+    specs.append(THREE_CYCLES)
+    assert len(specs) == 156 + 5 + 1
+    checked = 0
+    for net in [assemble(spec) for spec in specs] + [_mixed_network()]:
+        for cfg in every_reachable_configuration(net):
+            assert enabled_steps(net, cfg) == reference_enabled_steps(net, cfg), cfg
+            checked += 1
+    assert checked > 4000
+
+
+def test_timelock_check_reuses_the_moves_of_the_trace_search(monkeypatch):
+    # Every search over one network shares its moves; a miss still calls
+    # the module's enabled_steps, which is what per-layer tracing counts.
+    calls = 0
+    uncounted = taexec.enabled_steps
+
+    def counting(net, cfg):
+        nonlocal calls
+        calls += 1
+        return uncounted(net, cfg)
+
+    monkeypatch.setattr(taexec, "enabled_steps", counting)
+    taexec._runtime.cache_clear()
+    for entry in generate_corpus():
+        net = assemble(entry.spec)
+        calls = 0
+        network_traces(net, 5)
+        assert calls > 0
+        calls = 0
+        assert timelock_witnesses(net) == []
+        assert calls == 0, entry.id
+
+
+@pytest.mark.parametrize(
+    "explore",
+    [
+        lambda net: network_traces(net, 4, state_cap=3),
+        lambda net: timelock_witnesses(net, state_cap=3),
+    ],
+    ids=["network_traces", "timelock_witnesses"],
+)
+def test_a_warm_memo_never_loosens_the_state_cap(explore):
+    net = assemble(ADS)
+    network_traces(net, 4)
+    with pytest.raises(BoundExceeded):
+        explore(net)
+
+
+def test_timelock_after_a_warm_up_search_still_finds_the_dead_location():
+    net = _silent_chain([LocationKind.NORMAL], LocationKind.COMMITTED)
+    network_traces(net, 3)
+    reachable_configurations(net, 2)
+    (stuck,) = timelock_witnesses(net)
+    assert stuck.locations == ("s1",)

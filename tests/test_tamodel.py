@@ -6,13 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tockta
 from tockta.cspast import Stop
 from tockta.parser import parse
 from tockta.tamodel import (
     ChannelDecl,
     ChannelKind,
+    ClockAtom,
     Edge,
+    IntAtom,
     Location,
     NetworkModel,
     SyncLabel,
@@ -55,6 +59,20 @@ def test_duplicate_channel_is_reported():
     net = NetworkModel((tiny_ta(),), chans, (), (), environment_index=0)
     messages = [str(d) for d in validate(net)]
     assert any("duplicate channel" in m for m in messages)
+
+
+@pytest.mark.parametrize(
+    "atom",
+    [ClockAtom, lambda _, op, const: IntAtom(("x",), op, const)],
+    ids=["ClockAtom", "IntAtom"],
+)
+def test_atoms_accept_exactly_the_five_relations(atom):
+    # The XML loader and the executor know only these relations.
+    for op in ("<", "<=", "==", ">=", ">"):
+        assert atom("x", op, 0).op == op
+    for op in ("!=", "=", "=>", ""):
+        with pytest.raises(ValueError, match="bad relation"):
+            atom("x", op, 0)
 
 
 def test_validate_is_idempotent_and_pure():
