@@ -31,6 +31,8 @@ __all__ = [
     "Ref",
     "CspSpec",
     "alphabet",
+    "resolve_event",
+    "wrapper_key",
     "format_process",
     "format_spec",
 ]
@@ -340,6 +342,36 @@ def event_universe(definitions: dict[str, CspProcess]) -> frozenset[str]:
     return frozenset(out)
 
 
+def resolve_event(name: str, wrappers: tuple) -> tuple:
+    """How an occurrence of ``name`` is seen through its enclosing wrappers.
+
+    ``wrappers`` lists them innermost first: ``("rename", dict)``,
+    ``("hide", set)`` or ``("sync", scope)``, where ``scope.sync_set`` holds
+    the events a parallel composition synchronises on.  The result is
+    ``("plain", name)``, ``("hidden", name)`` for an occurrence hidden
+    before any scope synchronises on it, or ``("sync", scope, name)`` for
+    the outermost such scope, with the name as renamed there.
+    """
+    hit = None
+    for kind, payload in wrappers:
+        if kind == "rename":
+            name = payload.get(name, name)
+        elif kind == "hide":
+            if name in payload:
+                return ("sync",) + hit if hit else ("hidden", name)
+        elif name in payload.sync_set:
+            hit = (payload, name)
+    return ("sync",) + hit if hit else ("plain", name)
+
+
+def wrapper_key(universe, wrappers: tuple) -> tuple:
+    """Wrapper stacks are interchangeable iff they resolve every event of
+    ``universe`` the same way.  Keying the unfolding of references on this
+    keeps it finite even when recursion re-enters a definition under
+    ever-deeper (but convergent) renamings."""
+    return tuple(resolve_event(name, wrappers) for name in universe)
+
+
 def alphabet(spec: CspSpec) -> frozenset[str]:
     """All visible user events reachable from main, after renaming and hiding.
 
@@ -349,41 +381,27 @@ def alphabet(spec: CspSpec) -> frozenset[str]:
     seen: set[tuple] = set()
     universe = sorted(event_universe(spec.definitions))
 
-    def resolve(name: str, wrappers: tuple) -> str | None:
-        for kind, payload in wrappers:
-            if kind == "rename":
-                name = payload.get(name, name)
-            elif name in payload:  # hide
-                return None
-        return name
-
-    def fingerprint(wrappers: tuple) -> tuple:
-        # Wrapper stacks inducing the same resolution are interchangeable,
-        # which keeps unfolding finite even when recursion re-enters a
-        # definition under ever-deeper (but convergent) renamings.
-        return tuple(resolve(name, wrappers) for name in universe)
-
-    def walk(p: CspProcess, wrappers: tuple, defs: dict[str, CspProcess]) -> None:
+    def walk(p: CspProcess, wrappers: tuple) -> None:
         if isinstance(p, Prefix):
             if p.event != TOCK:
-                resolved = resolve(p.event, wrappers)
-                if resolved is not None:
-                    out.add(resolved)
-            walk(p.cont, wrappers, defs)
+                kind, name = resolve_event(p.event, wrappers)
+                if kind == "plain":
+                    out.add(name)
+            walk(p.cont, wrappers)
         elif isinstance(p, Hide):
-            walk(p.body, (("hide", p.hidden),) + wrappers, defs)
+            walk(p.body, (("hide", p.hidden),) + wrappers)
         elif isinstance(p, Rename):
-            walk(p.body, (("rename", p.as_dict()),) + wrappers, defs)
+            walk(p.body, (("rename", p.as_dict()),) + wrappers)
         elif isinstance(p, _BINARY):
-            walk(p.left, wrappers, defs)
-            walk(p.right, wrappers, defs)
+            walk(p.left, wrappers)
+            walk(p.right, wrappers)
         elif isinstance(p, Ref):
-            key = (p.name, fingerprint(wrappers))
+            key = (p.name, wrapper_key(universe, wrappers))
             if key not in seen:
                 seen.add(key)
-                walk(defs[p.name], wrappers, defs)
+                walk(spec.definitions[p.name], wrappers)
 
-    walk(spec.body(), (), spec.definitions)
+    walk(spec.body(), ())
     return frozenset(out)
 
 

@@ -32,7 +32,7 @@ from .cspast import (
     Stop,
     format_process,
 )
-from .lts import bounded_traces
+from .lts import BoundExceeded, bounded_traces, reachable
 from .semantics import TERMINATED, TraceSet, csp_traces, step
 from .tamodel import ChannelKind, NetworkModel, erasure_set
 from .taexec import network_traces, raw_network_traces
@@ -130,18 +130,17 @@ class CorpusEntry:
 
 
 def control_states(spec: CspSpec, cap: int = 64) -> int:
-    """Distinct reachable process terms (the terminated pseudo-state aside)."""
-    seen = {spec.body()}
-    frontier = [spec.body()]
-    while frontier:
-        state = frontier.pop()
-        for _, succ in step(state, spec.definitions):
-            if succ is not TERMINATED and succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
-                if len(seen) > cap:
-                    return len(seen)
-    return len(seen)
+    """Distinct reachable process terms (the terminated pseudo-state aside),
+    or ``cap + 1`` when there are more than ``cap``."""
+
+    def successors(p: CspProcess):
+        # every move is internal, so the first closure reaches every term
+        return ((None, succ) for _, succ in step(p, spec.definitions) if succ is not TERMINATED)
+
+    try:
+        return len(reachable(spec.body(), successors, 0, state_cap=cap))
+    except BoundExceeded:
+        return cap + 1
 
 
 def _corpus_processes() -> list[CspProcess]:

@@ -62,6 +62,8 @@ class _Graph:
         seen: set = set()
         frontier = {start}
         for _ in range(depth + 1):
+            if not frontier:
+                break
             closure, moves = self.close(frontier, hidden)
             seen |= closure
             frontier = {succ for targets in moves.values() for succ in targets} - seen

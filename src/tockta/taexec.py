@@ -327,7 +327,9 @@ def apply_step(net: NetworkModel, cfg: Configuration, step) -> Configuration:
     locations, ints, clocks = map(list, cfg)
     for ai, ei in moves:
         source, target, clock_updates, int_updates = edges[ai][ei]
-        assert locations[ai] == source, "step not enabled in this configuration"
+        if locations[ai] != source:
+            # not an assert: under -O the step would be applied anyway
+            raise AssertionError("step not enabled in this configuration")
         locations[ai] = target
         for slot, value in clock_updates:
             clocks[slot] = value

@@ -45,6 +45,8 @@ from .cspast import (
     _nullable_map,
     alphabet,
     event_universe,
+    resolve_event,
+    wrapper_key,
 )
 from .tamodel import (
     Assignment,
@@ -64,7 +66,6 @@ from .tamodel import (
 
 __all__ = [
     "TranslationError",
-    "TranslationContext",
     "SyncRequirement",
     "translate_process",
     "assemble",
@@ -73,6 +74,8 @@ __all__ = [
 ]
 
 _MAX_EXPANSION_DEPTH = 64
+# The terminating channel the whole process signals the environment on.
+_FINISH = "finishID0"
 
 
 class TranslationError(Exception):
@@ -87,20 +90,6 @@ class SyncRequirement:
     event: str
     sync_channel: str
     participants: tuple[str, ...]
-
-
-@dataclass
-class TranslationContext:
-    """Naming seed for a translation run.
-
-    ``start_action=None`` picks ``startID<main>`` for a named spec and the
-    numbered form ``startID<branch>_0`` for a bare process.
-    """
-
-    proc_name: str = "ta"
-    branch_id: str = "0"
-    start_action: str | None = None
-    finish_action: str = "finishID0"
 
 
 class _Registry:
@@ -201,11 +190,10 @@ class _Unit:
 
 
 class _SyncScope:
-    _next_id = 0
+    """One synchronising parallel composition.  It is compared by identity,
+    so loop keys that resolve an event to it tell scopes apart."""
 
     def __init__(self, sync_set: frozenset[str]):
-        self.id = _SyncScope._next_id
-        _SyncScope._next_id += 1
         self.sync_set = sync_set
         self.groups: dict[str, dict] = {}
         self.side = "L"  # which operand is being compiled right now
@@ -241,28 +229,8 @@ class _Compiler:
         self.universe = sorted(event_universe(spec.definitions))
         self._marker_seq = 0
 
-    def context_key(self, wrappers: tuple) -> tuple:
-        """Wrapper stacks are interchangeable iff they resolve every event
-        the same way; keying loop detection on that keeps unfolding finite
-        under convergent renamings."""
-        return tuple(self._resolve_pure(name, wrappers) for name in self.universe)
-
-    def _resolve_pure(self, name: str, wrappers: tuple) -> tuple:
-        scope_hit = None
-        for kind, payload in wrappers:
-            if kind == "rename":
-                name = payload.get(name, name)
-            elif kind == "hide":
-                if name in payload:
-                    if scope_hit is not None:
-                        return ("sync", scope_hit[0].id, scope_hit[1])
-                    return ("hidden", name)
-            else:
-                if name in payload.sync_set:
-                    scope_hit = (payload, name)
-        if scope_hit is not None:
-            return ("sync", scope_hit[0].id, scope_hit[1])
-        return ("plain", name)
+    def loop_key(self, name: str, ctx: _Ctx) -> tuple:
+        return (name, wrapper_key(self.universe, ctx.wrappers), ctx.markers, ctx.finish)
 
     # -- channel bookkeeping ------------------------------------------------
 
@@ -294,44 +262,29 @@ class _Compiler:
 
     # -- event occurrence resolution ----------------------------------------
 
-    def resolve_occurrence(self, event: str, wrappers: tuple):
-        """Walk the wrapper stack innermost-out.
-
-        Returns ("hidden", itau-channel), ("sync", scope, name-at-scope) or
-        ("plain", channel-name).
-        """
-        name = event
-        scope_hit = None
-        for kind, payload in wrappers:
-            if kind == "rename":
-                name = payload.get(name, name)
-            elif kind == "hide":
-                if name in payload:
-                    if scope_hit is not None:
-                        return ("sync", scope_hit[0], scope_hit[1])
-                    return ("hidden", self.itau_channel(name))
-            else:  # sync scope
-                if name in payload.sync_set:
-                    scope_hit = (payload, name)
-        if scope_hit is not None:
-            return ("sync", scope_hit[0], scope_hit[1])
-        return ("plain", self.ensure_channel(name, ChannelKind.USER_EVENT, "binary"))
+    def resolve_occurrence(self, event: str, wrappers: tuple) -> tuple:
+        """``resolve_event`` with a channel for a plain or hidden result:
+        ("plain", channel), ("hidden", itau-channel) or ("sync", scope,
+        name-at-scope)."""
+        resolved = resolve_event(event, wrappers)
+        if resolved[0] == "sync":
+            return resolved
+        return resolved[0], self.event_channel(*resolved)
 
     def resolve_notify(self, name: str, wrappers: tuple) -> str:
         """Channel a synchronisation controller announces its event on."""
-        for kind, payload in wrappers:
-            if kind == "rename":
-                name = payload.get(name, name)
-            elif kind == "hide":
-                if name in payload:
-                    return self.itau_channel(name)
-            elif name in payload.sync_set:
-                raise TranslationError(
-                    f"nested synchronisation on {name!r} is not supported"
-                )
-        return self.ensure_channel(name, ChannelKind.USER_EVENT, "binary")
+        resolved = resolve_event(name, wrappers)
+        if resolved[0] == "sync":
+            raise TranslationError(
+                f"nested synchronisation on {resolved[2]!r} is not supported"
+            )
+        return self.event_channel(*resolved)
 
-    def itau_channel(self, name: str) -> str:
+    def event_channel(self, kind: str, name: str) -> str:
+        """The channel of a plain occurrence, or the itau broadcast of a
+        hidden one."""
+        if kind == "plain":
+            return self.ensure_channel(name, ChannelKind.USER_EVENT, "binary")
         chan = f"itau_{name}"
         if chan not in self.channels:
             self.registry.used.add(chan)
@@ -341,17 +294,12 @@ class _Compiler:
         group = scope.groups.get(name)
         if group is None:
             chan = self.registry.unique(name, "___sync")
-            self.ensure_channel_mode(chan, ChannelKind.SYNCHRONISATION, "broadcast")
+            self.ensure_channel(chan, ChannelKind.SYNCHRONISATION, "broadcast")
             group = {"channel": chan, "vars": [], "sides": []}
             scope.groups[name] = group
         group["vars"].append(var)
         group["sides"].append(scope.side)
         return group["channel"]
-
-    def ensure_channel_mode(self, name: str, kind: ChannelKind, mode: str) -> str:
-        if name not in self.channels:
-            self.channels[name] = ChannelDecl(name, mode, kind)
-        return name
 
     def make_compound_start(
         self, stable: list[tuple[_TaBuilder, str]], start: _StartInfo
@@ -366,13 +314,7 @@ class _Compiler:
         """
         decl = self.channels[start.channel]
         self.channels[start.channel] = ChannelDecl(start.channel, "broadcast", decl.kind)
-        for builder, loc in stable:
-            builder.add_edge(
-                loc,
-                "s0",
-                sync=SyncLabel(start.channel, "receive"),
-                updates=builder.reset_map.get(loc, ()),
-            )
+        _knock_back(stable, start.channel)
 
     # -- compilation ---------------------------------------------------------
 
@@ -393,13 +335,9 @@ class _Compiler:
             return self._compile_int_choice(p, ctx, start)
         if isinstance(p, Interrupt):
             return self._compile_interrupt(p, ctx, start)
-        if isinstance(p, Hide):
-            sub = _Ctx(ctx.branch, ctx.counter, ctx.finish, (("hide", p.hidden),) + ctx.wrappers, ctx.markers)
-            unit = self.compile(p.body, sub, start)
-            ctx.counter = sub.counter
-            return unit
-        if isinstance(p, Rename):
-            sub = _Ctx(ctx.branch, ctx.counter, ctx.finish, (("rename", p.as_dict()),) + ctx.wrappers, ctx.markers)
+        if isinstance(p, (Hide, Rename)):
+            wrapper = ("hide", p.hidden) if isinstance(p, Hide) else ("rename", p.as_dict())
+            sub = _Ctx(ctx.branch, ctx.counter, ctx.finish, (wrapper,) + ctx.wrappers, ctx.markers)
             unit = self.compile(p.body, sub, start)
             ctx.counter = sub.counter
             return unit
@@ -408,7 +346,7 @@ class _Compiler:
         raise TranslationError(f"no translation rule for {type(p).__name__}")
 
     def _compile_ref(self, p: Ref, ctx: _Ctx, start: _StartInfo) -> _Unit:
-        key = (p.name, self.context_key(ctx.wrappers), ctx.markers, ctx.finish)
+        key = self.loop_key(p.name, ctx)
         looped = self.active.get(key)
         if looped is not None:
             # A wrapped reference re-entered its own expansion: relay the
@@ -434,7 +372,7 @@ class _Compiler:
         """Flow channel to reuse when ``p`` is a reference back into an
         expansion currently on the stack."""
         if isinstance(p, Ref):
-            return self.active.get((p.name, self.context_key(ctx.wrappers), ctx.markers, ctx.finish))
+            return self.active.get(self.loop_key(p.name, ctx))
         return None
 
     def _compile_cont(self, p: CspProcess, ctx: _Ctx) -> tuple[str, _Unit]:
@@ -497,16 +435,13 @@ class _Compiler:
         return _Unit(tas=[b], blockable=[(b, s1)], stable=[(b, s1)])
 
     def _compile_skip(self, ctx: _Ctx, start: _StartInfo) -> _Unit:
-        b = _TaBuilder()
-        s0 = b.add_loc()
-        s1 = b.add_loc()
-        b.add_edge(s0, s1, sync=SyncLabel(start.channel, "receive"))
-        b.add_edge(s1, s1, sync=SyncLabel(TOCK, "receive"))
+        unit = self._compile_stop(start)
+        (b,) = unit.tas
         # back to the inert initial once termination is signalled: a
         # terminated process cannot be chosen against or interrupted, and
         # a later activation may legitimately run it again
-        b.add_edge(s1, s0, sync=SyncLabel(ctx.finish, "send"))
-        return _Unit(tas=[b], blockable=[(b, s1)], stable=[(b, s1)])
+        b.add_edge("s1", "s0", sync=SyncLabel(ctx.finish, "send"))
+        return unit
 
     def _compile_prefix(self, p: Prefix, ctx: _Ctx, start: _StartInfo) -> _Unit:
         if p.event == TOCK:
@@ -714,7 +649,7 @@ class _Compiler:
         for side, own, other in ((1, left, right), (2, right, left)):
             for slot in own.slots:
                 channel = self.registry.unique(slot.event, "_exch")
-                self.ensure_channel_mode(channel, ChannelKind.EXT_CHOICE, "binary")
+                self.ensure_channel(channel, ChannelKind.EXT_CHOICE, "binary")
                 _gate_slot(
                     slot,
                     SyncLabel(channel, "send"),
@@ -722,13 +657,7 @@ class _Compiler:
                     updates=(Assignment(picked, side),),
                     freepass_guard=GuardExpr((IntAtom((picked,), "==", side),)),
                 )
-                for builder, loc in other.blockable:
-                    builder.add_edge(
-                        loc,
-                        "s0",
-                        sync=SyncLabel(channel, "receive"),
-                        updates=builder.reset_map.get(loc, ()),
-                    )
+                _knock_back(other.blockable, channel)
 
     def _compile_int_choice(self, p: IntChoice, ctx: _Ctx, start: _StartInfo) -> _Unit:
         b = _TaBuilder()
@@ -793,20 +722,14 @@ class _Compiler:
 
         # successful termination of the interrupted side retires the whole
         # construct: nothing may interrupt it any more
-        for builder in left.tas:
-            for edge in builder.edges:
-                if (
-                    edge.sync is not None
-                    and edge.sync.direction == "send"
-                    and edge.sync.channel == ctx.finish
-                ):
-                    edge.updates = edge.updates + (Assignment(state, 2),)
+        for _, edge in _finish_edges(left.tas, ctx.finish):
+            edge.updates = edge.updates + (Assignment(state, 2),)
 
         for slot in right.slots:
             # the kill is a broadcast: every automaton of the interrupted
             # side that is at a stable location retires at once
             channel = self.registry.unique(slot.event, "_intrpt")
-            self.ensure_channel_mode(channel, ChannelKind.INTERRUPT, "broadcast")
+            self.ensure_channel(channel, ChannelKind.INTERRUPT, "broadcast")
             _gate_slot(
                 slot,
                 SyncLabel(channel, "send"),
@@ -814,18 +737,34 @@ class _Compiler:
                 updates=(Assignment(state, 1),),
                 freepass_guard=GuardExpr((IntAtom((state,), "==", 1),)),
             )
-            for builder, loc in left.stable:
-                builder.add_edge(
-                    loc,
-                    "s0",
-                    sync=SyncLabel(channel, "receive"),
-                    updates=builder.reset_map.get(loc, ()),
-                )
+            _knock_back(left.stable, channel)
 
         unit = _Unit(tas=[b], stable=[(b, s3)])
         unit.absorb(left)
         unit.absorb(right)
         return unit
+
+
+def _knock_back(locations: list[tuple[_TaBuilder, str]], channel: str) -> None:
+    """Receiving on ``channel`` sends each automaton at one of ``locations``
+    back to its inert initial location, undoing what it had set."""
+    for builder, loc in locations:
+        builder.add_edge(
+            loc, "s0", sync=SyncLabel(channel, "receive"), updates=builder.reset_map.get(loc, ())
+        )
+
+
+def _finish_edges(tas: list[_TaBuilder], finish: str) -> list[tuple[_TaBuilder, _MutEdge]]:
+    """Every edge of ``tas`` that sends on ``finish``, with its builder.
+
+    The list is complete before the caller changes anything, so edges the
+    caller then adds are never in it."""
+    return [
+        (builder, edge)
+        for builder in tas
+        for edge in builder.edges
+        if edge.sync is not None and edge.sync.direction == "send" and edge.sync.channel == finish
+    ]
 
 
 def _claim_finish_edges(
@@ -834,24 +773,18 @@ def _claim_finish_edges(
     """Split every edge signalling ``finish`` into a resolving variant
     (fires while the decision variable is 0 and claims it) and a
     follow-up variant for when this side already won."""
-    for builder in tas:
-        for edge in list(builder.edges):
-            if (
-                edge.sync is not None
-                and edge.sync.direction == "send"
-                and edge.sync.channel == finish
-            ):
-                atoms = edge.guard.atoms if edge.guard else ()
-                follow_up = _MutEdge(
-                    edge.source,
-                    edge.target,
-                    guard=GuardExpr(atoms + (IntAtom((var,), "==", side),)),
-                    sync=edge.sync,
-                    updates=edge.updates,
-                )
-                edge.guard = GuardExpr(atoms + (IntAtom((var,), "==", 0),))
-                edge.updates = edge.updates + (Assignment(var, side),)
-                builder.edges.append(follow_up)
+    for builder, edge in _finish_edges(tas, finish):
+        atoms = edge.guard.atoms if edge.guard else ()
+        follow_up = _MutEdge(
+            edge.source,
+            edge.target,
+            guard=GuardExpr(atoms + (IntAtom((var,), "==", side),)),
+            sync=edge.sync,
+            updates=edge.updates,
+        )
+        edge.guard = GuardExpr(atoms + (IntAtom((var,), "==", 0),))
+        edge.updates = edge.updates + (Assignment(var, side),)
+        builder.edges.append(follow_up)
 
 
 def _gate_slot(
@@ -950,21 +883,20 @@ def _as_spec(process_or_spec: CspSpec | CspProcess) -> CspSpec:
 
 def translate_process(
     process_or_spec: CspSpec | CspProcess,
-    ctx: TranslationContext | None = None,
 ) -> tuple[tuple[TimedAutomaton, ...], tuple[SyncRequirement, ...]]:
     """Translate without the environment: the component automata and the
     multiway synchronisation requirements they registered."""
-    _, tas, reqs, _, _, _, _ = _translate(process_or_spec, ctx)
+    tas, reqs, _, _, _ = _translate(process_or_spec)
     return tas, reqs
 
 
-def _translate(process_or_spec, ctx: TranslationContext | None):
-    spec = _as_spec(process_or_spec)
-    named = isinstance(process_or_spec, CspSpec)
-    if ctx is None:
-        ctx = TranslationContext(proc_name=spec.main if named else "ta")
-    used_ctx = ctx
+def _translate(process_or_spec):
+    """The component automata, the synchronisation requirements, the
+    compiler, the start channel and the alphabet.
 
+    A named spec starts on ``startID<main>``, a bare process on the
+    numbered ``startID0_0``."""
+    spec = _as_spec(process_or_spec)
     registry = _Registry()
     registry.claim(TOCK)
     events = alphabet(spec)
@@ -976,13 +908,9 @@ def _translate(process_or_spec, ctx: TranslationContext | None):
     for event in sorted(events):
         compiler.ensure_channel(event, ChannelKind.USER_EVENT, "binary")
 
-    root = _Ctx(ctx.branch_id, 0, registry.claim(ctx.finish_action), ())
-    compiler.ensure_channel(ctx.finish_action, ChannelKind.TERMINATING, "binary")
-    if ctx.start_action is not None:
-        start = _StartInfo(registry.claim(ctx.start_action), root.branch, root.counter)
-        compiler.ensure_channel(start.channel, ChannelKind.FLOW, "urgent-binary")
-        root.counter += 1
-    elif named:
+    root = _Ctx("0", 0, registry.claim(_FINISH), ())
+    compiler.ensure_channel(_FINISH, ChannelKind.TERMINATING, "binary")
+    if isinstance(process_or_spec, CspSpec):
         start = _StartInfo(registry.claim(f"startID{spec.main}"), root.branch, root.counter)
         compiler.ensure_channel(start.channel, ChannelKind.FLOW, "urgent-binary")
         root.counter += 1
@@ -1002,17 +930,14 @@ def _translate(process_or_spec, ctx: TranslationContext | None):
     for index, builder in enumerate(unit.tas):
         name = registry.unique(f"TA{index:02d}")
         tas.append(builder.freeze(name))
-    return spec, tuple(tas), tuple(unit.reqs), compiler, start, events, used_ctx
+    return tuple(tas), tuple(unit.reqs), compiler, start.channel, events
 
 
-def assemble(
-    process_or_spec: CspSpec | CspProcess,
-    ctx: TranslationContext | None = None,
-) -> NetworkModel:
+def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
     """Full network: component automata plus the closing environment."""
-    spec, tas, reqs, compiler, start, events, ctx = _translate(process_or_spec, ctx)
+    tas, _, compiler, start, events = _translate(process_or_spec)
     start_var = compiler.new_var("start")
-    env = build_environment(events, start.channel, ctx.finish_action, start_var=start_var)
+    env = build_environment(events, start, _FINISH, start_var=start_var)
     env_name = compiler.registry.unique(env.name)
     env = TimedAutomaton(env_name, env.locations, env.initial, env.clocks, env.edges)
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import product
 from operator import eq, ge, gt, le, lt
 from pathlib import Path
@@ -233,6 +236,34 @@ def test_step_outside_its_source_location_is_a_programming_error():
     after = apply_step(net, cfg, start)
     with pytest.raises(AssertionError):
         apply_step(net, after, start)
+
+
+_REAPPLY_START_STEP = """
+from tockta.cspast import Stop
+from tockta.taexec import apply_step, enabled_steps, initial_configuration
+from tockta.translate import assemble
+net = assemble(Stop())
+cfg = initial_configuration(net)
+(start,) = enabled_steps(net, cfg)
+after = apply_step(net, cfg, start)
+try:
+    apply_step(net, after, start)
+except AssertionError:
+    raise SystemExit(0)
+raise SystemExit("applied a step that is not enabled")
+"""
+
+
+def test_step_outside_its_source_location_raises_under_optimisation():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(taexec.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", _REAPPLY_START_STEP],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr.decode()
 
 
 def test_translated_networks_never_timelock():

@@ -124,10 +124,18 @@ def test_kind_metadata_agrees_with_reserved_name_patterns():
 def test_erasure_never_contains_user_events():
     from tockta.harness import generate_corpus
     from tockta.cspast import alphabet
+    from tockta.parser import parse_file
 
-    for entry in generate_corpus()[::5]:
-        net = assemble(entry.spec)
-        assert erasure_set(net).isdisjoint(alphabet(entry.spec))
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    specs = [entry.spec for entry in generate_corpus()]
+    specs += [parse_file(str(path)) for path in sorted(fixtures.glob("*.tcsp"))]
+    assert len(specs) == 161
+    for spec in specs:
+        net = assemble(spec)
+        events = alphabet(spec)
+        # the translator and alphabet see each event through the same wrappers
+        assert {c.name for c in net.channels if c.kind is ChannelKind.USER_EVENT} == events
+        assert erasure_set(net).isdisjoint(events)
 
 
 _LOAD_IN_FRESH_PROCESS = """

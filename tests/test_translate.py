@@ -1,11 +1,14 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from tockta.cspast import Prefix, Skip, Stop, alphabet
-from tockta.parser import parse
+from tockta.harness import generate_corpus
+from tockta.parser import parse, parse_file
 from tockta.tamodel import ChannelKind, LocationKind
 from tockta.translate import (
     SyncRequirement,
-    TranslationContext,
     TranslationError,
     assemble,
     build_environment,
@@ -31,7 +34,7 @@ def edge_views(ta):
 
 
 def test_stop_becomes_receive_then_tock_loop():
-    tas, reqs = translate_process(Stop(), TranslationContext(start_action="startID0_0"))
+    tas, reqs = translate_process(Stop())
     assert reqs == ()
     (ta,) = tas
     assert [loc.id for loc in ta.locations] == ["s0", "s1"]
@@ -216,3 +219,19 @@ def test_assemble_is_deterministic_byte_for_byte():
 def test_unbounded_parallel_recursion_is_rejected():
     with pytest.raises(TranslationError, match="recursion"):
         assemble(parse("P = a -> ((b -> SKIP) ||| P)"))
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# The SHA-256 of the XML emitted for the five fixtures followed by the 156
+# corpus processes.  It changes only with an intended change to the
+# translation; a refactoring of the translator must leave it as it is.
+XML_DIGEST = "5e74d9ab116f582cf83cc179aab916e6feb8902a6400ad8f445866d87d073ade"
+
+
+def test_emitted_xml_is_pinned_on_fixtures_and_corpus():
+    specs = [parse_file(str(path)) for path in sorted(FIXTURES.glob("*.tcsp"))]
+    specs += [entry.spec for entry in generate_corpus()]
+    assert len(specs) == 161
+    document = "".join(emit(assemble(spec)) for spec in specs)
+    assert hashlib.sha256(document.encode("utf-8")).hexdigest() == XML_DIGEST
