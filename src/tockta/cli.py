@@ -19,6 +19,13 @@ from .translate import TranslationError, assemble
 from .uppaalxml import XmlLoadError, load_file, save_file
 
 
+def _bound(text: str) -> int:
+    """A depth bound: a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tockta",
@@ -35,10 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
     kind = p.add_subparsers(dest="side", required=True)
     csp = kind.add_parser("csp", help="traces of the source process")
     csp.add_argument("input")
-    csp.add_argument("--depth", type=int, default=5)
+    csp.add_argument("--depth", type=_bound, default=5)
     ta = kind.add_parser("ta", help="traces of a translated network (.xml)")
     ta.add_argument("input")
-    ta.add_argument("--depth", type=int, default=5)
+    ta.add_argument("--depth", type=_bound, default=5)
     ta.add_argument(
         "--keep-coordinating",
         action="store_true",
@@ -47,17 +54,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="compare source and network traces")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--depth", type=_bound, default=5)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("corpus", help="systematic corpus operations")
     corpus_sub = p.add_subparsers(dest="corpus_command", required=True)
     run = corpus_sub.add_parser("run", help="check every corpus process")
-    run.add_argument("--depth", type=int, default=5)
+    run.add_argument("--depth", type=_bound, default=5)
     run.add_argument("--out", help="directory for per-process JSON reports")
 
     p = sub.add_parser("prove-stop", help="deadlock base case at every depth")
-    p.add_argument("--max-n", type=int, default=20)
+    p.add_argument("--max-n", type=_bound, default=20)
     return parser
 
 

@@ -5,6 +5,12 @@ A system is a start state and a ``successors(state)`` function yielding
 A search may also treat a set of ``hidden`` labels as internal.  Internal
 moves are never recorded and never count toward a depth bound.
 
+Bounded traces come in two steps: :func:`subset_graph` closes each state
+set that a trace shorter than the bound reaches, once, and keeps its
+visible moves; :func:`unfold` turns that graph into traces.
+:func:`same_traces` compares two graphs by walking pairs of their state
+sets, so a caller that only compares never unfolds.
+
 Each search memoises successors per state and raises
 :class:`BoundExceeded` once it has expanded more than ``state_cap``
 distinct states, so a capped search fails explicitly instead of returning
@@ -14,8 +20,10 @@ a truncated result.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
+from typing import NamedTuple
 
-__all__ = ["BoundExceeded", "bounded_traces", "reachable", "cannot_reach"]
+__all__ = ["BoundExceeded", "SubsetGraph", "subset_graph", "unfold", "same_traces",
+           "bounded_traces", "reachable", "cannot_reach"]
 
 Successors = Callable[[Hashable], Iterable[tuple[str | None, Hashable]]]
 
@@ -70,33 +78,68 @@ class _Graph:
         return frozenset(seen)
 
 
-def bounded_traces(
-    start, successors: Successors, depth: int, *, hidden: frozenset = frozenset(), state_cap: int
-) -> frozenset[tuple[str, ...]]:
-    """Every trace of at most ``depth`` visible labels from ``start``.
+class SubsetGraph(NamedTuple):
+    """The visible moves ``label -> frozenset(targets)`` of every state set
+    that a trace shorter than ``depth`` reaches from ``root``."""
 
-    The traces are expanded level by level as a map from each trace to the
-    set of states its last visible move reaches.  The visible moves out of
-    a state set are computed once, so traces that reach the same set share
-    the work.
-    """
+    root: frozenset
+    moves: dict
+    depth: int
+
+
+def subset_graph(
+    start, successors: Successors, depth: int, *, hidden: frozenset = frozenset(), state_cap: int
+) -> SubsetGraph:
+    """Built level by level from ``{start}``; each state set is closed
+    once, at the shallowest level a trace reaches it."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     graph = _Graph(successors, state_cap)
-    moves_of: dict[frozenset, dict] = {}
-    level = {(): frozenset({start})}
-    traces = [()]
+    root = frozenset({start})
+    moves: dict[frozenset, dict] = {}
+    level = {root}
     for _ in range(depth):
-        nxt = {}
-        for trace, states in level.items():
-            moves = moves_of.get(states)
-            if moves is None:
-                moves = moves_of[states] = graph.close(states, hidden)[1]
-            for label, targets in moves.items():
-                nxt[trace + (label,)] = targets
-        traces.extend(nxt)
-        level = nxt
+        for states in level:
+            moves[states] = graph.close(states, hidden)[1]
+        level = {t for states in level for t in moves[states].values()} - moves.keys()
+    return SubsetGraph(root, moves, depth)
+
+
+def unfold(graph: SubsetGraph) -> frozenset[tuple[str, ...]]:
+    """Every trace of ``graph``, as a map from each trace to the state set
+    its last move reaches, one level at a time."""
+    level = {(): graph.root}
+    traces = [()]
+    for _ in range(graph.depth):
+        level = {
+            trace + (label,): targets
+            for trace, states in level.items()
+            for label, targets in graph.moves[states].items()
+        }
+        traces.extend(level)
     return frozenset(traces)
+
+
+def same_traces(a: SubsetGraph, b: SubsetGraph) -> bool:
+    """Whether two graphs of one depth unfold to the same traces: every
+    pair of state sets that a common trace reaches within the depth must
+    enable the same labels.  Breadth first, each pair checked once."""
+    level = seen = {(a.root, b.root)}
+    for _ in range(a.depth):
+        if any(a.moves[left].keys() != b.moves[right].keys() for left, right in level):
+            return False
+        level = {
+            (t, b.moves[right][label]) for left, right in level for label, t in a.moves[left].items()
+        } - seen
+        seen |= level
+    return True
+
+
+def bounded_traces(
+    start, successors: Successors, depth: int, *, hidden: frozenset = frozenset(), state_cap: int
+) -> frozenset[tuple[str, ...]]:
+    """Every trace of at most ``depth`` visible labels from ``start``."""
+    return unfold(subset_graph(start, successors, depth, hidden=hidden, state_cap=state_cap))
 
 
 def reachable(

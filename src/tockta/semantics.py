@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .cspast import (
     TOCK,
@@ -35,7 +36,7 @@ from .cspast import (
     Skip,
     Stop,
 )
-from .lts import BoundExceeded, bounded_traces
+from .lts import BoundExceeded, SubsetGraph, bounded_traces, same_traces, subset_graph, unfold
 
 __all__ = [
     "ActionKind",
@@ -226,12 +227,37 @@ def initials(p: CspProcess, defs: dict[str, CspProcess]) -> frozenset[str]:
 
 # --- bounded traces --------------------------------------------------------
 
-@dataclass(frozen=True)
 class TraceSet:
-    """A prefix-closed set of bounded traces, tagged with its depth."""
+    """A prefix-closed set of bounded traces, tagged with its depth.
 
-    traces: frozenset[tuple[str, ...]]
-    depth: int
+    An engine's set holds its subset graph (:func:`from_graph`), unfolds
+    it into traces on first read and keeps them; two such sets compare by
+    a walk over their graphs, without unfolding."""
+
+    graph: SubsetGraph | None = None
+
+    def __init__(self, traces: frozenset[tuple[str, ...]], depth: int):
+        self.traces, self.depth = traces, depth
+
+    @classmethod
+    def from_graph(cls, graph: SubsetGraph) -> "TraceSet":
+        ts = cls.__new__(cls)
+        ts.graph, ts.depth = graph, graph.depth
+        return ts
+
+    @cached_property
+    def traces(self) -> frozenset[tuple[str, ...]]:
+        return unfold(self.graph)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TraceSet):
+            return NotImplemented
+        if self.graph is not None and other.graph is not None and self.depth == other.depth:
+            return same_traces(self.graph, other.graph)
+        return (self.traces, self.depth) == (other.traces, other.depth)
+
+    def __hash__(self) -> int:
+        return hash((self.traces, self.depth))
 
     def __contains__(self, trace: tuple[str, ...]) -> bool:
         return tuple(trace) in self.traces
@@ -253,8 +279,8 @@ def csp_traces(
     distinct process states raises :class:`BoundExceeded` rather than
     silently truncating.
     """
-    traces = bounded_traces(spec.body(), _successors(spec.definitions), depth, state_cap=state_cap)
-    return TraceSet(traces, depth)
+    graph = subset_graph(spec.body(), _successors(spec.definitions), depth, state_cap=state_cap)
+    return TraceSet.from_graph(graph)
 
 
 # --- canonical text format --------------------------------------------------

@@ -28,7 +28,7 @@ from operator import eq, ge, gt, le, lt
 from typing import Callable, NamedTuple
 
 from .lts import BoundExceeded  # noqa: F401  (re-exported: every search here raises it)
-from .lts import bounded_traces, cannot_reach, reachable
+from .lts import cannot_reach, reachable, subset_graph
 from .semantics import TraceSet
 from .tamodel import ClockAtom, LocationKind, NetworkModel, erasure_set
 
@@ -356,8 +356,7 @@ def raw_network_traces(
 ) -> TraceSet:
     """Bounded traces over *all* channel names, coordinating ones included."""
     rt = _runtime(net)
-    traces = bounded_traces(_start(rt), rt.successors, depth, state_cap=state_cap)
-    return TraceSet(traces, depth)
+    return TraceSet.from_graph(subset_graph(_start(rt), rt.successors, depth, state_cap=state_cap))
 
 
 def network_traces(
@@ -370,10 +369,10 @@ def network_traces(
     a silent truncation.
     """
     rt = _runtime(net)
-    traces = bounded_traces(
+    graph = subset_graph(
         _start(rt), rt.successors, depth, hidden=erasure_set(net), state_cap=state_cap
     )
-    return TraceSet(traces, depth)
+    return TraceSet.from_graph(graph)
 
 
 def reachable_configurations(

@@ -71,3 +71,23 @@ def test_corpus_run_writes_reports(tmp_path, capsys):
     assert len(reports) >= 111
     sample = json.loads(reports[0].read_text())
     assert sample["verdict"] == "EqualAtStage1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "P.tcsp", "--depth", "-1"],
+        ["traces", "csp", "P.tcsp", "--depth", "-2"],
+        ["traces", "ta", "P.xml", "--depth", "-2"],
+        ["prove-stop", "--max-n", "-1"],
+        ["corpus", "run", "--depth", "-1"],
+        ["check", "P.tcsp", "--depth", "five"],
+    ],
+    ids=["check", "traces-csp", "traces-ta", "prove-stop", "corpus-run", "not-a-number"],
+)
+def test_a_bad_bound_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tockta") and "must be an integer >= 0" in err

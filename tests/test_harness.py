@@ -1,8 +1,21 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from tockta.cspast import ExtChoice, GenPar, Prefix, Skip, Stop
+from tockta import semantics
+from tockta.cspast import (
+    CspSpec,
+    ExtChoice,
+    GenPar,
+    IntChoice,
+    Interleave,
+    Interrupt,
+    Prefix,
+    Seq,
+    Skip,
+    Stop,
+)
 from tockta.harness import (
     ACCEPTED_AT_STAGE2,
     EQUAL_AT_STAGE1,
@@ -14,9 +27,22 @@ from tockta.harness import (
     prove_stop_base,
 )
 from tockta.parser import parse
-from tockta.semantics import TraceSet
+from tockta.semantics import TraceSet, csp_traces
+from tockta.taexec import network_traces
 from tockta.tamodel import NetworkModel, TimedAutomaton
-from tockta.translate import assemble
+from tockta.translate import TranslationError, assemble
+
+ADS = parse(
+    "ADS = Controller [|{close}|] Lighting\n"
+    "Controller = open -> tock -> close -> Controller\n"
+    "Lighting = close -> offLight -> Lighting\n"
+)
+THREE_CYCLES = parse(
+    "MAIN = P0 ||| P1 ||| P2\n"
+    "P0 = a0 -> tock -> b0 -> P0\n"
+    "P1 = a1 -> tock -> b1 -> P1\n"
+    "P2 = a2 -> tock -> b2 -> P2\n"
+)
 
 
 def ts(*traces, depth):
@@ -64,6 +90,67 @@ def test_depth_mismatch_is_an_error():
         compare_traces(ts((), depth=1), ts((), depth=2))
 
 
+_BINARY = (Seq, ExtChoice, IntChoice, Interleave, Interrupt)
+
+
+def _mutants(p):
+    """Single-point mutants: STOP and SKIP swapped, a prefix dropped, or a
+    binary operator replaced by another."""
+    out = []
+    if isinstance(p, (Stop, Skip)):
+        out.append(Skip() if isinstance(p, Stop) else Stop())
+    if isinstance(p, Prefix):
+        out.append(p.cont)
+    if type(p) in _BINARY:
+        out += [op(p.left, p.right) for op in _BINARY if op is not type(p)]
+    for name in ("cont", "body", "left", "right"):
+        if hasattr(p, name):
+            out += [replace(p, **{name: m}) for m in _mutants(getattr(p, name))]
+    return out
+
+
+def test_the_pair_walk_agrees_with_comparing_unfolded_traces():
+    """Each corpus process against its own network and its mutants'
+    networks: ``compare_traces`` decides stage 1 on the engines' subset
+    graphs, and must report exactly what it reports on explicit copies."""
+    networks = {}
+    pairs = mismatches = 0
+    for entry in generate_corpus():
+        source = csp_traces(entry.spec, 5)
+        for process in [entry.spec.body()] + _mutants(entry.spec.body()):
+            if process not in networks:
+                try:
+                    net = assemble(CspSpec(definitions={"P": process}, main="P"))
+                    networks[process] = network_traces(net, 5)
+                except TranslationError:
+                    networks[process] = None
+            target = networks[process]
+            if target is None:
+                continue
+            walked = compare_traces(source, target)
+            copies = [TraceSet(frozenset(x.traces), x.depth) for x in (source, target)]
+            unfolded = compare_traces(*copies)
+            assert (walked.verdict, walked.witnesses) == (unfolded.verdict, unfolded.witnesses)
+            pairs += 1
+            mismatches += walked.verdict == MISMATCH
+    assert pairs >= 1000 and mismatches >= 300
+
+
+@pytest.mark.parametrize("spec, depth", [(ADS, 6), (THREE_CYCLES, 8)], ids=["ads", "three-cycles"])
+def test_check_spec_on_an_equal_input_never_unfolds_a_trace_set(spec, depth, monkeypatch):
+    calls = []
+    unfold = semantics.unfold
+
+    def counting_unfold(graph):
+        calls.append(graph.depth)
+        return unfold(graph)
+
+    monkeypatch.setattr(semantics, "unfold", counting_unfold)
+    assert check_spec(spec, depth).verdict == EQUAL_AT_STAGE1
+    assert calls == []
+    assert len(csp_traces(spec, 2)) > 1 and calls == [2]  # the counter does see an unfold
+
+
 def test_report_json_schema():
     report = check_spec(parse("P = a -> STOP"), 2, spec_id="demo")
     data = json.loads(report.to_json())
@@ -92,12 +179,7 @@ def test_corpus_contains_the_promised_shapes():
 
 def test_check_spec_examples():
     assert check_spec(parse("P = STOP"), 5).verdict == EQUAL_AT_STAGE1
-    ads = parse(
-        "ADS = Controller [|{close}|] Lighting\n"
-        "Controller = open -> tock -> close -> Controller\n"
-        "Lighting = close -> offLight -> Lighting\n"
-    )
-    assert check_spec(ads, 4).verdict == EQUAL_AT_STAGE1
+    assert check_spec(ADS, 4).verdict == EQUAL_AT_STAGE1
 
 
 def test_check_spec_reports_are_reproducible():

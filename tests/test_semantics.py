@@ -27,6 +27,8 @@ from tockta.semantics import (
     traces_to_text,
 )
 from tockta.parser import parse
+from tockta.taexec import network_traces
+from tockta.translate import assemble
 
 TOCK_ACT = Action(ActionKind.TOCK, "tock")
 
@@ -192,6 +194,24 @@ def test_traces_text_round_trip():
     assert text == "".join(sorted(text.splitlines(keepends=True)))
     again = traces_from_text(text, ts.depth)
     assert again.traces == ts.traces
+
+
+def test_trace_sets_are_equal_exactly_when_traces_and_depth_are():
+    """Graph-built and explicit sets alike: equal under ``==``, with equal
+    hashes, exactly when their traces and depths are equal."""
+    specs = [parse("P = a -> STOP"), parse("P = a -> SKIP"), parse("P = (a -> STOP) [] (b -> STOP)")]
+    sets = []
+    for spec in specs:
+        for depth in (1, 2):
+            built = [csp_traces(spec, depth), network_traces(assemble(spec), depth)]
+            sets += built + [TraceSet(frozenset(built[0].traces), depth)]
+    sets += [TraceSet(frozenset({()}), 0), TraceSet(frozenset({()}), 1)]
+    for x in sets:
+        for y in sets:
+            same = (x.traces, x.depth) == (y.traces, y.depth)
+            assert (x == y) == same
+            assert not same or hash(x) == hash(y)
+    assert sum(x == y for x in sets for y in sets) > len(sets)
 
 
 # --- randomised properties ---------------------------------------------------

@@ -310,6 +310,8 @@ def test_timelock_follows_a_long_committed_chain_to_time():
     ids=["csp_traces", "network_traces", "raw_network_traces", "timelock_witnesses"],
 )
 def test_state_cap_raises_instead_of_truncating(explore):
+    # the result is never read: the cap must fire inside the engine call,
+    # not later when a trace set is unfolded
     with pytest.raises(BoundExceeded):
         explore()
 
