@@ -78,6 +78,9 @@ def main(argv: list[str] | None = None) -> int:
     except BoundExceeded as exc:
         print(f"tockta: error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("tockta: error: input nests too deeply", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args: argparse.Namespace) -> int:

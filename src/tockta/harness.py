@@ -1,13 +1,5 @@
-"""Two-stage trace comparison, the systematic corpus, and the bounded
-proof that the deadlock translation preserves traces at every depth.
-
-Stage 1 compares trace sets exactly.  Stage 2 accepts when every source
-trace is a trace of the network and the two sides agree up to
-permutations of events inside a trace; it exists so the tool can also
-judge trace files produced by external tools that cannot distinguish
-permutations.  With the two exact engines in this package stage 1 is
-always decisive.
-"""
+"""Exact trace comparison, the systematic corpus, and the bounded proof
+that the deadlock translation preserves traces at every depth."""
 
 from __future__ import annotations
 
@@ -32,15 +24,14 @@ from .cspast import (
     Stop,
     format_process,
 )
-from .lts import BoundExceeded, bounded_traces, reachable
-from .semantics import TERMINATED, TraceSet, csp_traces, step
+from .lts import BoundExceeded, TraceSet, reachable, subset_graph, unfold
+from .semantics import TERMINATED, csp_traces, step
 from .tamodel import ChannelKind, NetworkModel, erasure_set
 from .taexec import network_traces, raw_network_traces
 from .translate import assemble
 
 __all__ = [
     "EQUAL_AT_STAGE1",
-    "ACCEPTED_AT_STAGE2",
     "MISMATCH",
     "ComparisonReport",
     "compare_traces",
@@ -53,7 +44,6 @@ __all__ = [
 ]
 
 EQUAL_AT_STAGE1 = "EqualAtStage1"
-ACCEPTED_AT_STAGE2 = "AcceptedAtStage2"
 MISMATCH = "Mismatch"
 
 _WITNESS_LIMIT = 10
@@ -90,15 +80,13 @@ class ComparisonReport:
 def compare_traces(
     csp: TraceSet, ta: TraceSet, *, spec_id: str = "", millis: float = 0.0
 ) -> ComparisonReport:
-    """Exact equality first; permutation-insensitive acceptance second."""
+    """Equal exactly when the two sets are, decided on their subset graphs;
+    otherwise a mismatch with the first traces, in sorted order, that only
+    one side has."""
     if csp.depth != ta.depth:
         raise ValueError(f"depth mismatch: {csp.depth} vs {ta.depth}")
-    if csp == ta:  # on the subset graphs when both sides have one
+    if csp == ta:
         return ComparisonReport(spec_id, csp.depth, EQUAL_AT_STAGE1, (), millis)
-    # permutation classes: what a logic-formula check cannot tell apart
-    classes = lambda ts: {tuple(sorted(t)) for t in ts.traces}
-    if csp.traces <= ta.traces and classes(csp) == classes(ta):
-        return ComparisonReport(spec_id, csp.depth, ACCEPTED_AT_STAGE2, (), millis)
     witnesses = []
     for trace in sorted(csp.traces - ta.traces)[:_WITNESS_LIMIT]:
         witnesses.append(("csp", _render(trace)))
@@ -260,9 +248,10 @@ def _component_free_traces(net: NetworkModel, automaton_index: int, depth: int) 
         outgoing.setdefault(edge.source, []).append(
             (edge.sync.channel if edge.sync else None, edge.target)
         )
-    return bounded_traces(
+    graph = subset_graph(
         ta.initial, lambda loc: outgoing.get(loc, ()), depth, state_cap=len(ta.locations)
     )
+    return unfold(graph)
 
 
 def prove_stop_base(max_n: int, *, net: NetworkModel | None = None) -> StopBaseReport:

@@ -5,11 +5,13 @@ A system is a start state and a ``successors(state)`` function yielding
 A search may also treat a set of ``hidden`` labels as internal.  Internal
 moves are never recorded and never count toward a depth bound.
 
-Bounded traces come in two steps: :func:`subset_graph` closes each state
-set that a trace shorter than the bound reaches, once, and keeps its
-visible moves; :func:`unfold` turns that graph into traces.
-:func:`same_traces` compares two graphs by walking pairs of their state
-sets, so a caller that only compares never unfolds.
+Bounded traces are a subset graph: :func:`subset_graph` closes each
+state set that a trace shorter than the bound reaches, once, and keeps
+its visible moves.  A :class:`TraceSet` is a view of one such graph: it
+compares by :func:`same_traces`, a walk over pairs of state sets, counts
+its traces path by path, and unfolds them (:func:`unfold`) only when they
+are read.
+An explicit set of traces becomes a graph through :func:`trie_graph`.
 
 Each search memoises successors per state and raises
 :class:`BoundExceeded` once it has expanded more than ``state_cap``
@@ -20,10 +22,11 @@ a truncated result.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
+from functools import cached_property
 from typing import NamedTuple
 
-__all__ = ["BoundExceeded", "SubsetGraph", "subset_graph", "unfold", "same_traces",
-           "bounded_traces", "reachable", "cannot_reach"]
+__all__ = ["BoundExceeded", "SubsetGraph", "subset_graph", "trie_graph", "unfold", "same_traces",
+           "TraceSet", "reachable", "cannot_reach"]
 
 Successors = Callable[[Hashable], Iterable[tuple[str | None, Hashable]]]
 
@@ -105,6 +108,24 @@ def subset_graph(
     return SubsetGraph(root, moves, depth)
 
 
+def trie_graph(traces: Iterable[tuple[str, ...]], depth: int) -> SubsetGraph:
+    """The subset graph of an explicit set of traces, in which each trace
+    is its own state.  The set must hold ``()``, be prefix-closed and hold
+    no trace longer than ``depth``."""
+    traces = frozenset(map(tuple, traces))
+    if () not in traces:
+        raise ValueError("a trace set must hold the empty trace")
+    children: dict[tuple, list] = {}
+    for trace in traces:
+        if len(trace) > depth:
+            raise ValueError(f"trace {trace} is longer than depth {depth}")
+        if trace:
+            if trace[:-1] not in traces:
+                raise ValueError(f"trace {trace} lacks its prefix {trace[:-1]}")
+            children.setdefault(trace[:-1], []).append((trace[-1], trace))
+    return subset_graph((), lambda t: children.get(t, ()), depth, state_cap=len(traces))
+
+
 def unfold(graph: SubsetGraph) -> frozenset[tuple[str, ...]]:
     """Every trace of ``graph``, as a map from each trace to the state set
     its last move reaches, one level at a time."""
@@ -135,11 +156,41 @@ def same_traces(a: SubsetGraph, b: SubsetGraph) -> bool:
     return True
 
 
-def bounded_traces(
-    start, successors: Successors, depth: int, *, hidden: frozenset = frozenset(), state_cap: int
-) -> frozenset[tuple[str, ...]]:
-    """Every trace of at most ``depth`` visible labels from ``start``."""
-    return unfold(subset_graph(start, successors, depth, hidden=hidden, state_cap=state_cap))
+class TraceSet:
+    """The prefix-closed set of traces of a subset graph, tagged with its
+    depth.  Two sets compare by a walk over their graphs; the traces are
+    unfolded on first read and kept."""
+
+    def __init__(self, graph: SubsetGraph):
+        self.graph, self.depth = graph, graph.depth
+
+    @cached_property
+    def traces(self) -> frozenset[tuple[str, ...]]:
+        return unfold(self.graph)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TraceSet):
+            return NotImplemented
+        return self.depth == other.depth and same_traces(self.graph, other.graph)
+
+    def __hash__(self) -> int:
+        return hash((self.traces, self.depth))
+
+    def __contains__(self, trace: tuple[str, ...]) -> bool:
+        return tuple(trace) in self.traces
+
+    def __len__(self) -> int:
+        """The number of paths from the root, counted level by level; the
+        graph is deterministic, so each path spells a distinct trace."""
+        level, total = {self.graph.root: 1}, 1
+        for _ in range(self.depth):
+            paths: dict = {}
+            for states, count in level.items():
+                for targets in self.graph.moves[states].values():
+                    paths[targets] = paths.get(targets, 0) + count
+            level = paths
+            total += sum(paths.values())
+        return total
 
 
 def reachable(

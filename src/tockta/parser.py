@@ -78,9 +78,10 @@ _PUNCT = [
 _PUNCT.sort(key=lambda item: -len(item[0]))
 
 
-def _tokenize(source: str) -> list[_Tok]:
+def _tokenize(source: str, line: int = 1, col: int = 1) -> list[_Tok]:
+    """Tokens of ``source``, positioned as if it started at ``line:col``."""
     toks: list[_Tok] = []
-    line, col, i = 1, 1, 0
+    i = 0
     n = len(source)
     while i < n:
         ch = source[i]
@@ -275,7 +276,8 @@ class _Parser:
 
 
 def _split_definitions(source: str) -> list[tuple[str, str, int, int]]:
-    """Split into (name, body-text, line, col) chunks, one per definition."""
+    """Split into (name, body-text, line, col) chunks, one per definition;
+    the body starts at ``line:col`` and keeps one line per source line."""
     defs: list[tuple[str, str, int, int]] = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
         text = raw.split("--", 1)[0]
@@ -289,7 +291,8 @@ def _split_definitions(source: str) -> list[tuple[str, str, int, int]]:
             defs.append((name, head[1], lineno, col))
         elif defs:
             name, body, line, col = defs[-1]
-            defs[-1] = (name, body + "\n" + text, line, col)
+            gap = "\n" * (lineno - line - body.count("\n"))
+            defs[-1] = (name, body + gap + text, line, col)
         else:
             raise CspSyntaxError("expected 'Name = process'", lineno, 1)
     return defs
@@ -305,15 +308,12 @@ def parse(source: str) -> CspSpec:
     for name, body, line, col in chunks:
         if name in definitions:
             raise CspSyntaxError(f"duplicate definition of {name!r}", line, 1)
-        parser = _Parser(_tokenize(body))
-        # token positions are relative to the definition body
+        parser = _Parser(_tokenize(body, line, col))
         proc = parser.process()
         tail = parser.peek()
         if tail.kind != "EOF":
             raise CspSyntaxError(
-                f"trailing input {tail.text!r} after definition of {name}",
-                line + tail.line - 1,
-                tail.col,
+                f"trailing input {tail.text!r} after definition of {name}", tail.line, tail.col
             )
         definitions[name] = proc
         positions[name] = (line, col)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .cspast import (
     TOCK,
@@ -36,7 +35,7 @@ from .cspast import (
     Skip,
     Stop,
 )
-from .lts import BoundExceeded, SubsetGraph, bounded_traces, same_traces, subset_graph, unfold
+from .lts import BoundExceeded, TraceSet, subset_graph, trie_graph
 
 __all__ = [
     "ActionKind",
@@ -221,53 +220,11 @@ def _successors(defs: dict[str, CspProcess]):
 
 def initials(p: CspProcess, defs: dict[str, CspProcess]) -> frozenset[str]:
     """First visible non-tock events of ``p``, looking through tau steps."""
-    firsts = bounded_traces(p, _successors(defs), 1, state_cap=100_000)
-    return frozenset(t[0] for t in firsts if t and t[0] != TOCK)
+    graph = subset_graph(p, _successors(defs), 1, state_cap=100_000)
+    return frozenset(graph.moves[graph.root]) - {TOCK}
 
 
 # --- bounded traces --------------------------------------------------------
-
-class TraceSet:
-    """A prefix-closed set of bounded traces, tagged with its depth.
-
-    An engine's set holds its subset graph (:func:`from_graph`), unfolds
-    it into traces on first read and keeps them; two such sets compare by
-    a walk over their graphs, without unfolding."""
-
-    graph: SubsetGraph | None = None
-
-    def __init__(self, traces: frozenset[tuple[str, ...]], depth: int):
-        self.traces, self.depth = traces, depth
-
-    @classmethod
-    def from_graph(cls, graph: SubsetGraph) -> "TraceSet":
-        ts = cls.__new__(cls)
-        ts.graph, ts.depth = graph, graph.depth
-        return ts
-
-    @cached_property
-    def traces(self) -> frozenset[tuple[str, ...]]:
-        return unfold(self.graph)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TraceSet):
-            return NotImplemented
-        if self.graph is not None and other.graph is not None and self.depth == other.depth:
-            return same_traces(self.graph, other.graph)
-        return (self.traces, self.depth) == (other.traces, other.depth)
-
-    def __hash__(self) -> int:
-        return hash((self.traces, self.depth))
-
-    def __contains__(self, trace: tuple[str, ...]) -> bool:
-        return tuple(trace) in self.traces
-
-    def __len__(self) -> int:
-        return len(self.traces)
-
-    def is_prefix_closed(self) -> bool:
-        return all(t[:-1] in self.traces for t in self.traces if t)
-
 
 def csp_traces(
     spec: CspSpec, depth: int, *, state_cap: int = 200_000
@@ -279,8 +236,9 @@ def csp_traces(
     distinct process states raises :class:`BoundExceeded` rather than
     silently truncating.
     """
-    graph = subset_graph(spec.body(), _successors(spec.definitions), depth, state_cap=state_cap)
-    return TraceSet.from_graph(graph)
+    return TraceSet(
+        subset_graph(spec.body(), _successors(spec.definitions), depth, state_cap=state_cap)
+    )
 
 
 # --- canonical text format --------------------------------------------------
@@ -292,10 +250,12 @@ def traces_to_text(ts: TraceSet) -> str:
 
 
 def traces_from_text(text: str, depth: int) -> TraceSet:
+    """The inverse of :func:`traces_to_text`; ``ValueError`` unless the
+    lines hold ``<>``, are prefix-closed and fit within ``depth``."""
     traces = set()
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         traces.add(() if line == "<>" else tuple(line.split(",")))
-    return TraceSet(frozenset(traces), depth)
+    return TraceSet(trie_graph(traces, depth))

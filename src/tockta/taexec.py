@@ -28,8 +28,7 @@ from operator import eq, ge, gt, le, lt
 from typing import Callable, NamedTuple
 
 from .lts import BoundExceeded  # noqa: F401  (re-exported: every search here raises it)
-from .lts import cannot_reach, reachable, subset_graph
-from .semantics import TraceSet
+from .lts import TraceSet, cannot_reach, reachable, subset_graph
 from .tamodel import ClockAtom, LocationKind, NetworkModel, erasure_set
 
 __all__ = [
@@ -356,7 +355,7 @@ def raw_network_traces(
 ) -> TraceSet:
     """Bounded traces over *all* channel names, coordinating ones included."""
     rt = _runtime(net)
-    return TraceSet.from_graph(subset_graph(_start(rt), rt.successors, depth, state_cap=state_cap))
+    return TraceSet(subset_graph(_start(rt), rt.successors, depth, state_cap=state_cap))
 
 
 def network_traces(
@@ -369,10 +368,9 @@ def network_traces(
     a silent truncation.
     """
     rt = _runtime(net)
-    graph = subset_graph(
-        _start(rt), rt.successors, depth, hidden=erasure_set(net), state_cap=state_cap
+    return TraceSet(
+        subset_graph(_start(rt), rt.successors, depth, hidden=erasure_set(net), state_cap=state_cap)
     )
-    return TraceSet.from_graph(graph)
 
 
 def reachable_configurations(

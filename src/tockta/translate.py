@@ -271,15 +271,6 @@ class _Compiler:
             return resolved
         return resolved[0], self.event_channel(*resolved)
 
-    def resolve_notify(self, name: str, wrappers: tuple) -> str:
-        """Channel a synchronisation controller announces its event on."""
-        resolved = resolve_event(name, wrappers)
-        if resolved[0] == "sync":
-            raise TranslationError(
-                f"nested synchronisation on {resolved[2]!r} is not supported"
-            )
-        return self.event_channel(*resolved)
-
     def event_channel(self, kind: str, name: str) -> str:
         """The channel of a plain occurrence, or the itau broadcast of a
         hidden one."""
@@ -598,7 +589,9 @@ class _Compiler:
                         "on one side of a parallel composition have no sum-guard "
                         "translation"
                     )
-                notify = self.resolve_notify(name, ctx.wrappers)
+                # Never a scope: the participants registered with the
+                # outermost scope over their whole wrapper stack.
+                notify = self.event_channel(*resolve_event(name, ctx.wrappers))
                 reqs.append(
                     SyncRequirement(notify, group["channel"], tuple(group["vars"]))
                 )
@@ -921,10 +914,7 @@ def _translate(process_or_spec):
         # Entering via the reference registers main for loop-backs.
         unit = compiler._compile_ref(Ref(spec.main), root, start)
     except RecursionError:
-        raise TranslationError(
-            "recursion grows its context without bound; "
-            "no finite network translation exists"
-        ) from None
+        raise TranslationError("input nests too deeply to translate") from None
 
     tas = []
     for index, builder in enumerate(unit.tas):

@@ -91,3 +91,28 @@ def test_a_bad_bound_is_a_usage_error(argv, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: tockta") and "must be an integer >= 0" in err
+
+
+CHAIN = "P = " + " -> ".join(f"e{i}" for i in range(1000)) + " -> STOP\n"
+CYCLE = "".join(f"C{i} = e{i} -> C{(i + 1) % 1000}\n" for i in range(1000))
+
+
+@pytest.mark.parametrize(
+    "source, command",
+    [
+        (CHAIN, ["traces", "csp"]),
+        (CHAIN, ["translate"]),
+        (CYCLE, ["translate"]),
+        (CYCLE, ["check"]),
+    ],
+    ids=["chain-traces", "chain-translate", "cycle-translate", "cycle-check"],
+)
+def test_deep_nesting_is_an_input_error(tmp_path, capsys, source, command):
+    path = tmp_path / "deep.tcsp"
+    path.write_text(source)
+    argv = command + [str(path)]
+    if command == ["translate"]:
+        argv += ["-o", str(tmp_path / "deep.xml")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "nests too deeply" in err and "Traceback" not in err

@@ -1,9 +1,10 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from tockta import semantics
+from tockta import lts
 from tockta.cspast import (
     CspSpec,
     ExtChoice,
@@ -17,7 +18,6 @@ from tockta.cspast import (
     Stop,
 )
 from tockta.harness import (
-    ACCEPTED_AT_STAGE2,
     EQUAL_AT_STAGE1,
     MISMATCH,
     check_spec,
@@ -26,12 +26,14 @@ from tockta.harness import (
     generate_corpus,
     prove_stop_base,
 )
-from tockta.parser import parse
-from tockta.semantics import TraceSet, csp_traces
+from tockta.lts import TraceSet, trie_graph
+from tockta.parser import parse, parse_file
+from tockta.semantics import csp_traces
 from tockta.taexec import network_traces
 from tockta.tamodel import NetworkModel, TimedAutomaton
 from tockta.translate import TranslationError, assemble
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ADS = parse(
     "ADS = Controller [|{close}|] Lighting\n"
     "Controller = open -> tock -> close -> Controller\n"
@@ -46,7 +48,7 @@ THREE_CYCLES = parse(
 
 
 def ts(*traces, depth):
-    return TraceSet(frozenset(traces), depth)
+    return TraceSet(trie_graph(traces, depth))
 
 
 def test_identical_sets_are_equal_at_stage_one():
@@ -72,11 +74,22 @@ def test_mismatch_reports_witnesses_from_both_directions():
     assert ("ta", "y") in report.witnesses
 
 
-def test_permutation_only_difference_is_accepted_at_stage_two():
-    csp = ts((), ("a",), ("a", "b"), depth=2)
-    ta = ts((), ("a",), ("a", "b"), ("b", "a"), depth=2)
+def test_permutation_only_difference_is_a_mismatch():
+    csp = ts((), ("a",), ("b",), ("a", "b"), depth=2)
+    ta = ts((), ("a",), ("b",), ("a", "b"), ("b", "a"), depth=2)
     report = compare_traces(csp, ta)
-    assert report.verdict == ACCEPTED_AT_STAGE2
+    assert (report.verdict, report.witnesses) == (MISMATCH, (("ta", "b,a"),))
+    assert not report.passed
+
+
+def test_an_interleaving_in_place_of_an_interrupt_is_caught():
+    """Same traces up to the order of events, which is not the same traces."""
+    spec = parse("P = ((a -> STOP) |~| (b -> STOP)) /\\ (c -> STOP)")
+    mutant = parse("P = ((a -> STOP) |~| (b -> STOP)) ||| (c -> STOP)")
+    report = check_spec(spec, 5, net=assemble(mutant))
+    assert report.verdict == MISMATCH and not report.passed
+    assert report.witnesses[:2] == (("ta", "c,a"), ("ta", "c,a,tock"))
+    assert all(side == "ta" for side, _ in report.witnesses)
 
 
 def test_storage_order_is_irrelevant():
@@ -111,8 +124,9 @@ def _mutants(p):
 
 def test_the_pair_walk_agrees_with_comparing_unfolded_traces():
     """Each corpus process against its own network and its mutants'
-    networks: ``compare_traces`` decides stage 1 on the engines' subset
-    graphs, and must report exactly what it reports on explicit copies."""
+    networks: ``compare_traces`` decides on the engines' subset graphs; its
+    verdict must be the equality of the unfolded frozensets, and its report
+    the one it gives on trie copies of them."""
     networks = {}
     pairs = mismatches = 0
     for entry in generate_corpus():
@@ -128,7 +142,8 @@ def test_the_pair_walk_agrees_with_comparing_unfolded_traces():
             if target is None:
                 continue
             walked = compare_traces(source, target)
-            copies = [TraceSet(frozenset(x.traces), x.depth) for x in (source, target)]
+            assert (walked.verdict == EQUAL_AT_STAGE1) == (source.traces == target.traces)
+            copies = [TraceSet(trie_graph(x.traces, x.depth)) for x in (source, target)]
             unfolded = compare_traces(*copies)
             assert (walked.verdict, walked.witnesses) == (unfolded.verdict, unfolded.witnesses)
             pairs += 1
@@ -136,19 +151,40 @@ def test_the_pair_walk_agrees_with_comparing_unfolded_traces():
     assert pairs >= 1000 and mismatches >= 300
 
 
-@pytest.mark.parametrize("spec, depth", [(ADS, 6), (THREE_CYCLES, 8)], ids=["ads", "three-cycles"])
-def test_check_spec_on_an_equal_input_never_unfolds_a_trace_set(spec, depth, monkeypatch):
+def _count_unfolds(monkeypatch) -> list:
     calls = []
-    unfold = semantics.unfold
+    unfold = lts.unfold
 
     def counting_unfold(graph):
         calls.append(graph.depth)
         return unfold(graph)
 
-    monkeypatch.setattr(semantics, "unfold", counting_unfold)
+    monkeypatch.setattr(lts, "unfold", counting_unfold)
+    return calls
+
+
+@pytest.mark.parametrize("spec, depth", [(ADS, 6), (THREE_CYCLES, 8)], ids=["ads", "three-cycles"])
+def test_check_spec_on_an_equal_input_never_unfolds_a_trace_set(spec, depth, monkeypatch):
+    calls = _count_unfolds(monkeypatch)
     assert check_spec(spec, depth).verdict == EQUAL_AT_STAGE1
     assert calls == []
-    assert len(csp_traces(spec, 2)) > 1 and calls == [2]  # the counter does see an unfold
+    assert len(csp_traces(spec, 2).traces) > 1 and calls == [2]  # the counter does see an unfold
+
+
+def test_counting_traces_never_unfolds(monkeypatch):
+    """``len`` counts the paths of the subset graph, for both engines, on
+    the corpus and on the fixtures."""
+    specs = [(entry.spec, 5) for entry in generate_corpus()]
+    specs += [(parse_file(str(path)), 10) for path in sorted(FIXTURES.glob("*.tcsp"))]
+    calls = _count_unfolds(monkeypatch)
+    counted = [
+        (x, len(x))
+        for spec, depth in specs
+        for x in (csp_traces(spec, depth), network_traces(assemble(spec), depth))
+    ]
+    assert calls == []
+    assert all(count == len(x.traces) for x, count in counted)
+    assert max(count for _, count in counted) > 1000
 
 
 def test_report_json_schema():

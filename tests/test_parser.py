@@ -117,6 +117,24 @@ def test_syntax_error_carries_position():
     assert err.value.line >= 1 and err.value.col >= 1
 
 
+@pytest.mark.parametrize(
+    "source, position",
+    [
+        ("P = STOP\nQ = SKIP\nR = c -> (d -> STOP", (3, 20)),
+        ("P = STOP\nQ = SKIP\nR = c -> STOP )", (3, 15)),
+        ("P = STOP\n  R = c -> $", (2, 12)),
+        # a continuation after a comment and a blank line keeps its line
+        ("P = a ->\n-- note\n\n  b -> STOP )", (4, 13)),
+    ],
+    ids=["unclosed", "trailing", "indented", "continued"],
+)
+def test_syntax_errors_report_file_positions(source, position):
+    with pytest.raises(CspSyntaxError) as err:
+        parse(source)
+    assert (err.value.line, err.value.col) == position
+    assert str(err.value).startswith(f"{position[0]}:{position[1]}: ")
+
+
 def test_guarded_recursion_through_seq_accepted():
     spec = parse("P = (a -> SKIP) ; P")
     assert isinstance(spec.body(), Seq)

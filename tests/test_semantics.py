@@ -26,6 +26,7 @@ from tockta.semantics import (
     traces_from_text,
     traces_to_text,
 )
+from tockta.lts import trie_graph
 from tockta.parser import parse
 from tockta.taexec import network_traces
 from tockta.translate import assemble
@@ -150,7 +151,7 @@ def test_prefix_closure_and_monotonicity_and_time_liveness():
     for entry in generate_corpus()[::7]:
         smaller = csp_traces(entry.spec, 3)
         bigger = csp_traces(entry.spec, 4)
-        assert smaller.is_prefix_closed()
+        assert all(trace[:-1] in smaller for trace in smaller.traces if trace)
         assert smaller.traces <= bigger.traces
         # while within depth, every trace extends by one tock
         for trace in smaller.traces:
@@ -196,16 +197,33 @@ def test_traces_text_round_trip():
     assert again.traces == ts.traces
 
 
+@pytest.mark.parametrize(
+    "traces, depth, why",
+    [
+        ({("a",)}, 1, "empty trace"),
+        ({(), ("a", "b")}, 2, "lacks its prefix"),
+        ({(), ("a",), ("a", "b")}, 1, "longer than depth"),
+    ],
+    ids=["no-empty-trace", "not-prefix-closed", "too-deep"],
+)
+def test_an_explicit_set_must_be_a_bounded_trace_set(traces, depth, why):
+    with pytest.raises(ValueError, match=why):
+        trie_graph(traces, depth)
+    text = "".join(",".join(t) + "\n" if t else "<>\n" for t in traces)
+    with pytest.raises(ValueError, match=why):
+        traces_from_text(text, depth)
+
+
 def test_trace_sets_are_equal_exactly_when_traces_and_depth_are():
-    """Graph-built and explicit sets alike: equal under ``==``, with equal
-    hashes, exactly when their traces and depths are equal."""
+    """Engine-built and explicit (trie) sets alike: equal under ``==``,
+    with equal hashes, exactly when their traces and depths are equal."""
     specs = [parse("P = a -> STOP"), parse("P = a -> SKIP"), parse("P = (a -> STOP) [] (b -> STOP)")]
     sets = []
     for spec in specs:
         for depth in (1, 2):
             built = [csp_traces(spec, depth), network_traces(assemble(spec), depth)]
-            sets += built + [TraceSet(frozenset(built[0].traces), depth)]
-    sets += [TraceSet(frozenset({()}), 0), TraceSet(frozenset({()}), 1)]
+            sets += built + [TraceSet(trie_graph(built[0].traces, depth))]
+    sets += [TraceSet(trie_graph({()}, 0)), TraceSet(trie_graph({()}, 1))]
     for x in sets:
         for y in sets:
             same = (x.traces, x.depth) == (y.traces, y.depth)

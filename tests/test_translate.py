@@ -221,6 +221,15 @@ def test_unbounded_parallel_recursion_is_rejected():
         assemble(parse("P = a -> ((b -> SKIP) ||| P)"))
 
 
+def test_a_deep_chain_without_recursion_is_not_called_recursion():
+    process = Stop()
+    for i in reversed(range(600)):
+        process = Prefix(f"e{i}", process)
+    with pytest.raises(TranslationError, match="nests too deeply") as err:
+        assemble(process)
+    assert "recursion" not in str(err.value) and "grows" not in str(err.value)
+
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # The SHA-256 of the XML emitted for the five fixtures followed by the 156
