@@ -32,7 +32,7 @@ from .parser import parse, parse_file
 from .semantics import TraceSet, csp_traces, initials, step, traces_from_text, traces_to_text
 from .taexec import network_traces, raw_network_traces
 from .tamodel import NetworkModel, erasure_set, validate
-from .translate import assemble, build_environment, build_sync_controller
+from .translate import assemble
 from .uppaalxml import emit, load, load_file, save_file
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .cspast import (
     format_process,
 )
 from .lts import BoundExceeded, TraceSet, reachable, subset_graph, unfold
-from .semantics import TERMINATED, csp_traces, step
+from .semantics import TERMINATED, csp_traces, step, trace_to_text
 from .tamodel import ChannelKind, NetworkModel, erasure_set
 from .taexec import network_traces, raw_network_traces
 from .translate import assemble
@@ -47,10 +47,6 @@ EQUAL_AT_STAGE1 = "EqualAtStage1"
 MISMATCH = "Mismatch"
 
 _WITNESS_LIMIT = 10
-
-
-def _render(trace: tuple[str, ...]) -> str:
-    return "<>" if not trace else ",".join(trace)
 
 
 @dataclass
@@ -89,9 +85,9 @@ def compare_traces(
         return ComparisonReport(spec_id, csp.depth, EQUAL_AT_STAGE1, (), millis)
     witnesses = []
     for trace in sorted(csp.traces - ta.traces)[:_WITNESS_LIMIT]:
-        witnesses.append(("csp", _render(trace)))
+        witnesses.append(("csp", trace_to_text(trace)))
     for trace in sorted(ta.traces - csp.traces)[:_WITNESS_LIMIT]:
-        witnesses.append(("ta", _render(trace)))
+        witnesses.append(("ta", trace_to_text(trace)))
     return ComparisonReport(spec_id, csp.depth, MISMATCH, tuple(witnesses), millis)
 
 

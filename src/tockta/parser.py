@@ -206,7 +206,7 @@ class _Parser:
         while True:
             if self.at("HIDE"):
                 self.next()
-                events = self.brace_set()
+                events = self.event_set()
                 try:
                     p = Hide(p, frozenset(events))
                 except SpecError as exc:
@@ -254,11 +254,6 @@ class _Parser:
         )
 
     def event_set(self) -> list[str]:
-        self.expect("LBRACE")
-        events = self._ident_list_until_rbrace()
-        return events
-
-    def brace_set(self) -> list[str]:
         self.expect("LBRACE")
         return self._ident_list_until_rbrace()
 

@@ -47,6 +47,7 @@ __all__ = [
     "initials",
     "csp_traces",
     "TraceSet",
+    "trace_to_text",
     "traces_to_text",
     "traces_from_text",
 ]
@@ -243,9 +244,14 @@ def csp_traces(
 
 # --- canonical text format --------------------------------------------------
 
+def trace_to_text(trace: tuple[str, ...]) -> str:
+    """Events comma-separated; the empty trace is <>."""
+    return "<>" if not trace else ",".join(trace)
+
+
 def traces_to_text(ts: TraceSet) -> str:
-    """One trace per line, events comma-separated, lines sorted; empty is <>."""
-    lines = sorted("<>" if not t else ",".join(t) for t in ts.traces)
+    """One trace per line as :func:`trace_to_text` writes it, lines sorted."""
+    lines = sorted(map(trace_to_text, ts.traces))
     return "\n".join(lines) + "\n"
 
 

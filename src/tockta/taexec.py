@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import eq, ge, gt, le, lt
 from typing import Callable, NamedTuple
 
 from .lts import BoundExceeded  # noqa: F401  (re-exported: every search here raises it)
 from .lts import TraceSet, cannot_reach, reachable, subset_graph
-from .tamodel import ClockAtom, LocationKind, NetworkModel, erasure_set
+from .tamodel import _RELATIONS, ClockAtom, LocationKind, NetworkModel, erasure_set
 
 __all__ = [
     "Configuration",
@@ -83,10 +82,6 @@ class Broadcast:
     sender_edge: int
     receivers: tuple[tuple[int, int], ...]  # (automaton, edge), ascending
 
-
-#: Comparison function for each relation a guard or invariant atom may use;
-#: the runtime resolves every atom's relation once, when it is built.
-_RELATIONS = {"<": lt, "<=": le, "==": eq, ">=": ge, ">": gt}
 
 _COMMITTED, _URGENT = LocationKind.COMMITTED, LocationKind.URGENT
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import eq, ge, gt, le, lt
 
 __all__ = [
     "ChannelKind",
@@ -85,8 +86,9 @@ def kind_from_name(name: str) -> ChannelKind:
     return ChannelKind.USER_EVENT
 
 
-#: The relations a guard or invariant atom may use.
-_RELATIONS = ("<", "<=", "==", ">=", ">")
+#: The relations a guard or invariant atom may use, each with its
+#: comparison function.
+_RELATIONS = {"<": lt, "<=": le, "==": eq, ">=": ge, ">": gt}
 
 
 class LocationKind(Enum):

@@ -64,32 +64,17 @@ from .tamodel import (
     validate,
 )
 
-__all__ = [
-    "TranslationError",
-    "SyncRequirement",
-    "translate_process",
-    "assemble",
-    "build_environment",
-    "build_sync_controller",
-]
+__all__ = ["TranslationError", "assemble"]
 
 _MAX_EXPANSION_DEPTH = 64
 # The terminating channel the whole process signals the environment on.
 _FINISH = "finishID0"
+# The environment's clock, which times every tock.
+_CLOCK = "ck"
 
 
 class TranslationError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class SyncRequirement:
-    """A multiway synchronisation: the notify channel, the releasing
-    broadcast, and one readiness variable per participating automaton."""
-
-    event: str
-    sync_channel: str
-    participants: tuple[str, ...]
 
 
 class _Registry:
@@ -143,7 +128,7 @@ class _TaBuilder:
         self.edges.append(edge)
         return edge
 
-    def freeze(self, name: str) -> TimedAutomaton:
+    def freeze(self, name: str, clocks: tuple[str, ...] = ()) -> TimedAutomaton:
         locations = tuple(
             Location(id=f"s{i}", display_name=f"s{i}", kind=kind)
             for i, kind in enumerate(self.loc_kinds)
@@ -152,7 +137,7 @@ class _TaBuilder:
             name=name,
             locations=locations,
             initial="s0",
-            clocks=(),
+            clocks=clocks,
             edges=tuple(e.freeze() for e in self.edges),
         )
 
@@ -177,7 +162,6 @@ class _Unit:
     slots: list[_Slot] = field(default_factory=list)
     blockable: list[tuple[_TaBuilder, str]] = field(default_factory=list)
     stable: list[tuple[_TaBuilder, str]] = field(default_factory=list)
-    reqs: list[SyncRequirement] = field(default_factory=list)
 
     def absorb(self, other: "_Unit", *, slots: bool = True, blockable: bool = True) -> None:
         self.tas.extend(other.tas)
@@ -186,7 +170,6 @@ class _Unit:
         if blockable:
             self.blockable.extend(other.blockable)
         self.stable.extend(other.stable)
-        self.reqs.extend(other.reqs)
 
 
 class _SyncScope:
@@ -592,13 +575,9 @@ class _Compiler:
                 # Never a scope: the participants registered with the
                 # outermost scope over their whole wrapper stack.
                 notify = self.event_channel(*resolve_event(name, ctx.wrappers))
-                reqs.append(
-                    SyncRequirement(notify, group["channel"], tuple(group["vars"]))
-                )
+                reqs.append((notify, group["channel"], tuple(group["vars"])))
             if reqs:
-                controller = _controller_builder(reqs)
-                unit.tas.append(controller)
-                unit.reqs.extend(reqs)
+                unit.tas.append(_controller(reqs))
         unit.absorb(right)
         return unit
 
@@ -804,35 +783,21 @@ def _gate_slot(
     slot.entry_edges = [handshake, freepass]
 
 
-def _controller_builder(reqs: list[SyncRequirement]) -> _TaBuilder:
+def _controller(reqs: list[tuple[str, str, tuple[str, ...]]]) -> _TaBuilder:
+    """One committed round-trip per (notify, release, readiness variables)
+    requirement: when every participant's readiness variable is up,
+    announce the event, then broadcast the release."""
     b = _TaBuilder()
     s0 = b.add_loc()
-    for req in reqs:
+    for notify, release, ready in reqs:
         committed = b.add_loc(LocationKind.COMMITTED)
-        guard = GuardExpr((IntAtom(req.participants, "==", len(req.participants)),))
-        b.add_edge(s0, committed, guard=guard, sync=SyncLabel(req.event, "send"))
-        b.add_edge(committed, s0, sync=SyncLabel(req.sync_channel, "send"))
+        guard = GuardExpr((IntAtom(ready, "==", len(ready)),))
+        b.add_edge(s0, committed, guard=guard, sync=SyncLabel(notify, "send"))
+        b.add_edge(committed, s0, sync=SyncLabel(release, "send"))
     return b
 
 
-def build_sync_controller(reqs: list[SyncRequirement] | tuple[SyncRequirement, ...]) -> TimedAutomaton:
-    """One committed round-trip per requirement: when every participant's
-    readiness variable is up, announce the event, then broadcast the
-    release.  No requirements gives a single inert location."""
-    for req in reqs:
-        if len(req.participants) < 2:
-            raise TranslationError("a synchronisation needs at least two participants")
-    return _controller_builder(list(reqs)).freeze("Sync")
-
-
-def build_environment(
-    events: frozenset[str] | set[str],
-    start_action: str,
-    finish_action: str,
-    *,
-    start_var: str = "start",
-    clock: str = "ck",
-) -> TimedAutomaton:
+def _environment(events: frozenset[str], start_action: str, start_var: str) -> _TaBuilder:
     """The single-location automaton that closes the network.
 
     It launches the system once (guard ``start==0`` blocks a restart),
@@ -850,46 +815,27 @@ def build_environment(
     )
     for event in sorted(events):
         b.add_edge(s0, s0, sync=SyncLabel(event, "receive"))
-    b.add_edge(s0, s0, sync=SyncLabel(finish_action, "receive"))
+    b.add_edge(s0, s0, sync=SyncLabel(_FINISH, "receive"))
     b.add_edge(
         s0,
         s0,
-        guard=GuardExpr((ClockAtom(clock, ">=", 1),)),
+        guard=GuardExpr((ClockAtom(_CLOCK, ">=", 1),)),
         sync=SyncLabel(TOCK, "send"),
-        updates=(Assignment(clock, 0),),
+        updates=(Assignment(_CLOCK, 0),),
     )
-    ta = b.freeze("Env")
-    return TimedAutomaton(
-        name=ta.name,
-        locations=ta.locations,
-        initial=ta.initial,
-        clocks=(clock,),
-        edges=ta.edges,
-    )
+    return b
 
 
-def _as_spec(process_or_spec: CspSpec | CspProcess) -> CspSpec:
-    if isinstance(process_or_spec, CspSpec):
-        return process_or_spec
-    return CspSpec(definitions={"P": process_or_spec}, main="P")
-
-
-def translate_process(
-    process_or_spec: CspSpec | CspProcess,
-) -> tuple[tuple[TimedAutomaton, ...], tuple[SyncRequirement, ...]]:
-    """Translate without the environment: the component automata and the
-    multiway synchronisation requirements they registered."""
-    tas, reqs, _, _, _ = _translate(process_or_spec)
-    return tas, reqs
-
-
-def _translate(process_or_spec):
-    """The component automata, the synchronisation requirements, the
-    compiler, the start channel and the alphabet.
+def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
+    """The closed network of a process or spec: its component automata,
+    then the environment.
 
     A named spec starts on ``startID<main>``, a bare process on the
     numbered ``startID0_0``."""
-    spec = _as_spec(process_or_spec)
+    if isinstance(process_or_spec, CspSpec):
+        spec = process_or_spec
+    else:
+        spec = CspSpec(definitions={"P": process_or_spec}, main="P")
     registry = _Registry()
     registry.claim(TOCK)
     events = alphabet(spec)
@@ -916,27 +862,18 @@ def _translate(process_or_spec):
     except RecursionError:
         raise TranslationError("input nests too deeply to translate") from None
 
-    tas = []
-    for index, builder in enumerate(unit.tas):
-        name = registry.unique(f"TA{index:02d}")
-        tas.append(builder.freeze(name))
-    return tuple(tas), tuple(unit.reqs), compiler, start.channel, events
-
-
-def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
-    """Full network: component automata plus the closing environment."""
-    tas, _, compiler, start, events = _translate(process_or_spec)
-    start_var = compiler.new_var("start")
-    env = build_environment(events, start, _FINISH, start_var=start_var)
-    env_name = compiler.registry.unique(env.name)
-    env = TimedAutomaton(env_name, env.locations, env.initial, env.clocks, env.edges)
+    # The claim order fixes the emitted names: components, the start
+    # variable, then Env.
+    tas = [builder.freeze(registry.unique(f"TA{index:02d}")) for index, builder in enumerate(unit.tas)]
+    env = _environment(events, start.channel, compiler.new_var("start"))
+    tas.append(env.freeze(registry.unique("Env"), clocks=(_CLOCK,)))
 
     net = NetworkModel(
-        automata=tas + (env,),
+        automata=tuple(tas),
         channels=tuple(compiler.channels.values()),
         int_vars=tuple(compiler.int_vars.items()),
         global_clocks=(),
-        environment_index=len(tas),
+        environment_index=len(unit.tas),
     )
     problems = validate(net)
     if problems:

@@ -188,13 +188,20 @@ def load(document: str) -> NetworkModel:
     env_name: str | None = None
     for node in root.iter():
         if node.tag is ET.Comment and _KIND_COMMENT in (node.text or ""):
-            body = node.text.split(":", 1)[1]
+            _, colon, body = node.text.partition(":")
+            if not colon:
+                raise XmlLoadError(f"{_KIND_COMMENT} comment without a colon")
             mapping, _, envpart = body.partition("|")
             for pair in mapping.split(";"):
                 pair = pair.strip()
                 if pair:
                     name, _, value = pair.partition("=")
-                    kinds[name.strip()] = ChannelKind(value.strip())
+                    try:
+                        kinds[name.strip()] = ChannelKind(value.strip())
+                    except ValueError:
+                        raise XmlLoadError(
+                            f"unknown channel kind {value.strip()!r} in {_KIND_COMMENT} comment"
+                        ) from None
             if "environment=" in envpart:
                 env_name = envpart.split("environment=", 1)[1].strip() or None
 

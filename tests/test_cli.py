@@ -116,3 +116,17 @@ def test_deep_nesting_is_an_input_error(tmp_path, capsys, source, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "nests too deeply" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("tock=tock;", "a=bogus;tock=tock;"), ("tockta-channel-kinds:", "tockta-channel-kinds")],
+    ids=["unknown-kind", "no-colon"],
+)
+def test_malformed_kind_comment_is_an_input_error(tmp_path, ads_file, capsys, old, new):
+    out = tmp_path / "ads.xml"
+    assert main(["translate", str(ads_file), "-o", str(out)]) == 0
+    out.write_text(out.read_text().replace(old, new, 1))
+    assert main(["traces", "ta", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tockta: error:") and "Traceback" not in err

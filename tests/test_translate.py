@@ -3,18 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from tockta.cspast import Prefix, Skip, Stop, alphabet
+from tockta.cspast import Prefix, Skip, Stop
 from tockta.harness import generate_corpus
 from tockta.parser import parse, parse_file
 from tockta.tamodel import ChannelKind, LocationKind
-from tockta.translate import (
-    SyncRequirement,
-    TranslationError,
-    assemble,
-    build_environment,
-    build_sync_controller,
-    translate_process,
-)
+from tockta.translate import TranslationError, assemble
 from tockta.uppaalxml import emit
 
 ADS = parse(
@@ -24,6 +17,34 @@ ADS = parse(
 )
 PE = parse("Pe = (left->STOP)[](right->STOP)")
 PI = parse("Pi = (open->STOP)/\\(fire->close->STOP)")
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_and_corpus_specs():
+    return [parse_file(str(path)) for path in sorted(FIXTURES.glob("*.tcsp"))] + [
+        entry.spec for entry in generate_corpus()
+    ]
+
+
+def components(process_or_spec):
+    """The automata ``assemble`` builds before the environment."""
+    net = assemble(process_or_spec)
+    return net.automata[: net.environment_index]
+
+
+def readiness_sums(net):
+    """The guard atoms of every sync controller: each guards the edge that
+    announces an event, into the location whose edge releases it."""
+    release = {c.name for c in net.channels if c.kind is ChannelKind.SYNCHRONISATION}
+    sums = []
+    for ta in net.automata:
+        releasing = {
+            e.source
+            for e in ta.edges
+            if e.sync and e.sync.direction == "send" and e.sync.channel in release
+        }
+        sums += [(ta.name, atom) for e in ta.edges if e.target in releasing for atom in e.guard.atoms]
+    return sums
 
 
 def edge_views(ta):
@@ -34,17 +55,14 @@ def edge_views(ta):
 
 
 def test_stop_becomes_receive_then_tock_loop():
-    tas, reqs = translate_process(Stop())
-    assert reqs == ()
-    (ta,) = tas
+    (ta,) = components(Stop())
     assert [loc.id for loc in ta.locations] == ["s0", "s1"]
     assert ta.initial == "s0"
     assert edge_views(ta) == [("s0", "startID0_0?", "s1"), ("s1", "tock?", "s1")]
 
 
 def test_skip_signals_termination_and_rearms():
-    tas, _ = translate_process(Skip())
-    (ta,) = tas
+    (ta,) = components(Skip())
     assert edge_views(ta) == [
         ("s0", "startID0_0?", "s1"),
         ("s1", "tock?", "s1"),
@@ -53,7 +71,7 @@ def test_skip_signals_termination_and_rearms():
 
 
 def test_prefix_chains_through_a_fresh_flow_action():
-    tas, _ = translate_process(Prefix("open", Stop()))
+    tas = components(Prefix("open", Stop()))
     assert len(tas) == 2
     opener = tas[0]
     assert edge_views(opener) == [
@@ -66,12 +84,13 @@ def test_prefix_chains_through_a_fresh_flow_action():
 
 
 def test_ads_produces_seven_components_with_the_sum_guard():
-    tas, reqs = translate_process(ADS)
+    net = assemble(ADS)
+    tas = net.automata[: net.environment_index]
     assert len(tas) == 7
-    assert reqs == (
-        SyncRequirement("close", "close___sync", ("g_close00_3", "g_close01_2")),
-    )
     controller = tas[4]
+    assert [(name, atom.render()) for name, atom in readiness_sums(net)] == [
+        (controller.name, "(g_close00_3 + g_close01_2)==2")
+    ]
     assert controller.edges[0].guard.render() == "(g_close00_3 + g_close01_2)==2"
     assert controller.edges[0].sync.render() == "close!"
     assert controller.edges[1].sync.render() == "close___sync!"
@@ -80,8 +99,9 @@ def test_ads_produces_seven_components_with_the_sum_guard():
 
 
 def test_pe_produces_five_components_with_exchange_wiring():
-    tas, reqs = translate_process(PE)
-    assert len(tas) == 5 and reqs == ()
+    net = assemble(PE)
+    tas = net.automata[: net.environment_index]
+    assert len(tas) == 5 and readiness_sums(net) == []
     left = tas[1]
     labels = {e.sync.render() for e in left.edges if e.sync}
     assert {"startID00_1?", "left_exch!", "right_exch?", "left!", "tock?"} <= labels
@@ -91,7 +111,7 @@ def test_pe_produces_five_components_with_exchange_wiring():
 
 
 def test_pi_produces_six_components_with_interrupt_wiring():
-    tas, _ = translate_process(PI)
+    tas = components(PI)
     assert len(tas) == 6
     fire_gates = [
         e
@@ -111,24 +131,28 @@ def test_pi_produces_six_components_with_interrupt_wiring():
 
 
 def test_environment_for_ads_has_one_location_and_six_edges():
-    env = build_environment(alphabet(ADS), "startIDADS", "finishID0")
+    env = assemble(ADS).environment()
     assert len(env.locations) == 1
     assert len(env.edges) == 6
     assert all(e.source == e.target == "s0" for e in env.edges)
 
 
 def test_environment_for_stop_has_three_edges():
-    env = build_environment(frozenset(), "startID0_0", "finishID0")
-    assert len(env.edges) == 3
+    env = assemble(Stop()).environment()
+    assert [e.sync.render() for e in env.edges] == ["startID0_0!", "finishID0?", "tock!"]
 
 
 def test_environment_for_pe_has_five_edges():
-    env = build_environment(alphabet(PE), "startIDPe", "finishID0")
-    assert len(env.edges) == 5
+    env = assemble(PE).environment()
+    assert [e.sync.render() for e in env.edges] == [
+        "startIDPe!", "left?", "right?", "finishID0?", "tock!"
+    ]
 
 
 def test_environment_start_guard_and_tock_clock():
-    env = build_environment(frozenset({"a"}), "startIDP", "finishID0")
+    net = assemble(parse("P = a -> STOP"))
+    env = net.environment()
+    assert env.name == "Env" and net.environment_index == len(net.automata) - 1
     start_edge = next(e for e in env.edges if e.sync.channel == "startIDP")
     assert start_edge.guard.render() == "start==0"
     assert [u.render() for u in start_edge.updates] == ["start:=1"]
@@ -138,22 +162,12 @@ def test_environment_start_guard_and_tock_clock():
     assert env.clocks == ("ck",)
 
 
-def test_sync_controller_without_requirements_is_inert():
-    ta = build_sync_controller([])
-    assert len(ta.locations) == 1
-    assert ta.edges == ()
-
-
-def test_sync_controller_rejects_single_participant():
-    with pytest.raises(TranslationError):
-        build_sync_controller([SyncRequirement("a", "a___sync", ("g_a0_0",))])
-
-
-def test_three_way_sync_guard_sums_three_variables():
-    ta = build_sync_controller(
-        [SyncRequirement("e", "e___sync", ("v1", "v2", "v3"))]
-    )
-    assert ta.edges[0].guard.render() == "(v1 + v2 + v3)==3"
+def test_every_readiness_sum_has_exactly_two_variables():
+    # A multiway event becomes a controller requirement only when each side
+    # of its parallel composition registered exactly one participant.
+    sums = [atom for spec in fixture_and_corpus_specs() for _, atom in readiness_sums(assemble(spec))]
+    assert sums
+    assert all((len(atom.variables), atom.op, atom.const) == (2, "==", 2) for atom in sums)
 
 
 def test_assemble_automaton_counts():
@@ -178,8 +192,6 @@ def test_assemble_declares_channel_kinds():
 
 
 def test_every_generated_name_is_unique():
-    from tockta.harness import generate_corpus
-
     for entry in generate_corpus()[::4]:
         net = assemble(entry.spec)
         names = [c.name for c in net.channels] + [n for n, _ in net.int_vars]
@@ -199,8 +211,6 @@ def test_every_visible_event_occurrence_emits_from_one_component():
 
 
 def test_environment_has_exactly_one_location_in_every_translation():
-    from tockta.harness import generate_corpus
-
     for entry in generate_corpus()[::10]:
         net = assemble(entry.spec)
         assert len(net.environment().locations) == 1
@@ -230,8 +240,6 @@ def test_a_deep_chain_without_recursion_is_not_called_recursion():
     assert "recursion" not in str(err.value) and "grows" not in str(err.value)
 
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
 # The SHA-256 of the XML emitted for the five fixtures followed by the 156
 # corpus processes.  It changes only with an intended change to the
 # translation; a refactoring of the translator must leave it as it is.
@@ -239,8 +247,7 @@ XML_DIGEST = "5e74d9ab116f582cf83cc179aab916e6feb8902a6400ad8f445866d87d073ade"
 
 
 def test_emitted_xml_is_pinned_on_fixtures_and_corpus():
-    specs = [parse_file(str(path)) for path in sorted(FIXTURES.glob("*.tcsp"))]
-    specs += [entry.spec for entry in generate_corpus()]
+    specs = fixture_and_corpus_specs()
     assert len(specs) == 161
     document = "".join(emit(assemble(spec)) for spec in specs)
     assert hashlib.sha256(document.encode("utf-8")).hexdigest() == XML_DIGEST

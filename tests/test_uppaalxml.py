@@ -1,8 +1,12 @@
+import random
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from tockta.cspast import Stop
-from tockta.parser import parse
-from tockta.tamodel import ChannelKind
+from tockta.parser import parse, parse_file
+from tockta.tamodel import ChannelKind, GuardExpr, IntAtom
 from tockta.translate import assemble
 from tockta.uppaalxml import XmlLoadError, emit, load
 
@@ -11,13 +15,29 @@ ADS = parse(
     "Controller = open -> tock -> close -> Controller\n"
     "Lighting = close -> offLight -> Lighting\n"
 )
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _with_three_way_sum(net):
+    """``net`` with its first edge guarded by a sum over three variables,
+    which the translation never generates but the format carries."""
+    ta = net.automata[0]
+    guard = GuardExpr((IntAtom(("v1", "v2", "v3"), "==", 3),))
+    edges = (replace(ta.edges[0], guard=guard),) + ta.edges[1:]
+    return replace(
+        net,
+        automata=(replace(ta, edges=edges),) + net.automata[1:],
+        int_vars=net.int_vars + (("v1", 0), ("v2", 0), ("v3", 0)),
+    )
 
 
 def test_round_trip_identity_on_showcase_networks():
-    for spec in (ADS, parse("Pe = (left->STOP)[](right->STOP)"),
-                 parse("Pi = (open->STOP)/\\(fire->close->STOP)")):
-        net = assemble(spec)
+    nets = [assemble(spec) for spec in (ADS, parse("Pe = (left->STOP)[](right->STOP)"),
+                                        parse("Pi = (open->STOP)/\\(fire->close->STOP)"))]
+    nets.append(_with_three_way_sum(assemble(Stop())))
+    for net in nets:
         assert load(emit(net)) == net
+    assert '<label kind="guard">(v1 + v2 + v3)==3</label>' in emit(nets[-1])
 
 
 def test_emit_is_deterministic():
@@ -87,6 +107,43 @@ def test_arbitrary_arithmetic_is_unsupported():
     )
     with pytest.raises(XmlLoadError, match="unsupported expression"):
         load(doc)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("tock=tock;", "a=bogus;tock=tock;", "unknown channel kind 'bogus'"),
+        ("tockta-channel-kinds:", "tockta-channel-kinds", "without a colon"),
+    ],
+    ids=["unknown-kind", "no-colon"],
+)
+def test_malformed_kind_comment_is_rejected(old, new, message):
+    doc = emit(assemble(Stop())).replace(old, new, 1)
+    with pytest.raises(XmlLoadError, match=message):
+        load(doc)
+
+
+def test_edited_fixture_documents_load_or_raise_xml_load_error():
+    # Seeded 1-4 character edits: whatever a damaged file holds, the
+    # loader answers with a network or an XmlLoadError, never a crash.
+    docs = [emit(assemble(parse_file(str(path)))) for path in sorted(FIXTURES.glob("*.tcsp"))]
+    assert len(docs) == 5
+    rng = random.Random(1)
+    alphabet = "<>/=\"';:|!?&()+-_ \n0123456789abcdesxyz"
+    loaded = 0
+    for _ in range(2000):
+        doc = rng.choice(docs)
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(doc))
+            op = rng.randrange(3)  # 0 replace, 1 delete, 2 insert
+            ch = "" if op == 1 else rng.choice(alphabet)
+            doc = doc[:i] + ch + doc[i + (op != 2):]
+        try:
+            load(doc)
+            loaded += 1
+        except XmlLoadError:
+            pass
+    assert 0 < loaded < 2000
 
 
 def test_kinds_recovered_from_names_without_metadata_comment():
