@@ -6,7 +6,7 @@ import pytest
 from tockta.cspast import Prefix, Skip, Stop
 from tockta.harness import generate_corpus
 from tockta.parser import parse, parse_file
-from tockta.tamodel import ChannelKind, LocationKind
+from tockta.tamodel import ChannelKind, GuardExpr, IntAtom, LocationKind
 from tockta.translate import TranslationError, assemble
 from tockta.uppaalxml import emit
 
@@ -168,6 +168,13 @@ def test_every_readiness_sum_has_exactly_two_variables():
     sums = [atom for spec in fixture_and_corpus_specs() for _, atom in readiness_sums(assemble(spec))]
     assert sums
     assert all((len(atom.variables), atom.op, atom.const) == (2, "==", 2) for atom in sums)
+
+
+def test_three_way_sync_guard_sums_three_variables():
+    # The translation only builds two-variable sums, but a readiness guard
+    # over more participants renders as one sum compared with their count.
+    guard = GuardExpr((IntAtom(("v1", "v2", "v3"), "==", 3),))
+    assert guard.render() == "(v1 + v2 + v3)==3"
 
 
 def test_assemble_automaton_counts():
