@@ -11,7 +11,10 @@ location is occupied or an urgent channel has a matched enabled pair.
 Unit delays are exact here because every constraint in scope compares a
 clock against an integer constant and the only time-sensitive action is
 the environment's tock broadcast, so no dense-time zone machinery is
-needed.
+needed.  Each clock is capped at its own threshold, the least value from
+which on every atom on that clock holds alike, now and after any delay
+(the integer-clock case of LU-extrapolation).  A translated network's one
+clock ``ck`` is tested only by ``ck>=1``, so it takes the values 0 and 1.
 
 Network traces record one entry (the channel name) per binary or
 broadcast step; silent edges and time ticks are unrecorded.  The
@@ -88,6 +91,11 @@ _COMMITTED, _URGENT = LocationKind.COMMITTED, LocationKind.URGENT
 #: A resolved clock atom: (clock slot, comparison, constant).
 _ClockTest = tuple[int, Callable[[int, int], bool], int]
 
+#: Added to an atom's constant, the least clock value from which on the atom
+#: holds alike for every larger value: ``>= c`` and ``< c`` from ``c``;
+#: ``> c``, ``<= c`` and ``== c`` from ``c + 1``.
+_PAST = {">=": 0, "<": 0, ">": 1, "<=": 1, "==": 1}
+
 
 class _Runtime:
     """Index structures for fast stepping of one network, and the moves
@@ -109,7 +117,8 @@ class _Runtime:
         self.n_clocks = len(slots)
         self.channel_mode = {c.name: c.mode for c in net.channels}
 
-        max_const = 1
+        # caps[slot] = the largest threshold of an atom on that clock, 0 if none.
+        caps = [0] * self.n_clocks
         # edges[ai][ei] = (source, target, clock updates, int updates).
         self.edges: list[tuple[tuple, ...]] = []
         # locs[ai][location] = (kind, invariant, silent and send edges,
@@ -122,11 +131,12 @@ class _Runtime:
         for ai, ta in enumerate(net.automata):
             invs: dict[str, tuple[_ClockTest, ...]] = {}
             for loc in ta.locations:
-                invs[loc.id] = tuple(
-                    (self._clock_slot(ai, atom.clock), _RELATIONS[atom.op], atom.const)
-                    for atom in loc.invariant
-                )
-                max_const = max([max_const] + [a.const for a in loc.invariant])
+                tests = []
+                for atom in loc.invariant:
+                    slot = self._clock_slot(ai, atom.clock)
+                    tests.append((slot, _RELATIONS[atom.op], atom.const))
+                    caps[slot] = max(caps[slot], atom.const + _PAST[atom.op])
+                invs[loc.id] = tuple(tests)
             local: dict[str, list] = {loc.id: [] for loc in ta.locations}
             receive: dict[str, dict[str, list]] = {loc.id: {} for loc in ta.locations}
             resolved = []
@@ -137,7 +147,7 @@ class _Runtime:
                     if isinstance(atom, ClockAtom):
                         slot = self._clock_slot(ai, atom.clock)
                         clock_tests.append((slot, _RELATIONS[atom.op], atom.const))
-                        max_const = max(max_const, atom.const)
+                        caps[slot] = max(caps[slot], atom.const + _PAST[atom.op])
                     else:
                         positions = tuple(self.var_pos[v] for v in atom.variables)
                         int_tests.append((positions, _RELATIONS[atom.op], atom.const))
@@ -179,7 +189,7 @@ class _Runtime:
                 }
             )
         self.receivers = {channel: tuple(sorted(autos)) for channel, autos in receivers.items()}
-        self.clock_cap = max_const + 1
+        self.clock_caps = tuple(caps)
         self.moves: dict[Configuration, tuple] = {}
         self.ticking: set[Configuration] = set()
 
@@ -333,12 +343,13 @@ def apply_step(net: NetworkModel, cfg: Configuration, step) -> Configuration:
 
 
 def _normalise(rt: _Runtime, cfg: Configuration) -> Configuration:
-    # Clock values beyond every constant are indistinguishable; capping them
-    # keeps the reachable configuration space finite.
-    cap = rt.clock_cap
-    if max(cfg.clocks, default=0) <= cap:
+    # No guard or invariant tells apart a clock's values at or beyond its
+    # cap, now or after any delay, so capping each clock there loses nothing
+    # and keeps the reachable configuration space finite.
+    clocks = tuple(map(min, cfg.clocks, rt.clock_caps))
+    if clocks == cfg.clocks:
         return cfg
-    return Configuration(cfg.locations, cfg.ints, tuple(min(v, cap) for v in cfg.clocks))
+    return Configuration(cfg.locations, cfg.ints, clocks)
 
 
 def _start(rt: _Runtime) -> Configuration:

@@ -123,7 +123,7 @@ _CHAN_RE = re.compile(r"^(broadcast\s+chan|urgent\s+chan|chan)\s+(\w+)\s*;\s*$")
 _INT_RE = re.compile(r"^int\s+(\w+)\s*(?:=\s*(-?\d+))?\s*;\s*$")
 _CLOCK_RE = re.compile(r"^clock\s+([\w\s,]+);\s*$")
 _ATOM_RE = re.compile(
-    r"^\(?\s*([A-Za-z_]\w*(?:\s*\+\s*[A-Za-z_]\w*)*)\s*\)?\s*(<=|>=|==|<|>)\s*(\d+)\s*$"
+    r"^\(?\s*([A-Za-z_]\w*(?:\s*\+\s*[A-Za-z_]\w*)*)\s*\)?\s*(<=|>=|==|<|>)\s*(-?\d+)\s*$"
 )
 _ASSIGN_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?::=|=)\s*(-?\d+)\s*$")
 _SYNC_RE = re.compile(r"^([A-Za-z_]\w*)\s*([!?])\s*$")
@@ -141,6 +141,8 @@ def _parse_atoms(text: str, clocks: set[str], where: str) -> tuple:
         names = [n.strip() for n in m.group(1).split("+")]
         op, const = m.group(2), int(m.group(3))
         if len(names) == 1 and names[0] in clocks:
+            if const < 0:
+                raise XmlLoadError(f"negative clock constant in {part!r} in {where}")
             atoms.append(ClockAtom(names[0], op, const))
         else:
             atoms.append(IntAtom(tuple(names), op, const))

@@ -46,10 +46,17 @@ ADS = parse(
     "Controller = open -> tock -> close -> Controller\n"
     "Lighting = close -> offLight -> Lighting\n"
 )
-THREE_CYCLES = parse(
-    "MAIN = P0 ||| P1 ||| P2\n"
-    + "".join(f"P{i} = a{i} -> tock -> b{i} -> P{i}\n" for i in range(3))
-)
+
+
+def interleaved_cycles(n):
+    """``MAIN = P0 ||| ... ||| P(n-1)`` with ``Pi = ai -> tock -> bi -> Pi``."""
+    return parse(
+        "MAIN = " + " ||| ".join(f"P{i}" for i in range(n)) + "\n"
+        + "".join(f"P{i} = a{i} -> tock -> b{i} -> P{i}\n" for i in range(n))
+    )
+
+
+THREE_CYCLES = interleaved_cycles(3)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -430,10 +437,13 @@ def reference_enabled_steps(net, cfg):
     return frozenset(steps)
 
 
-def _mixed_network():
+def _mixed_network(y_guard=ClockAtom("y", ">=", 1), g_guard=ClockAtom("g", ">=", 2)):
     """What no translated network has: invariants (some decided by a clock
     reset, one never satisfiable), an urgent location and channel, a
-    global clock, a sum guard, and a broadcast receiver with a choice."""
+    global clock, a sum guard, and a broadcast receiver with a choice.
+    ``y_guard`` guards the receiver's silent way back from ``r1``, whose
+    invariant bounds ``y``; ``g_guard`` guards a sender edge on the global
+    clock ``g``, which nothing resets."""
     def guard(*atoms):
         return GuardExpr(atoms)
 
@@ -458,7 +468,7 @@ def _mixed_network():
             Edge("s1", "s2", sync=sync("urg", "send")),
             Edge("s2", "s0", sync=sync("bc", "send"), updates=(Assignment("a", 1),)),
             Edge("s3", "s0"),
-            Edge("s0", "s3", guard(ClockAtom("g", ">=", 2))),
+            Edge("s0", "s3", guard(g_guard)),
         ),
     )
     receiver = TimedAutomaton(
@@ -473,7 +483,7 @@ def _mixed_network():
             Edge("r0", "r0", sync=sync("bc", "receive")),
             Edge("r0", "r1", guard(IntAtom(("a",), "==", 0)), sync("bc", "receive")),
             Edge("r1", "r1", sync=sync("bc", "receive")),
-            Edge("r1", "r0", guard(ClockAtom("y", ">=", 1))),
+            Edge("r1", "r0", guard(y_guard)),
         ),
     )
     bystander = TimedAutomaton(
@@ -507,8 +517,8 @@ def every_reachable_configuration(net):
 def test_indexed_enabled_steps_equal_the_unindexed_reference():
     specs = [entry.spec for entry in generate_corpus()]
     specs += [parse_file(str(path)) for path in sorted(FIXTURES.glob("*.tcsp"))]
-    specs.append(THREE_CYCLES)
-    assert len(specs) == 156 + 5 + 1
+    specs += [THREE_CYCLES, interleaved_cycles(4)]
+    assert len(specs) == 156 + 5 + 2
     checked = 0
     for net in [assemble(spec) for spec in specs] + [_mixed_network()]:
         for cfg in every_reachable_configuration(net):
@@ -561,3 +571,54 @@ def test_timelock_after_a_warm_up_search_still_finds_the_dead_location():
     reachable_configurations(net, 2)
     (stuck,) = timelock_witnesses(net)
     assert stuck.locations == ("s1",)
+
+
+#: Each relation against each constant 0-3, on ``y`` and on ``g``.
+_CLOCK_GUARDS = [ClockAtom(c, op, const) for c in "yg" for op in _RELATION for const in range(4)]
+
+
+def _capped(configurations, caps):
+    return {c._replace(clocks=tuple(map(min, c.clocks, caps))) for c in configurations}
+
+
+@pytest.mark.parametrize("guard", _CLOCK_GUARDS, ids=ClockAtom.render)
+def test_per_clock_caps_are_exact(guard):
+    # y>=1 and g>=2 make _mixed_network() itself one of the variants
+    net = _mixed_network(**{f"{guard.clock}_guard": guard})
+
+    def explore():
+        traces = [(network_traces(net, d).traces, raw_network_traces(net, d).traces) for d in range(7)]
+        return traces, timelock_witnesses(net), reachable_configurations(net, 5)
+
+    atoms = [a for ta in net.automata for loc in ta.locations for a in loc.invariant]
+    atoms += [a for ta in net.automata for e in ta.edges if e.guard is not None for a in e.guard.atoms]
+    max_const = max(a.const for a in atoms if isinstance(a, ClockAtom))
+    taexec._runtime.cache_clear()
+    try:
+        # the reference caps every clock beyond all of the network's constants
+        reference = taexec._runtime(net)
+        caps = reference.clock_caps
+        reference.clock_caps = (max(max_const + 1, 5),) * len(caps)
+        traces, stuck, reached = explore()
+    finally:
+        taexec._runtime.cache_clear()
+    # the guard's own threshold, but y's invariant <=1 at r1 needs 2
+    slot = reference.clock_pos[(1, "y") if guard.clock == "y" else (None, "g")]
+    threshold = guard.const + (guard.op in (">", "<=", "=="))
+    assert caps[slot] == max(threshold, 2 if guard.clock == "y" else 0)
+    assert explore() == (traces, sorted(_capped(stuck, caps)), _capped(reached, caps))
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [("ads", 73), ("rail_crossing", 119), ("pe", 20), ("pi", 22), ("thermostat", 73),
+     ("cycles2", 69), ("cycles3", 361), ("cycles4", 1965)],
+)
+def test_per_clock_caps_keep_the_reachable_configurations_down(name, count):
+    # One cap above every constant gives 106, 174, 30, 33, 106, 98, 496 and
+    # 2,612: the translated clock ck, tested only by ck>=1, then takes 0, 1, 2.
+    if name.startswith("cycles"):
+        spec = interleaved_cycles(int(name[-1]))
+    else:
+        spec = parse_file(str(FIXTURES / f"{name}.tcsp"))
+    assert len(every_reachable_configuration(assemble(spec))) == count

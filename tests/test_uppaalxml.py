@@ -109,6 +109,26 @@ def test_arbitrary_arithmetic_is_unsupported():
         load(doc)
 
 
+def test_negative_integer_constant_round_trips():
+    # The translation never writes one, but the model and validate allow it.
+    net = assemble(parse("P = a -> STOP"))
+    env = net.automata[net.environment_index]
+    guard = GuardExpr((IntAtom(("start",), ">=", -1),))
+    edges = (replace(env.edges[0], guard=guard),) + env.edges[1:]
+    automata = list(net.automata)
+    automata[net.environment_index] = replace(env, edges=edges)
+    net = replace(net, automata=tuple(automata))
+    doc = emit(net)
+    assert '<label kind="guard">start&gt;=-1</label>' in doc
+    assert load(doc) == net
+
+
+def test_negative_clock_constant_is_a_load_error():
+    doc = emit(assemble(Stop())).replace("ck&gt;=1", "ck&gt;=-1", 1)
+    with pytest.raises(XmlLoadError, match="negative clock constant"):
+        load(doc)
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
