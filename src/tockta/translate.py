@@ -23,7 +23,7 @@ unit; component automata carry unguarded ``tock?`` self-loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cspast import (
     TOCK,
@@ -99,46 +99,45 @@ class _Registry:
         return candidate
 
 
-@dataclass
-class _MutEdge:
-    source: str
-    target: str
-    guard: GuardExpr | None = None
-    sync: SyncLabel | None = None
-    updates: tuple[Assignment, ...] = ()
+class _Shared(dict):
+    """One object per key for a whole network, made by ``make(*key)`` on
+    first use: ``labels[channel, "send"]`` is its one such ``SyncLabel``."""
 
-    def freeze(self) -> Edge:
-        return Edge(self.source, self.target, self.guard, self.sync, self.updates)
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: tuple):
+        value = self[key] = self.make(*key)
+        return value
 
 
 class _TaBuilder:
+    """An automaton under construction.  Its edges are final; the few
+    constructs that change one replace it at its index (edges are only
+    ever appended, so indices stay valid)."""
+
     def __init__(self) -> None:
         self.loc_kinds: list[LocationKind] = []
-        self.edges: list[_MutEdge] = []
+        self.edges: list[Edge] = []
         self.reset_map: dict[str, tuple[Assignment, ...]] = {}
-        self.name = ""
 
     def add_loc(self, kind: LocationKind = LocationKind.NORMAL) -> str:
         loc_id = f"s{len(self.loc_kinds)}"
         self.loc_kinds.append(kind)
         return loc_id
 
-    def add_edge(self, source: str, target: str, **kw) -> _MutEdge:
-        edge = _MutEdge(source, target, **kw)
-        self.edges.append(edge)
-        return edge
+    def add_edge(self, source: str, target: str, **kw) -> int:
+        self.edges.append(Edge(source, target, **kw))
+        return len(self.edges) - 1
 
-    def freeze(self, name: str, clocks: tuple[str, ...] = ()) -> TimedAutomaton:
-        locations = tuple(
-            Location(id=f"s{i}", display_name=f"s{i}", kind=kind)
-            for i, kind in enumerate(self.loc_kinds)
-        )
+    def freeze(self, name: str, locations: _Shared, clocks: tuple[str, ...] = ()) -> TimedAutomaton:
         return TimedAutomaton(
             name=name,
-            locations=locations,
+            locations=tuple(locations[i, kind] for i, kind in enumerate(self.loc_kinds)),
             initial="s0",
             clocks=clocks,
-            edges=tuple(e.freeze() for e in self.edges),
+            edges=tuple(self.edges),
         )
 
 
@@ -146,13 +145,13 @@ class _TaBuilder:
 class _Slot:
     """A gatable first-event entry of a compiled branch.
 
-    ``entry_edges`` are the edges currently leaving the ready location on
-    the way to the event; a new gate re-sources all of them.
+    ``entry_edges`` index the edges currently leaving the ready location
+    on the way to the event; a new gate re-sources all of them.
     """
 
     builder: _TaBuilder
     ready: str
-    entry_edges: list[_MutEdge]
+    entry_edges: list[int]
     event: str
 
 
@@ -208,6 +207,7 @@ class _Compiler:
         self.channels: dict[str, ChannelDecl] = {}
         self.int_vars: dict[str, int] = {}
         self.active: dict[tuple, str] = {}
+        self.labels = _Shared(SyncLabel)
         self.nullable_defs = _nullable_map(spec.definitions)
         self.universe = sorted(event_universe(spec.definitions))
         self._marker_seq = 0
@@ -288,7 +288,7 @@ class _Compiler:
         """
         decl = self.channels[start.channel]
         self.channels[start.channel] = ChannelDecl(start.channel, "broadcast", decl.kind)
-        _knock_back(stable, start.channel)
+        _knock_back(stable, self.labels[start.channel, "receive"])
 
     # -- compilation ---------------------------------------------------------
 
@@ -328,8 +328,8 @@ class _Compiler:
             b = _TaBuilder()
             s0 = b.add_loc()
             s1 = b.add_loc(LocationKind.COMMITTED)
-            b.add_edge(s0, s1, sync=SyncLabel(start.channel, "receive"))
-            b.add_edge(s1, s0, sync=SyncLabel(looped, "send"))
+            b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
+            b.add_edge(s1, s0, sync=self.labels[looped, "send"])
             return _Unit(tas=[b])
         if len(self.active) >= _MAX_EXPANSION_DEPTH:
             raise TranslationError(
@@ -367,7 +367,7 @@ class _Compiler:
         if next_chan == start.channel:
             b.add_edge(source, ready)
         else:
-            b.add_edge(source, "s0", sync=SyncLabel(next_chan, "send"))
+            b.add_edge(source, "s0", sync=self.labels[next_chan, "send"])
 
     def _child_entry(
         self,
@@ -404,8 +404,8 @@ class _Compiler:
         b = _TaBuilder()
         s0 = b.add_loc()
         s1 = b.add_loc()
-        b.add_edge(s0, s1, sync=SyncLabel(start.channel, "receive"))
-        b.add_edge(s1, s1, sync=SyncLabel(TOCK, "receive"))
+        b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
+        b.add_edge(s1, s1, sync=self.labels[TOCK, "receive"])
         return _Unit(tas=[b], blockable=[(b, s1)], stable=[(b, s1)])
 
     def _compile_skip(self, ctx: _Ctx, start: _StartInfo) -> _Unit:
@@ -414,7 +414,7 @@ class _Compiler:
         # back to the inert initial once termination is signalled: a
         # terminated process cannot be chosen against or interrupted, and
         # a later activation may legitimately run it again
-        b.add_edge("s1", "s0", sync=SyncLabel(ctx.finish, "send"))
+        b.add_edge("s1", "s0", sync=self.labels[ctx.finish, "send"])
         return unit
 
     def _compile_prefix(self, p: Prefix, ctx: _Ctx, start: _StartInfo) -> _Unit:
@@ -423,8 +423,8 @@ class _Compiler:
             s0 = b.add_loc()
             s1 = b.add_loc()
             s2 = b.add_loc()
-            b.add_edge(s0, s1, sync=SyncLabel(start.channel, "receive"))
-            b.add_edge(s1, s2, sync=SyncLabel(TOCK, "receive"))
+            b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
+            b.add_edge(s1, s2, sync=self.labels[TOCK, "receive"])
             next_chan, cont = self._compile_cont(p.cont, ctx)
             self._close_chain(b, s2, s1, start, next_chan)
             unit = _Unit(
@@ -445,9 +445,9 @@ class _Compiler:
         s0 = b.add_loc()
         s1 = b.add_loc()
         s2 = b.add_loc()
-        b.add_edge(s0, s1, sync=SyncLabel(start.channel, "receive"))
-        b.add_edge(s1, s1, sync=SyncLabel(TOCK, "receive"))
-        ev_edge = b.add_edge(s1, s2, sync=SyncLabel(channel, "send"))
+        b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
+        b.add_edge(s1, s1, sync=self.labels[TOCK, "receive"])
+        ev_edge = b.add_edge(s1, s2, sync=self.labels[channel, "send"])
         next_chan, cont = self._compile_cont(p.cont, ctx)
         self._close_chain(b, s2, s1, start, next_chan)
 
@@ -473,12 +473,12 @@ class _Compiler:
         s1 = b.add_loc()
         s2 = b.add_loc()
         s3 = b.add_loc()
-        b.add_edge(s0, s1, sync=SyncLabel(start.channel, "receive"))
-        b.add_edge(s1, s1, sync=SyncLabel(TOCK, "receive"))
+        b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
+        b.add_edge(s1, s1, sync=self.labels[TOCK, "receive"])
         ready_edge = b.add_edge(s1, s2, updates=(Assignment(var, 1),))
-        b.add_edge(s2, s2, sync=SyncLabel(TOCK, "receive"))
+        b.add_edge(s2, s2, sync=self.labels[TOCK, "receive"])
         b.add_edge(
-            s2, s3, sync=SyncLabel(sync_chan, "receive"), updates=(Assignment(var, 0),)
+            s2, s3, sync=self.labels[sync_chan, "receive"], updates=(Assignment(var, 0),)
         )
         next_chan, cont = self._compile_cont(p.cont, ctx)
         self._close_chain(b, s3, s1, start, next_chan)
@@ -538,21 +538,21 @@ class _Compiler:
         right = self._compile_entry(p.right, info_r, child_r)
         ctx.counter = wrapped.counter
 
-        b.add_edge(s0, s1, sync=SyncLabel(start.channel, "receive"))
+        b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
         # starting both operands is a compound action, in either order
-        b.add_edge(s1, s2, sync=SyncLabel(start_l, "send"))
-        b.add_edge(s2, s4, sync=SyncLabel(start_r, "send"))
-        b.add_edge(s1, s3, sync=SyncLabel(start_r, "send"))
-        b.add_edge(s3, s4, sync=SyncLabel(start_l, "send"))
+        b.add_edge(s1, s2, sync=self.labels[start_l, "send"])
+        b.add_edge(s2, s4, sync=self.labels[start_r, "send"])
+        b.add_edge(s1, s3, sync=self.labels[start_r, "send"])
+        b.add_edge(s3, s4, sync=self.labels[start_l, "send"])
         # termination can come in either order and at different times
-        b.add_edge(s4, s5, sync=SyncLabel(fin_l.channel, "receive"))
-        b.add_edge(s5, s7, sync=SyncLabel(fin_r.channel, "receive"))
-        b.add_edge(s4, s6, sync=SyncLabel(fin_r.channel, "receive"))
-        b.add_edge(s6, s7, sync=SyncLabel(fin_l.channel, "receive"))
-        b.add_edge(s7, s0, sync=SyncLabel(ctx.finish, "send"))
+        b.add_edge(s4, s5, sync=self.labels[fin_l.channel, "receive"])
+        b.add_edge(s5, s7, sync=self.labels[fin_r.channel, "receive"])
+        b.add_edge(s4, s6, sync=self.labels[fin_r.channel, "receive"])
+        b.add_edge(s6, s7, sync=self.labels[fin_l.channel, "receive"])
+        b.add_edge(s7, s0, sync=self.labels[ctx.finish, "send"])
         # a recursion may re-enter while this round still waits on finishes
         for parked in (s4, s5, s6, s7):
-            b.add_edge(parked, s1, sync=SyncLabel(start.channel, "receive"))
+            b.add_edge(parked, s1, sync=self.labels[start.channel, "receive"])
         self.make_compound_start(left.stable + right.stable, start)
 
         unit = _Unit(tas=[b], stable=[(b, s4), (b, s5), (b, s6), (b, s7)])
@@ -577,7 +577,7 @@ class _Compiler:
                 notify = self.event_channel(*resolve_event(name, ctx.wrappers))
                 reqs.append((notify, group["channel"], tuple(group["vars"])))
             if reqs:
-                unit.tas.append(_controller(reqs))
+                unit.tas.append(_controller(reqs, self.labels))
         unit.absorb(right)
         return unit
 
@@ -593,10 +593,10 @@ class _Compiler:
         picked = self.new_var(f"pick{start.branch}_{start.counter}")
         # re-arming the choice (recursion) re-opens it
         b.add_edge(
-            s0, s1, sync=SyncLabel(start.channel, "receive"), updates=(Assignment(picked, 0),)
+            s0, s1, sync=self.labels[start.channel, "receive"], updates=(Assignment(picked, 0),)
         )
-        b.add_edge(s1, s2, sync=SyncLabel(start_l, "send"))
-        b.add_edge(s2, s0, sync=SyncLabel(start_r, "send"))
+        b.add_edge(s1, s2, sync=self.labels[start_l, "send"])
+        b.add_edge(s2, s0, sync=self.labels[start_r, "send"])
 
         self._wire_choice(left, right, picked)
         # termination of a side resolves the choice too: the first branch
@@ -624,12 +624,12 @@ class _Compiler:
                 self.ensure_channel(channel, ChannelKind.EXT_CHOICE, "binary")
                 _gate_slot(
                     slot,
-                    SyncLabel(channel, "send"),
+                    self.labels[channel, "send"],
                     handshake_guard=GuardExpr((IntAtom((picked,), "==", 0),)),
                     updates=(Assignment(picked, side),),
                     freepass_guard=GuardExpr((IntAtom((picked,), "==", side),)),
                 )
-                _knock_back(other.blockable, channel)
+                _knock_back(other.blockable, self.labels[channel, "receive"])
 
     def _compile_int_choice(self, p: IntChoice, ctx: _Ctx, start: _StartInfo) -> _Unit:
         b = _TaBuilder()
@@ -641,11 +641,11 @@ class _Compiler:
         start_r, info_r, child_r = self._child_entry(p.right, ctx, "1", ctx.finish)
         left = self._compile_entry(p.left, info_l, child_l)
         right = self._compile_entry(p.right, info_r, child_r)
-        b.add_edge(s0, s1, sync=SyncLabel(start.channel, "receive"))
+        b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
         b.add_edge(s1, s2)  # silent: the choice is the machine's own
         b.add_edge(s1, s3)
-        b.add_edge(s2, s0, sync=SyncLabel(start_l, "send"))
-        b.add_edge(s3, s0, sync=SyncLabel(start_r, "send"))
+        b.add_edge(s2, s0, sync=self.labels[start_l, "send"])
+        b.add_edge(s3, s0, sync=self.labels[start_r, "send"])
         self.make_compound_start(left.stable + right.stable, start)
         unit = _Unit(tas=[b])
         unit.absorb(left)
@@ -673,29 +673,30 @@ class _Compiler:
         state = self.new_var(f"intrpd{ctx.branch}_{fin_r.counter}")
 
         b.add_edge(
-            s0, s1, sync=SyncLabel(start.channel, "receive"), updates=(Assignment(state, 0),)
+            s0, s1, sync=self.labels[start.channel, "receive"], updates=(Assignment(state, 0),)
         )
-        b.add_edge(s1, s2, sync=SyncLabel(start_l, "send"))
-        b.add_edge(s2, s3, sync=SyncLabel(start_r, "send"))
+        b.add_edge(s1, s2, sync=self.labels[start_l, "send"])
+        b.add_edge(s2, s3, sync=self.labels[start_r, "send"])
         # the interrupting side may terminate the whole only once it has
         # actually interrupted; before that its termination stays latent
         b.add_edge(
             s3,
             s4,
             guard=GuardExpr((IntAtom((state,), "==", 1),)),
-            sync=SyncLabel(fin_r.channel, "receive"),
+            sync=self.labels[fin_r.channel, "receive"],
         )
-        b.add_edge(s4, s0, sync=SyncLabel(ctx.finish, "send"))
+        b.add_edge(s4, s0, sync=self.labels[ctx.finish, "send"])
         # a recursion may re-enter while this round is still armed
         b.add_edge(
-            s3, s1, sync=SyncLabel(start.channel, "receive"), updates=(Assignment(state, 0),)
+            s3, s1, sync=self.labels[start.channel, "receive"], updates=(Assignment(state, 0),)
         )
         self.make_compound_start(left.stable + right.stable, start)
 
         # successful termination of the interrupted side retires the whole
         # construct: nothing may interrupt it any more
-        for _, edge in _finish_edges(left.tas, ctx.finish):
-            edge.updates = edge.updates + (Assignment(state, 2),)
+        for builder, i in _finish_edges(left.tas, ctx.finish):
+            edge = builder.edges[i]
+            builder.edges[i] = replace(edge, updates=edge.updates + (Assignment(state, 2),))
 
         for slot in right.slots:
             # the kill is a broadcast: every automaton of the interrupted
@@ -704,12 +705,12 @@ class _Compiler:
             self.ensure_channel(channel, ChannelKind.INTERRUPT, "broadcast")
             _gate_slot(
                 slot,
-                SyncLabel(channel, "send"),
+                self.labels[channel, "send"],
                 handshake_guard=GuardExpr((IntAtom((state,), "==", 0),)),
                 updates=(Assignment(state, 1),),
                 freepass_guard=GuardExpr((IntAtom((state,), "==", 1),)),
             )
-            _knock_back(left.stable, channel)
+            _knock_back(left.stable, self.labels[channel, "receive"])
 
         unit = _Unit(tas=[b], stable=[(b, s3)])
         unit.absorb(left)
@@ -717,24 +718,25 @@ class _Compiler:
         return unit
 
 
-def _knock_back(locations: list[tuple[_TaBuilder, str]], channel: str) -> None:
-    """Receiving on ``channel`` sends each automaton at one of ``locations``
-    back to its inert initial location, undoing what it had set."""
+def _knock_back(locations: list[tuple[_TaBuilder, str]], receive: SyncLabel) -> None:
+    """Receiving on ``receive``'s channel sends each automaton at one of
+    ``locations`` back to its inert initial location, undoing what it had
+    set.  Automata that share a location id and its reset share the edge."""
+    edges: dict[tuple, Edge] = {}
     for builder, loc in locations:
-        builder.add_edge(
-            loc, "s0", sync=SyncLabel(channel, "receive"), updates=builder.reset_map.get(loc, ())
-        )
+        key = (loc, builder.reset_map.get(loc, ()))
+        builder.edges.append(edges.get(key) or edges.setdefault(key, Edge(loc, "s0", None, receive, key[1])))
 
 
-def _finish_edges(tas: list[_TaBuilder], finish: str) -> list[tuple[_TaBuilder, _MutEdge]]:
-    """Every edge of ``tas`` that sends on ``finish``, with its builder.
+def _finish_edges(tas: list[_TaBuilder], finish: str) -> list[tuple[_TaBuilder, int]]:
+    """Every edge of ``tas`` that sends on ``finish``, as (builder, index).
 
     The list is complete before the caller changes anything, so edges the
     caller then adds are never in it."""
     return [
-        (builder, edge)
+        (builder, i)
         for builder in tas
-        for edge in builder.edges
+        for i, edge in enumerate(builder.edges)
         if edge.sync is not None and edge.sync.direction == "send" and edge.sync.channel == finish
     ]
 
@@ -745,18 +747,17 @@ def _claim_finish_edges(
     """Split every edge signalling ``finish`` into a resolving variant
     (fires while the decision variable is 0 and claims it) and a
     follow-up variant for when this side already won."""
-    for builder, edge in _finish_edges(tas, finish):
+    for builder, i in _finish_edges(tas, finish):
+        edge = builder.edges[i]
         atoms = edge.guard.atoms if edge.guard else ()
-        follow_up = _MutEdge(
-            edge.source,
-            edge.target,
-            guard=GuardExpr(atoms + (IntAtom((var,), "==", side),)),
-            sync=edge.sync,
-            updates=edge.updates,
+        builder.edges[i] = replace(
+            edge,
+            guard=GuardExpr(atoms + (IntAtom((var,), "==", 0),)),
+            updates=edge.updates + (Assignment(var, side),),
         )
-        edge.guard = GuardExpr(atoms + (IntAtom((var,), "==", 0),))
-        edge.updates = edge.updates + (Assignment(var, side),)
-        builder.edges.append(follow_up)
+        builder.edges.append(
+            replace(edge, guard=GuardExpr(atoms + (IntAtom((var,), "==", side),)))
+        )
 
 
 def _gate_slot(
@@ -773,17 +774,16 @@ def _gate_slot(
     been decided in this slot's favour (an armed interrupt firing after
     its choice was won, a loop re-offering its own branch).
     """
-    gate = slot.builder.add_loc(LocationKind.COMMITTED)
-    handshake = _MutEdge(slot.ready, gate, guard=handshake_guard, sync=sync, updates=updates)
-    freepass = _MutEdge(slot.ready, gate, guard=freepass_guard)
-    slot.builder.edges.append(handshake)
-    slot.builder.edges.append(freepass)
-    for edge in slot.entry_edges:
-        edge.source = gate
+    b = slot.builder
+    gate = b.add_loc(LocationKind.COMMITTED)
+    handshake = b.add_edge(slot.ready, gate, guard=handshake_guard, sync=sync, updates=updates)
+    freepass = b.add_edge(slot.ready, gate, guard=freepass_guard)
+    for i in slot.entry_edges:
+        b.edges[i] = replace(b.edges[i], source=gate)
     slot.entry_edges = [handshake, freepass]
 
 
-def _controller(reqs: list[tuple[str, str, tuple[str, ...]]]) -> _TaBuilder:
+def _controller(reqs: list[tuple[str, str, tuple[str, ...]]], labels: _Shared) -> _TaBuilder:
     """One committed round-trip per (notify, release, readiness variables)
     requirement: when every participant's readiness variable is up,
     announce the event, then broadcast the release."""
@@ -792,12 +792,12 @@ def _controller(reqs: list[tuple[str, str, tuple[str, ...]]]) -> _TaBuilder:
     for notify, release, ready in reqs:
         committed = b.add_loc(LocationKind.COMMITTED)
         guard = GuardExpr((IntAtom(ready, "==", len(ready)),))
-        b.add_edge(s0, committed, guard=guard, sync=SyncLabel(notify, "send"))
-        b.add_edge(committed, s0, sync=SyncLabel(release, "send"))
+        b.add_edge(s0, committed, guard=guard, sync=labels[notify, "send"])
+        b.add_edge(committed, s0, sync=labels[release, "send"])
     return b
 
 
-def _environment(events: frozenset[str], start_action: str, start_var: str) -> _TaBuilder:
+def _environment(events: frozenset[str], start_action: str, start_var: str, labels: _Shared) -> _TaBuilder:
     """The single-location automaton that closes the network.
 
     It launches the system once (guard ``start==0`` blocks a restart),
@@ -810,17 +810,17 @@ def _environment(events: frozenset[str], start_action: str, start_var: str) -> _
         s0,
         s0,
         guard=GuardExpr((IntAtom((start_var,), "==", 0),)),
-        sync=SyncLabel(start_action, "send"),
+        sync=labels[start_action, "send"],
         updates=(Assignment(start_var, 1),),
     )
     for event in sorted(events):
-        b.add_edge(s0, s0, sync=SyncLabel(event, "receive"))
-    b.add_edge(s0, s0, sync=SyncLabel(_FINISH, "receive"))
+        b.add_edge(s0, s0, sync=labels[event, "receive"])
+    b.add_edge(s0, s0, sync=labels[_FINISH, "receive"])
     b.add_edge(
         s0,
         s0,
         guard=GuardExpr((ClockAtom(_CLOCK, ">=", 1),)),
-        sync=SyncLabel(TOCK, "send"),
+        sync=labels[TOCK, "send"],
         updates=(Assignment(_CLOCK, 0),),
     )
     return b
@@ -864,9 +864,13 @@ def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
 
     # The claim order fixes the emitted names: components, the start
     # variable, then Env.
-    tas = [builder.freeze(registry.unique(f"TA{index:02d}")) for index, builder in enumerate(unit.tas)]
-    env = _environment(events, start.channel, compiler.new_var("start"))
-    tas.append(env.freeze(registry.unique("Env"), clocks=(_CLOCK,)))
+    locations = _Shared(lambda i, kind: Location(id=f"s{i}", display_name=f"s{i}", kind=kind))
+    tas = [
+        builder.freeze(registry.unique(f"TA{index:02d}"), locations)
+        for index, builder in enumerate(unit.tas)
+    ]
+    env = _environment(events, start.channel, compiler.new_var("start"), compiler.labels)
+    tas.append(env.freeze(registry.unique("Env"), locations, clocks=(_CLOCK,)))
 
     net = NetworkModel(
         automata=tuple(tas),

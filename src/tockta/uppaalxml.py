@@ -6,7 +6,8 @@ byte-identical documents.  Channel kinds travel in a single XML comment
 exactly; foreign documents are accepted as long as they stay within the
 expression grammar this model supports (conjunctions of comparisons
 against integer constants, constant assignments, plain synchronisation
-labels).  Locations get deterministic grid coordinates because the model
+labels) and give each transition or location at most one label of each
+kind.  Locations get deterministic grid coordinates because the model
 itself carries no geometry.
 """
 
@@ -120,33 +121,55 @@ def emit(net: NetworkModel) -> str:
 
 
 _CHAN_RE = re.compile(r"^(broadcast\s+chan|urgent\s+chan|chan)\s+(\w+)\s*;\s*$")
+_CHAN_MODES = {"chan": "binary", "broadcast chan": "broadcast", "urgent chan": "urgent-binary"}
 _INT_RE = re.compile(r"^int\s+(\w+)\s*(?:=\s*(-?\d+))?\s*;\s*$")
 _CLOCK_RE = re.compile(r"^clock\s+([\w\s,]+);\s*$")
+# A name or a sum, in balanced parentheses or none, then one relation.
 _ATOM_RE = re.compile(
-    r"^\(?\s*([A-Za-z_]\w*(?:\s*\+\s*[A-Za-z_]\w*)*)\s*\)?\s*(<=|>=|==|<|>)\s*(-?\d+)\s*$"
+    r"^(\()?\s*([A-Za-z_]\w*(?:\s*\+\s*[A-Za-z_]\w*)*)\s*(?(1)\))\s*(<=|>=|==|<|>)\s*(-?\d+)\s*$"
 )
 _ASSIGN_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?::=|=)\s*(-?\d+)\s*$")
 _SYNC_RE = re.compile(r"^([A-Za-z_]\w*)\s*([!?])\s*$")
 
+# The label parsers' errors name no place: the caller adds where they are.
 
-def _parse_atoms(text: str, clocks: set[str], where: str) -> tuple:
+
+def _parse_atoms(text: str, clocks: set[str]) -> tuple:
+    """The atoms of a non-blank conjunction; each conjunct must be one."""
     atoms = []
     for part in text.split("&&"):
         part = part.strip()
         if not part:
-            continue
+            raise XmlLoadError(f"empty conjunct in {text.strip()!r}")
         m = _ATOM_RE.match(part)
         if not m:
-            raise XmlLoadError(f"unsupported expression {part!r} in {where}")
-        names = [n.strip() for n in m.group(1).split("+")]
-        op, const = m.group(2), int(m.group(3))
+            raise XmlLoadError(f"unsupported expression {part!r}")
+        names = [n.strip() for n in m.group(2).split("+")]
+        op, const = m.group(3), int(m.group(4))
         if len(names) == 1 and names[0] in clocks:
             if const < 0:
-                raise XmlLoadError(f"negative clock constant in {part!r} in {where}")
+                raise XmlLoadError(f"negative clock constant in {part!r}")
             atoms.append(ClockAtom(names[0], op, const))
         else:
             atoms.append(IntAtom(tuple(names), op, const))
     return tuple(atoms)
+
+
+def _parse_sync(text: str) -> SyncLabel:
+    m = _SYNC_RE.match(text)
+    if not m:
+        raise XmlLoadError(f"unsupported synchronisation {text!r}")
+    return SyncLabel(m.group(1), "send" if m.group(2) == "!" else "receive")
+
+
+def _parse_updates(text: str) -> tuple[Assignment, ...]:
+    updates = []
+    for chunk in text.split(","):
+        m = _ASSIGN_RE.match(chunk.strip())
+        if not m:
+            raise XmlLoadError(f"unsupported expression {chunk.strip()!r}")
+        updates.append(Assignment(m.group(1), int(m.group(2))))
+    return tuple(updates)
 
 
 def _parse_declaration(text: str):
@@ -159,10 +182,7 @@ def _parse_declaration(text: str):
             continue
         m = _CHAN_RE.match(line)
         if m:
-            mode = {"chan": "binary", "broadcast chan": "broadcast", "urgent chan": "urgent-binary"}[
-                re.sub(r"\s+", " ", m.group(1))
-            ]
-            channels.append((m.group(2), mode))
+            channels.append((m.group(2), _CHAN_MODES[" ".join(m.group(1).split())]))
             continue
         m = _INT_RE.match(line)
         if m:
@@ -176,8 +196,33 @@ def _parse_declaration(text: str):
     return channels, int_vars, clocks
 
 
+def _children(node: ET.Element, listed: tuple[str, ...]) -> tuple[dict, list]:
+    """One pass over ``node``'s children: the first child of each tag, and
+    every child with a ``listed`` tag, in document order."""
+    first: dict = {}
+    many = []
+    for child in node:
+        if child.tag in listed:
+            many.append(child)
+        else:
+            first.setdefault(child.tag, child)
+    return first, many
+
+
+# The label kinds an edge carries, each with the parser of its text.
+_EDGE_LABELS = {
+    "guard": lambda text, clocks: GuardExpr(_parse_atoms(text, clocks)),
+    "synchronisation": lambda text, clocks: _parse_sync(text),
+    "assignment": lambda text, clocks: _parse_updates(text),
+}
+
+
 def load(document: str) -> NetworkModel:
-    """Parse a document in the emitted dialect back into a network."""
+    """Parse a document in the emitted dialect back into a network.
+
+    One pass over each element's children finds its parts.  Each model
+    object is built once per document: a label text is parsed once, and
+    equal labels, locations and edges are one shared object."""
     try:
         parser = ET.XMLParser(target=ET.TreeBuilder(insert_comments=True))
         root = ET.fromstring(document, parser=parser)
@@ -188,8 +233,8 @@ def load(document: str) -> NetworkModel:
 
     kinds: dict[str, ChannelKind] = {}
     env_name: str | None = None
-    for node in root.iter():
-        if node.tag is ET.Comment and _KIND_COMMENT in (node.text or ""):
+    for node in root.iter(ET.Comment):
+        if _KIND_COMMENT in (node.text or ""):
             _, colon, body = node.text.partition(":")
             if not colon:
                 raise XmlLoadError(f"{_KIND_COMMENT} comment without a colon")
@@ -207,116 +252,20 @@ def load(document: str) -> NetworkModel:
             if "environment=" in envpart:
                 env_name = envpart.split("environment=", 1)[1].strip() or None
 
-    decl_node = root.find("declaration")
+    first, templates = _children(root, ("template",))
+    decl_node = first.get("declaration")
     channels_raw, int_vars, global_clocks = _parse_declaration(
         decl_node.text or "" if decl_node is not None else ""
     )
     channels = tuple(
-        ChannelDecl(name, mode, kinds.get(name, kind_from_name(name)))
+        ChannelDecl(name, mode, kinds[name] if name in kinds else kind_from_name(name))
         for name, mode in channels_raw
     )
-
-    automata = []
-    for template in root.findall("template"):
-        name_node = template.find("name")
-        if name_node is None or not (name_node.text or "").strip():
-            raise XmlLoadError("template without a name")
-        name = name_node.text.strip()
-        if template.find("parameter") is not None:
-            raise XmlLoadError(f"unsupported expression: template {name!r} has parameters")
-        local_clocks: list[str] = []
-        local_decl = template.find("declaration")
-        if local_decl is not None and (local_decl.text or "").strip():
-            extra_channels, extra_ints, local_clocks = _parse_declaration(local_decl.text)
-            if extra_channels or extra_ints:
-                raise XmlLoadError(
-                    f"unsupported declaration: template {name!r} declares non-clock state"
-                )
-        clock_names = set(local_clocks) | set(global_clocks)
-
-        id_to_model: dict[str, str] = {}
-        locations = []
-        used_names: set[str] = set()
-        for node in template.findall("location"):
-            doc_id = node.get("id")
-            if doc_id is None:
-                raise XmlLoadError(f"location without id in template {name!r}")
-            label = node.find("name")
-            model_id = (label.text or "").strip() if label is not None else ""
-            if not model_id or model_id in used_names:
-                model_id = doc_id
-            used_names.add(model_id)
-            id_to_model[doc_id] = model_id
-            kind = LocationKind.NORMAL
-            if node.find("committed") is not None:
-                kind = LocationKind.COMMITTED
-            elif node.find("urgent") is not None:
-                kind = LocationKind.URGENT
-            invariant: tuple = ()
-            for lab in node.findall("label"):
-                if lab.get("kind") == "invariant":
-                    atoms = _parse_atoms(lab.text or "", clock_names, f"template {name!r}")
-                    bad = [a for a in atoms if not isinstance(a, ClockAtom)]
-                    if bad:
-                        raise XmlLoadError(f"unsupported invariant in template {name!r}")
-                    invariant = atoms
-            locations.append(Location(model_id, model_id, kind, invariant))
-
-        init = template.find("init")
-        if init is None or init.get("ref") not in id_to_model:
-            raise XmlLoadError(f"missing initial location in template {name!r}")
-
-        edges = []
-        for index, node in enumerate(template.findall("transition")):
-            where = f"template {name!r}, transition {index}"
-            if node.find("select") is not None:
-                raise XmlLoadError(f"unsupported expression: select in {where}")
-            source = node.find("source")
-            target = node.find("target")
-            if source is None or target is None:
-                raise XmlLoadError(f"transition without endpoints in {where}")
-            guard = None
-            sync = None
-            updates: tuple[Assignment, ...] = ()
-            for lab in node.findall("label"):
-                kind_attr = lab.get("kind")
-                text = (lab.text or "").strip()
-                if kind_attr == "guard" and text:
-                    atoms = _parse_atoms(text, clock_names, where)
-                    guard = GuardExpr(atoms) if atoms else None
-                elif kind_attr == "synchronisation" and text:
-                    m = _SYNC_RE.match(text)
-                    if not m:
-                        raise XmlLoadError(f"unsupported synchronisation {text!r} in {where}")
-                    sync = SyncLabel(m.group(1), "send" if m.group(2) == "!" else "receive")
-                elif kind_attr == "assignment" and text:
-                    parts = []
-                    for chunk in text.split(","):
-                        m = _ASSIGN_RE.match(chunk.strip())
-                        if not m:
-                            raise XmlLoadError(f"unsupported expression {chunk.strip()!r} in {where}")
-                        parts.append(Assignment(m.group(1), int(m.group(2))))
-                    updates = tuple(parts)
-                elif kind_attr in ("comments", "testcode", None) or not text:
-                    continue
-                else:
-                    raise XmlLoadError(f"unsupported label kind {kind_attr!r} in {where}")
-            try:
-                src_id = id_to_model[source.get("ref")]
-                tgt_id = id_to_model[target.get("ref")]
-            except KeyError as exc:
-                raise XmlLoadError(f"dangling location reference in {where}") from exc
-            edges.append(Edge(src_id, tgt_id, guard, sync, updates))
-
-        automata.append(
-            TimedAutomaton(
-                name=name,
-                locations=tuple(locations),
-                initial=id_to_model[init.get("ref")],
-                clocks=tuple(local_clocks),
-                edges=tuple(edges),
-            )
-        )
+    # The document's labels, locations and edges, each keyed by what
+    # determines it; whether a name in a guard is a clock depends on the
+    # template's local clocks.
+    memo: dict[tuple, object] = {}
+    automata = [_load_template(template, global_clocks, memo) for template in templates]
 
     if not automata:
         raise XmlLoadError("document contains no templates")
@@ -346,6 +295,111 @@ def load(document: str) -> NetworkModel:
     if problems:
         raise XmlLoadError("invalid network: " + "; ".join(str(p) for p in problems[:5]))
     return net
+
+
+def _load_template(template: ET.Element, global_clocks: list[str], memo: dict) -> TimedAutomaton:
+    first, nodes = _children(template, ("location", "transition"))
+    name_node = first.get("name")
+    if name_node is None or not (name_node.text or "").strip():
+        raise XmlLoadError("template without a name")
+    name = name_node.text.strip()
+    if "parameter" in first:
+        raise XmlLoadError(f"unsupported expression: template {name!r} has parameters")
+    local_clocks: list[str] = []
+    local_decl = first.get("declaration")
+    if local_decl is not None and (local_decl.text or "").strip():
+        extra_channels, extra_ints, local_clocks = _parse_declaration(local_decl.text)
+        if extra_channels or extra_ints:
+            raise XmlLoadError(
+                f"unsupported declaration: template {name!r} declares non-clock state"
+            )
+    clock_names = set(local_clocks) | set(global_clocks)
+    clock_key = frozenset(local_clocks)
+
+    id_to_model: dict[str, str] = {}
+    locations = []
+    used_names: set[str] = set()
+    for node in nodes:
+        if node.tag != "location":
+            continue
+        try:
+            doc_id = node.get("id")
+            if doc_id is None:
+                raise XmlLoadError("location without id")
+            parts, labels = _children(node, ("label",))
+            invariants = [
+                lab.text for lab in labels if lab.get("kind") == "invariant" and (lab.text or "").strip()
+            ]
+            if len(invariants) > 1:
+                raise XmlLoadError(f"repeated invariant label at location {doc_id!r}")
+            label = parts.get("name")
+            model_id = (label.text or "").strip() if label is not None else ""
+            if not model_id or model_id in used_names:
+                model_id = doc_id
+            used_names.add(model_id)
+            id_to_model[doc_id] = model_id
+            kind = LocationKind.NORMAL
+            if "committed" in parts:
+                kind = LocationKind.COMMITTED
+            elif "urgent" in parts:
+                kind = LocationKind.URGENT
+            key = ("location", clock_key, model_id, kind, *invariants)
+            if key not in memo:
+                invariant = _parse_atoms(invariants[0], clock_names) if invariants else ()
+                if any(not isinstance(a, ClockAtom) for a in invariant):
+                    raise XmlLoadError("unsupported invariant")
+                memo[key] = Location(model_id, model_id, kind, invariant)
+            locations.append(memo[key])
+        except XmlLoadError as exc:
+            raise XmlLoadError(f"{exc} in template {name!r}") from None
+
+    init = first.get("init")
+    if init is None or init.get("ref") not in id_to_model:
+        raise XmlLoadError(f"missing initial location in template {name!r}")
+
+    edges = []
+    for index, node in enumerate(n for n in nodes if n.tag == "transition"):
+        try:
+            parts, labels = _children(node, ("label",))
+            if "select" in parts:
+                raise XmlLoadError("unsupported expression: select")
+            if "source" not in parts or "target" not in parts:
+                raise XmlLoadError("transition without endpoints")
+            parsed: dict = {}
+            texts: dict[str, str] = {}
+            for lab in labels:
+                text = (lab.text or "").strip()
+                kind_attr = lab.get("kind")
+                if not text or kind_attr in ("comments", "testcode", None):
+                    continue
+                if kind_attr not in _EDGE_LABELS:
+                    raise XmlLoadError(f"unsupported label kind {kind_attr!r}")
+                if kind_attr in texts:
+                    raise XmlLoadError(f"repeated {kind_attr} label")
+                texts[kind_attr] = text
+                key = (kind_attr, text, clock_key if kind_attr == "guard" else None)
+                parse = _EDGE_LABELS[kind_attr]
+                parsed[kind_attr] = memo.get(key) or memo.setdefault(key, parse(text, clock_names))
+            try:
+                src_id = id_to_model[parts["source"].get("ref")]
+                tgt_id = id_to_model[parts["target"].get("ref")]
+            except KeyError:
+                raise XmlLoadError("dangling location reference") from None
+            key = ("edge", clock_key, src_id, tgt_id, *texts.items())
+            if key not in memo:
+                guard, sync = parsed.get("guard"), parsed.get("synchronisation")
+                memo[key] = Edge(src_id, tgt_id, guard, sync, parsed.get("assignment", ()))
+            edges.append(memo[key])
+        except XmlLoadError as exc:
+            raise XmlLoadError(f"{exc} in template {name!r}, transition {index}") from None
+
+    return TimedAutomaton(
+        name=name,
+        locations=tuple(locations),
+        initial=id_to_model[init.get("ref")],
+        clocks=tuple(local_clocks),
+        edges=tuple(edges),
+    )
 
 
 def save_file(net: NetworkModel, path: str) -> None:

@@ -1,10 +1,12 @@
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from tockta.cspast import Stop
+from tockta.harness import generate_corpus
 from tockta.parser import parse, parse_file
 from tockta.tamodel import ChannelKind, GuardExpr, IntAtom
 from tockta.translate import assemble
@@ -38,6 +40,37 @@ def test_round_trip_identity_on_showcase_networks():
     for net in nets:
         assert load(emit(net)) == net
     assert '<label kind="guard">(v1 + v2 + v3)==3</label>' in emit(nets[-1])
+
+
+def large_shape_specs():
+    """Specs of the benchmark's translate-large shape: 2-4 interleaved
+    components, each a cycle of definitions ``Ci_k = si -> ((B) ; Ci_k+1)``
+    whose bodies B are corpus processes with per-component event names."""
+    bodies = [entry.text for entry in generate_corpus()]
+    specs = []
+    for components, length, offset in ((2, 6, 0), (3, 4, 50), (4, 3, 100)):
+        lines = ["MAIN = " + " ||| ".join(f"C{i}_0" for i in range(components))]
+        for i in range(components):
+            for k in range(length):
+                body = bodies[(offset + 13 * (i * length + k)) % len(bodies)]
+                body = re.sub(r"\b([abc])\b", rf"\g<1>{i}", body)
+                lines.append(f"C{i}_{k} = s{i} -> (({body}) ; C{i}_{(k + 1) % length})")
+        specs.append(parse("\n".join(lines) + "\n"))
+    return specs
+
+
+def sync_labels(net):
+    return [e.sync for ta in net.automata for e in ta.edges if e.sync is not None]
+
+
+def test_round_trip_on_the_large_shape_shares_one_label_per_channel_and_direction():
+    for spec in large_shape_specs():
+        net = assemble(spec)
+        loaded = load(emit(net))
+        assert loaded == net
+        for network in (net, loaded):
+            labels = sync_labels(network)
+            assert len({id(label) for label in labels}) == len(set(labels)) < len(labels)
 
 
 def test_emit_is_deterministic():
@@ -107,6 +140,77 @@ def test_arbitrary_arithmetic_is_unsupported():
     )
     with pytest.raises(XmlLoadError, match="unsupported expression"):
         load(doc)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (
+            '<label kind="guard">start==0</label>',
+            '<label kind="guard">start==0</label><label kind="guard">start==1</label>',
+            "repeated guard label in template 'Env', transition 0",
+        ),
+        (
+            '<label kind="synchronisation">startID0_0!</label>',
+            '<label kind="synchronisation">startID0_0!</label>'
+            '<label kind="synchronisation">finishID0?</label>',
+            "repeated synchronisation label in template 'Env', transition 0",
+        ),
+        (
+            '<label kind="assignment">ck:=0</label>',
+            '<label kind="assignment">ck:=0</label><label kind="assignment">start:=0</label>',
+            "repeated assignment label in template 'Env', transition 2",
+        ),
+        (
+            '<location id="id2" x="0" y="0"><name>s0</name>',
+            '<location id="id2" x="0" y="0"><name>s0</name>'
+            '<label kind="invariant">ck&lt;=1</label><label kind="invariant">ck&lt;=2</label>',
+            "repeated invariant label at location 'id2' in template 'Env'",
+        ),
+    ],
+    ids=["guard", "synchronisation", "assignment", "invariant"],
+)
+def test_repeated_labels_are_rejected(old, new, message):
+    doc = emit(assemble(Stop()))
+    assert old in doc
+    with pytest.raises(XmlLoadError, match=re.escape(message)):
+        load(doc.replace(old, new, 1))
+
+
+def test_one_invariant_label_loads():
+    doc = emit(assemble(Stop())).replace(
+        '<location id="id2" x="0" y="0"><name>s0</name>',
+        '<location id="id2" x="0" y="0"><name>s0</name><label kind="invariant">ck&lt;=1</label>',
+    )
+    (location,) = load(doc).environment().locations
+    assert [a.render() for a in location.invariant] == ["ck<=1"]
+
+
+@pytest.mark.parametrize(
+    "guard, message",
+    [
+        ("(start==0", "unsupported expression '(start==0'"),
+        ("start)==0", "unsupported expression 'start)==0'"),
+        ("(ck&gt;=1", "unsupported expression '(ck>=1'"),
+        ("ck)&gt;=1", "unsupported expression 'ck)>=1'"),
+        ("start==0 &amp;&amp;", "empty conjunct in 'start==0 &&'"),
+        ("&amp;&amp; start==0", "empty conjunct in '&& start==0'"),
+        ("start==0 &amp;&amp; &amp;&amp; start==0", "empty conjunct in 'start==0 && && start==0'"),
+    ],
+    ids=["open", "close", "open-clock", "close-clock", "trailing-and", "leading-and", "double-and"],
+)
+def test_unbalanced_parentheses_and_empty_conjuncts_are_rejected(guard, message):
+    doc = emit(assemble(Stop())).replace(
+        '<label kind="guard">start==0</label>', f'<label kind="guard">{guard}</label>'
+    )
+    with pytest.raises(XmlLoadError, match=re.escape(message + " in template 'Env', transition 0")):
+        load(doc)
+
+
+def test_parenthesised_single_names_still_load():
+    net = assemble(Stop())
+    doc = emit(net).replace("start==0", "(start)==0").replace("ck&gt;=1", "( ck )&gt;=1")
+    assert load(doc) == net
 
 
 def test_negative_integer_constant_round_trips():
