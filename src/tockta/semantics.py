@@ -44,7 +44,6 @@ __all__ = [
     "TERMINATED",
     "BoundExceeded",
     "step",
-    "initials",
     "csp_traces",
     "TraceSet",
     "trace_to_text",
@@ -217,12 +216,6 @@ def _successors(defs: dict[str, CspProcess]):
                 yield act.name, succ
 
     return successors
-
-
-def initials(p: CspProcess, defs: dict[str, CspProcess]) -> frozenset[str]:
-    """First visible non-tock events of ``p``, looking through tau steps."""
-    graph = subset_graph(p, _successors(defs), 1, state_cap=100_000)
-    return frozenset(graph.moves[graph.root]) - {TOCK}
 
 
 # --- bounded traces --------------------------------------------------------

@@ -20,12 +20,18 @@ Network traces record one entry (the channel name) per binary or
 broadcast step; silent edges and time ticks are unrecorded.  The
 coordinating channels can additionally be erased, which is the view
 compared against the source process semantics.
+
+The searches of :mod:`lts` run over dense integer ids, one per
+configuration met; only what the API returns maps them back.  Each step
+object and each step's effect (automata moves, clock and integer updates)
+is built once per runtime.  A configuration's moves still come from
+``enabled_steps`` and ``apply_step`` looked up by module name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -86,6 +92,7 @@ class Broadcast:
     receivers: tuple[tuple[int, int], ...]  # (automaton, edge), ascending
 
 
+_TICK = TimeTick()
 _COMMITTED, _URGENT = LocationKind.COMMITTED, LocationKind.URGENT
 
 #: A resolved clock atom: (clock slot, comparison, constant).
@@ -190,8 +197,14 @@ class _Runtime:
             )
         self.receivers = {channel: tuple(sorted(autos)) for channel, autos in receivers.items()}
         self.clock_caps = tuple(caps)
-        self.moves: dict[Configuration, tuple] = {}
-        self.ticking: set[Configuration] = set()
+        self.binary = cache(Binary)
+        self.broadcast = cache(Broadcast)
+        self.effects: dict = {}  # step -> (moves, clock updates, int updates)
+        # configs[i] is the configuration with id i; moves[i] its moves, or None.
+        self.ids: dict[Configuration, int] = {}
+        self.configs: list[Configuration] = []
+        self.moves: list[tuple | None] = []
+        self.ticking: set[int] = set()
 
     def _clock_slot(self, automaton: int, name: str) -> int:
         key = (automaton, name)
@@ -199,26 +212,55 @@ class _Runtime:
             return self.clock_pos[key]
         return self.clock_pos[(None, name)]
 
-    def successors(self, cfg: Configuration) -> tuple:
-        """Steps as labelled moves: a binary or broadcast step carries its
-        channel name, silent edges and time ticks are internal.
+    def intern(self, cfg: Configuration) -> int:
+        index = self.ids.get(cfg)
+        if index is None:
+            index = self.ids[cfg] = len(self.configs)
+            self.configs.append(cfg)
+            self.moves.append(None)
+        return index
+
+    def effect(self, step) -> tuple:
+        """``step``'s ((automaton, source, target), ...), clock updates and
+        int updates, compiled on first use."""
+        out = self.effects.get(step)
+        if out is None:
+            if isinstance(step, Silent):
+                parts = ((step.automaton, step.edge),)
+            elif isinstance(step, Binary):
+                parts = ((step.sender, step.sender_edge), (step.receiver, step.receiver_edge))
+            else:
+                parts = ((step.sender, step.sender_edge),) + step.receivers
+            moves, clocks, ints = [], {}, {}
+            for ai, ei in parts:
+                source, target, clock_updates, int_updates = self.edges[ai][ei]
+                moves.append((ai, source, target))
+                clocks.update(clock_updates)
+                ints.update(int_updates)
+            out = self.effects[step] = (tuple(moves), tuple(clocks.items()), tuple(ints.items()))
+        return out
+
+    def successors(self, state: int) -> tuple:
+        """Steps as labelled moves between ids: a binary or broadcast step
+        carries its channel name, silent edges and time ticks are internal.
 
         The moves of each configuration are computed once for the life of
-        the runtime and shared by every search over its network;
-        configurations that let time pass are collected in ``ticking``.
-        A miss looks ``enabled_steps`` and ``apply_step`` up by their
+        the runtime and shared by every search over its network; the ids
+        that let time pass are collected in ``ticking``.  A miss looks ``enabled_steps`` and ``apply_step`` up by their
         module names, so a wrapper patched in their place sees every call.
         """
-        out = self.moves.get(cfg)
+        out = self.moves[state]
         if out is None:
-            net = self.net
+            net, cfg = self.net, self.configs[state]
             out = []
             for step in enabled_steps(net, cfg):
                 if isinstance(step, TimeTick):
-                    self.ticking.add(cfg)
-                label = step.channel if isinstance(step, (Binary, Broadcast)) else None
-                out.append((label, _normalise(self, apply_step(net, cfg, step))))
-            out = self.moves[cfg] = tuple(out)
+                    self.ticking.add(state)
+                succ = apply_step(net, cfg, step)
+                if succ.clocks is not cfg.clocks:
+                    succ = _normalise(self, succ)
+                out.append((getattr(step, "channel", None), self.intern(succ)))
+            out = self.moves[state] = tuple(out)
         return out
 
 
@@ -293,53 +335,45 @@ def enabled_steps(net: NetworkModel, cfg: Configuration) -> frozenset:
                         by_auto.setdefault(rj, []).append(re)
                 autos = sorted(by_auto)
                 for combo in product(*(by_auto[a] for a in autos)):
-                    steps.append(Broadcast(channel, ai, ei, tuple(zip(autos, combo))))
+                    steps.append(rt.broadcast(channel, ai, ei, tuple(zip(autos, combo))))
         else:
             for ai, ei in sends:
                 for rj, re in receives:
                     if rj != ai:
-                        steps.append(Binary(channel, ai, ei, rj, re))
+                        steps.append(rt.binary(channel, ai, ei, rj, re))
                         if mode == "urgent-binary":
                             urgent_pair = True
 
     if committed:
-        def involves_committed(step) -> bool:
-            if isinstance(step, Silent):
-                return step.automaton in committed
-            if isinstance(step, Binary):
-                return step.sender in committed or step.receiver in committed
-            return step.sender in committed or any(a in committed for a, _ in step.receivers)
-
-        steps = [s for s in steps if involves_committed(s)]
+        steps = [s for s in steps if any(move[0] in committed for move in rt.effect(s)[0])]
     elif not urgent_loc and not urgent_pair:
         if all(holds(clocks[slot] + 1, const) for slot, holds, const in invariants):
-            steps.append(TimeTick())
+            steps.append(_TICK)
     return frozenset(steps)
 
 
 def apply_step(net: NetworkModel, cfg: Configuration, step) -> Configuration:
     """Advance the configuration; ``step`` must come from enabled_steps."""
+    locations, ints, clocks = cfg
     if isinstance(step, TimeTick):
-        return Configuration(cfg.locations, cfg.ints, tuple(v + 1 for v in cfg.clocks))
-    if isinstance(step, Silent):
-        moves: tuple = ((step.automaton, step.edge),)
-    elif isinstance(step, Binary):
-        moves = ((step.sender, step.sender_edge), (step.receiver, step.receiver_edge))
-    else:
-        moves = ((step.sender, step.sender_edge),) + step.receivers
-    edges = _runtime(net).edges
-    locations, ints, clocks = map(list, cfg)
-    for ai, ei in moves:
-        source, target, clock_updates, int_updates = edges[ai][ei]
+        return Configuration(locations, ints, tuple([v + 1 for v in clocks]))
+    moves, clock_updates, int_updates = _runtime(net).effect(step)
+    locations = list(locations)
+    for ai, source, target in moves:
         if locations[ai] != source:
             # not an assert: under -O the step would be applied anyway
             raise AssertionError("step not enabled in this configuration")
         locations[ai] = target
-        for slot, value in clock_updates:
-            clocks[slot] = value
-        for slot, value in int_updates:
-            ints[slot] = value
-    return Configuration(tuple(locations), tuple(ints), tuple(clocks))
+    return Configuration(tuple(locations), _updated(ints, int_updates), _updated(clocks, clock_updates))
+
+
+def _updated(values: tuple[int, ...], updates: tuple) -> tuple[int, ...]:
+    if not updates:
+        return values
+    values = list(values)
+    for slot, value in updates:
+        values[slot] = value
+    return tuple(values)
 
 
 def _normalise(rt: _Runtime, cfg: Configuration) -> Configuration:
@@ -352,8 +386,8 @@ def _normalise(rt: _Runtime, cfg: Configuration) -> Configuration:
     return Configuration(cfg.locations, cfg.ints, clocks)
 
 
-def _start(rt: _Runtime) -> Configuration:
-    return _normalise(rt, initial_configuration(rt.net))
+def _start(rt: _Runtime) -> int:
+    return rt.intern(_normalise(rt, initial_configuration(rt.net)))
 
 
 def raw_network_traces(
@@ -385,9 +419,8 @@ def reachable_configurations(
     """Configurations reachable while recording at most ``observable_depth``
     non-coordinating actions."""
     rt = _runtime(net)
-    return reachable(
-        _start(rt), rt.successors, observable_depth, hidden=erasure_set(net), state_cap=state_cap
-    )
+    found = reachable(_start(rt), rt.successors, observable_depth, hidden=erasure_set(net), state_cap=state_cap)
+    return frozenset(rt.configs[state] for state in found)
 
 
 def timelock_witnesses(
@@ -405,4 +438,4 @@ def timelock_witnesses(
         hidden=erasure_set(net),
         state_cap=state_cap,
     )
-    return sorted(stuck, key=lambda c: (c.locations, c.ints, c.clocks))
+    return sorted(rt.configs[state] for state in stuck)

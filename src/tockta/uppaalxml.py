@@ -196,16 +196,21 @@ def _parse_declaration(text: str):
     return channels, int_vars, clocks
 
 
+# Tags of which an element may have one child at most.
+_SINGLE = frozenset({"name", "init", "source", "target", "declaration"})
+
+
 def _children(node: ET.Element, listed: tuple[str, ...]) -> tuple[dict, list]:
     """One pass over ``node``'s children: the first child of each tag, and
-    every child with a ``listed`` tag, in document order."""
+    every child with a ``listed`` tag, in document order.  A repeated
+    ``_SINGLE`` tag is an error."""
     first: dict = {}
     many = []
     for child in node:
         if child.tag in listed:
             many.append(child)
-        else:
-            first.setdefault(child.tag, child)
+        elif first.setdefault(child.tag, child) is not child and child.tag in _SINGLE:
+            raise XmlLoadError(f"repeated <{child.tag}>")
     return first, many
 
 
@@ -298,7 +303,10 @@ def load(document: str) -> NetworkModel:
 
 
 def _load_template(template: ET.Element, global_clocks: list[str], memo: dict) -> TimedAutomaton:
-    first, nodes = _children(template, ("location", "transition"))
+    try:
+        first, nodes = _children(template, ("location", "transition"))
+    except XmlLoadError as exc:
+        raise XmlLoadError(f"{exc} in template {(template.findtext('name') or '').strip()!r}") from None
     name_node = first.get("name")
     if name_node is None or not (name_node.text or "").strip():
         raise XmlLoadError("template without a name")
@@ -331,7 +339,7 @@ def _load_template(template: ET.Element, global_clocks: list[str], memo: dict) -
                 lab.text for lab in labels if lab.get("kind") == "invariant" and (lab.text or "").strip()
             ]
             if len(invariants) > 1:
-                raise XmlLoadError(f"repeated invariant label at location {doc_id!r}")
+                raise XmlLoadError("repeated invariant label")
             label = parts.get("name")
             model_id = (label.text or "").strip() if label is not None else ""
             if not model_id or model_id in used_names:
@@ -351,7 +359,8 @@ def _load_template(template: ET.Element, global_clocks: list[str], memo: dict) -
                 memo[key] = Location(model_id, model_id, kind, invariant)
             locations.append(memo[key])
         except XmlLoadError as exc:
-            raise XmlLoadError(f"{exc} in template {name!r}") from None
+            where = "" if doc_id is None else f" at location {doc_id!r}"
+            raise XmlLoadError(f"{exc}{where} in template {name!r}") from None
 
     init = first.get("init")
     if init is None or init.get("ref") not in id_to_model:

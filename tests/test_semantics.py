@@ -20,13 +20,13 @@ from tockta.semantics import (
     Action,
     ActionKind,
     TraceSet,
+    _successors,
     csp_traces,
-    initials,
     step,
     traces_from_text,
     traces_to_text,
 )
-from tockta.lts import trie_graph
+from tockta.lts import subset_graph, trie_graph
 from tockta.parser import parse
 from tockta.taexec import network_traces
 from tockta.translate import assemble
@@ -106,6 +106,13 @@ def test_timed_movement_example():
     assert ("move", "tock", "tock", "turn") in got
     assert ("tock", "move", "tock", "tock") in got
     assert ("move", "tock", "turn") not in got
+
+
+def initials(p, defs) -> frozenset[str]:
+    """First visible non-tock events of ``p``, looking through tau steps:
+    the root labels of its depth-1 subset graph."""
+    graph = subset_graph(p, _successors(defs), 1, state_cap=100_000)
+    return frozenset(graph.moves[graph.root]) - {"tock"}
 
 
 def test_initials_of_prefix_chain():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import cache
 from itertools import product
 from operator import eq, ge, gt, le, lt
 from pathlib import Path
@@ -363,10 +364,9 @@ def test_each_automaton_is_hashed_at_most_once(monkeypatch):
 _RELATION = {"<": lt, "<=": le, "==": eq, ">=": ge, ">": gt}
 
 
-def reference_enabled_steps(net, cfg):
-    """``enabled_steps`` without indexes: every out-edge of every automaton
-    is tested, then each enabled sender is paired with every enabled
-    receiver on its channel."""
+def reference_slots(net):
+    """The clock slot of an automaton's clock name (None for an integer
+    variable), and each integer variable's position."""
     slots = {(None, name): i for i, name in enumerate(net.global_clocks)}
     for ai, ta in enumerate(net.automata):
         slots.update({(ai, name): len(slots) + i for i, name in enumerate(ta.clocks)})
@@ -374,6 +374,15 @@ def reference_enabled_steps(net, cfg):
 
     def slot(ai, name):
         return slots[(ai, name)] if (ai, name) in slots else slots.get((None, name))
+
+    return slot, var_pos
+
+
+def reference_enabled_steps(net, cfg):
+    """``enabled_steps`` without indexes: every out-edge of every automaton
+    is tested, then each enabled sender is paired with every enabled
+    receiver on its channel."""
+    slot, var_pos = reference_slots(net)
 
     def all_hold(ai, atoms, clocks):
         for atom in atoms:
@@ -435,6 +444,31 @@ def reference_enabled_steps(net, cfg):
     ):
         steps.append(TimeTick())
     return frozenset(steps)
+
+
+def reference_apply_step(net, cfg, step):
+    """``apply_step`` without compiled effects: the step's edges are read
+    from ``net.automata`` and applied one after another."""
+    if isinstance(step, TimeTick):
+        return cfg._replace(clocks=tuple(v + 1 for v in cfg.clocks))
+    if isinstance(step, Silent):
+        parts = [(step.automaton, step.edge)]
+    elif isinstance(step, Binary):
+        parts = [(step.sender, step.sender_edge), (step.receiver, step.receiver_edge)]
+    else:
+        parts = [(step.sender, step.sender_edge), *step.receivers]
+    slot, var_pos = reference_slots(net)
+    locations, ints, clocks = map(list, cfg)
+    for ai, ei in parts:
+        edge = net.automata[ai].edges[ei]
+        assert locations[ai] == edge.source
+        locations[ai] = edge.target
+        for upd in edge.updates:
+            if slot(ai, upd.target) is not None:
+                clocks[slot(ai, upd.target)] = upd.value
+            else:
+                ints[var_pos[upd.target]] = upd.value
+    return type(cfg)(tuple(locations), tuple(ints), tuple(clocks))
 
 
 def _mixed_network(y_guard=ClockAtom("y", ">=", 1), g_guard=ClockAtom("g", ">=", 2)):
@@ -514,17 +548,35 @@ def every_reachable_configuration(net):
         found = more
 
 
-def test_indexed_enabled_steps_equal_the_unindexed_reference():
+@cache
+def reference_networks():
+    """The corpus, the fixtures, two interleaving families and the mixed
+    network, each with every configuration it reaches."""
     specs = [entry.spec for entry in generate_corpus()]
     specs += [parse_file(str(path)) for path in sorted(FIXTURES.glob("*.tcsp"))]
     specs += [THREE_CYCLES, interleaved_cycles(4)]
     assert len(specs) == 156 + 5 + 2
+    nets = [assemble(spec) for spec in specs] + [_mixed_network()]
+    return [(net, every_reachable_configuration(net)) for net in nets]
+
+
+def test_indexed_enabled_steps_equal_the_unindexed_reference():
     checked = 0
-    for net in [assemble(spec) for spec in specs] + [_mixed_network()]:
-        for cfg in every_reachable_configuration(net):
+    for net, configurations in reference_networks():
+        for cfg in configurations:
             assert enabled_steps(net, cfg) == reference_enabled_steps(net, cfg), cfg
             checked += 1
     assert checked > 4000
+
+
+def test_compiled_step_effects_equal_the_edge_by_edge_reference():
+    applied = 0
+    for net, configurations in reference_networks():
+        for cfg in configurations:
+            for step in enabled_steps(net, cfg):
+                assert apply_step(net, cfg, step) == reference_apply_step(net, cfg, step), (cfg, step)
+                applied += 1
+    assert applied > 10000
 
 
 def test_timelock_check_reuses_the_moves_of_the_trace_search(monkeypatch):
@@ -545,9 +597,11 @@ def test_timelock_check_reuses_the_moves_of_the_trace_search(monkeypatch):
         calls = 0
         network_traces(net, 5)
         assert calls > 0
+        interned = len(taexec._runtime(net).configs)
         calls = 0
         assert timelock_witnesses(net) == []
         assert calls == 0, entry.id
+        assert len(taexec._runtime(net).configs) == interned, entry.id
 
 
 @pytest.mark.parametrize(
@@ -609,6 +663,13 @@ def test_per_clock_caps_are_exact(guard):
     assert explore() == (traces, sorted(_capped(stuck, caps)), _capped(reached, caps))
 
 
+def named_spec(name):
+    """A fixture by its file name, or ``cyclesN`` for ``interleaved_cycles(N)``."""
+    if name.startswith("cycles"):
+        return interleaved_cycles(int(name[-1]))
+    return parse_file(str(FIXTURES / f"{name}.tcsp"))
+
+
 @pytest.mark.parametrize(
     "name, count",
     [("ads", 73), ("rail_crossing", 119), ("pe", 20), ("pi", 22), ("thermostat", 73),
@@ -617,8 +678,27 @@ def test_per_clock_caps_are_exact(guard):
 def test_per_clock_caps_keep_the_reachable_configurations_down(name, count):
     # One cap above every constant gives 106, 174, 30, 33, 106, 98, 496 and
     # 2,612: the translated clock ck, tested only by ck>=1, then takes 0, 1, 2.
-    if name.startswith("cycles"):
-        spec = interleaved_cycles(int(name[-1]))
-    else:
-        spec = parse_file(str(FIXTURES / f"{name}.tcsp"))
-    assert len(every_reachable_configuration(assemble(spec))) == count
+    assert len(every_reachable_configuration(assemble(named_spec(name)))) == count
+
+
+@pytest.mark.parametrize(
+    "name, depth, count",
+    [("ads", 10, 73), ("pe", 10, 20), ("pi", 10, 22), ("rail_crossing", 10, 119),
+     ("thermostat", 10, 73), ("cycles2", 10, 69), ("cycles3", 8, 361), ("cycles4", 6, 1329),
+     ("cycles3", 9, 361)],
+)
+def test_network_traces_expand_a_pinned_number_of_configurations(monkeypatch, name, depth, count):
+    # A faster executor must make each step cheaper, not change the search:
+    # the configurations whose moves a fresh trace search computes stay put.
+    expanded = []
+    uncounted = taexec.enabled_steps
+
+    def counting(net, cfg):
+        expanded.append(cfg)
+        return uncounted(net, cfg)
+
+    net = assemble(named_spec(name))
+    monkeypatch.setattr(taexec, "enabled_steps", counting)
+    taexec._runtime.cache_clear()
+    network_traces(net, depth)
+    assert len(expanded) == len(set(expanded)) == count

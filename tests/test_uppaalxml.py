@@ -177,6 +177,47 @@ def test_repeated_labels_are_rejected(old, new, message):
         load(doc.replace(old, new, 1))
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (
+            '<target ref="id1"/><label kind="synchronisation">startID0_0?',
+            '<target ref="id1"/><target ref="id0"/><label kind="synchronisation">startID0_0?',
+            "repeated <target> in template 'TA00', transition 0",
+        ),
+        (
+            '<source ref="id2"/><target ref="id2"/><label kind="guard">start==0',
+            '<source ref="id2"/><source ref="id2"/><target ref="id2"/><label kind="guard">start==0',
+            "repeated <source> in template 'Env', transition 0",
+        ),
+        ('<init ref="id0"/>', '<init ref="id0"/><init ref="id1"/>', "repeated <init> in template 'TA00'"),
+        ("<name>TA00</name>", "<name>TA00</name><name>TA01</name>", "repeated <name> in template 'TA00'"),
+        (
+            '<location id="id2" x="0" y="0"><name>s0</name>',
+            '<location id="id2" x="0" y="0"><name>s0</name><name>s1</name>',
+            "repeated <name> at location 'id2' in template 'Env'",
+        ),
+        (
+            "<declaration>clock ck;</declaration>",
+            "<declaration>clock ck;</declaration><declaration>clock x;</declaration>",
+            "repeated <declaration> in template 'Env'",
+        ),
+        (
+            "<declaration>broadcast chan tock;",
+            "<declaration>int spare = 0;</declaration><declaration>broadcast chan tock;",
+            "repeated <declaration>",
+        ),
+    ],
+    ids=["target", "source", "init", "template-name", "location-name", "template-declaration",
+         "root-declaration"],
+)
+def test_repeated_single_elements_are_rejected(old, new, message):
+    doc = emit(assemble(Stop()))
+    assert old in doc
+    with pytest.raises(XmlLoadError, match=re.escape(message)):
+        load(doc.replace(old, new, 1))
+
+
 def test_one_invariant_label_loads():
     doc = emit(assemble(Stop())).replace(
         '<location id="id2" x="0" y="0"><name>s0</name>',
