@@ -29,7 +29,7 @@ from .cspast import (
 )
 from .harness import check_spec, compare_traces, generate_corpus, prove_stop_base
 from .parser import parse, parse_file
-from .semantics import TraceSet, csp_traces, step, traces_from_text, traces_to_text
+from .semantics import TraceSet, csp_traces, step, traces_to_text
 from .taexec import network_traces, raw_network_traces
 from .tamodel import NetworkModel, erasure_set, validate
 from .translate import assemble

@@ -24,7 +24,7 @@ from .cspast import (
     Stop,
     format_process,
 )
-from .lts import BoundExceeded, TraceSet, reachable, subset_graph, unfold
+from .lts import BoundExceeded, TraceSet, reachable, subset_graph
 from .semantics import TERMINATED, csp_traces, step, trace_to_text
 from .tamodel import ChannelKind, NetworkModel, erasure_set
 from .taexec import network_traces, raw_network_traces
@@ -244,10 +244,9 @@ def _component_free_traces(net: NetworkModel, automaton_index: int, depth: int) 
         outgoing.setdefault(edge.source, []).append(
             (edge.sync.channel if edge.sync else None, edge.target)
         )
-    graph = subset_graph(
+    return subset_graph(
         ta.initial, lambda loc: outgoing.get(loc, ()), depth, state_cap=len(ta.locations)
-    )
-    return unfold(graph)
+    ).traces
 
 
 def prove_stop_base(max_n: int, *, net: NetworkModel | None = None) -> StopBaseReport:

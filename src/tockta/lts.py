@@ -5,13 +5,12 @@ A system is a start state and a ``successors(state)`` function yielding
 A search may also treat a set of ``hidden`` labels as internal.  Internal
 moves are never recorded and never count toward a depth bound.
 
-Bounded traces are a subset graph: :func:`subset_graph` closes each
-state set that a trace shorter than the bound reaches, once, and keeps
-its visible moves.  A :class:`TraceSet` is a view of one such graph: it
-compares by :func:`same_traces`, a walk over pairs of state sets, counts
-its traces path by path, and unfolds them (:func:`unfold`) only when they
-are read.
-An explicit set of traces becomes a graph through :func:`trie_graph`.
+Bounded traces are a subset graph, and a :class:`TraceSet` is one:
+:func:`subset_graph` closes each state set that a trace shorter than the
+bound reaches, once, and keeps its visible moves.  A trace set compares
+by a walk over pairs of state sets, counts its traces path by path, and
+unfolds them (its ``traces``) only when they are read.  An explicit set
+of traces becomes one through :func:`trie_graph`.
 
 Each search memoises successors per state and raises
 :class:`BoundExceeded` once it has expanded more than ``state_cap``
@@ -23,10 +22,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
 from functools import cached_property
-from typing import NamedTuple
 
-__all__ = ["BoundExceeded", "SubsetGraph", "subset_graph", "trie_graph", "unfold", "same_traces",
-           "TraceSet", "reachable", "cannot_reach"]
+__all__ = ["BoundExceeded", "TraceSet", "subset_graph", "trie_graph", "reachable", "cannot_reach"]
 
 Successors = Callable[[Hashable], Iterable[tuple[str | None, Hashable]]]
 
@@ -81,18 +78,74 @@ class _Graph:
         return frozenset(seen)
 
 
-class SubsetGraph(NamedTuple):
-    """The visible moves ``label -> frozenset(targets)`` of every state set
-    that a trace shorter than ``depth`` reaches from ``root``."""
+class TraceSet:
+    """The prefix-closed set of traces of length at most ``depth``, held as
+    a subset graph: ``moves`` maps every state set that a trace shorter
+    than ``depth`` reaches from ``root`` to its visible moves
+    ``label -> frozenset(targets)``.  Two sets compare by a walk over
+    their graphs; the traces are unfolded on first read and kept."""
 
-    root: frozenset
-    moves: dict
-    depth: int
+    def __init__(self, root: frozenset, moves: dict, depth: int):
+        self.root, self.moves, self.depth = root, moves, depth
+
+    @cached_property
+    def traces(self) -> frozenset[tuple[str, ...]]:
+        """Every trace, unfolded as a map from each trace to the state set
+        its last move reaches, one level at a time."""
+        level = {(): self.root}
+        traces = [()]
+        for _ in range(self.depth):
+            level = {
+                trace + (label,): targets
+                for trace, states in level.items()
+                for label, targets in self.moves[states].items()
+            }
+            traces.extend(level)
+        return frozenset(traces)
+
+    def __eq__(self, other) -> bool:
+        """Same depth, and every pair of state sets that a common trace
+        reaches within it enables the same labels.  Breadth first, each
+        pair checked once."""
+        if not isinstance(other, TraceSet):
+            return NotImplemented
+        if self.depth != other.depth:
+            return False
+        level = seen = {(self.root, other.root)}
+        for _ in range(self.depth):
+            if any(self.moves[left].keys() != other.moves[right].keys() for left, right in level):
+                return False
+            level = {
+                (t, other.moves[right][label])
+                for left, right in level
+                for label, t in self.moves[left].items()
+            } - seen
+            seen |= level
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.traces, self.depth))
+
+    def __contains__(self, trace: tuple[str, ...]) -> bool:
+        return tuple(trace) in self.traces
+
+    def __len__(self) -> int:
+        """The number of paths from the root, counted level by level; the
+        graph is deterministic, so each path spells a distinct trace."""
+        level, total = {self.root: 1}, 1
+        for _ in range(self.depth):
+            paths: dict = {}
+            for states, count in level.items():
+                for targets in self.moves[states].values():
+                    paths[targets] = paths.get(targets, 0) + count
+            level = paths
+            total += sum(paths.values())
+        return total
 
 
 def subset_graph(
     start, successors: Successors, depth: int, *, hidden: frozenset = frozenset(), state_cap: int
-) -> SubsetGraph:
+) -> TraceSet:
     """Built level by level from ``{start}``; each state set is closed
     once, at the shallowest level a trace reaches it."""
     if depth < 0:
@@ -105,13 +158,13 @@ def subset_graph(
         for states in level:
             moves[states] = graph.close(states, hidden)[1]
         level = {t for states in level for t in moves[states].values()} - moves.keys()
-    return SubsetGraph(root, moves, depth)
+    return TraceSet(root, moves, depth)
 
 
-def trie_graph(traces: Iterable[tuple[str, ...]], depth: int) -> SubsetGraph:
-    """The subset graph of an explicit set of traces, in which each trace
-    is its own state.  The set must hold ``()``, be prefix-closed and hold
-    no trace longer than ``depth``."""
+def trie_graph(traces: Iterable[tuple[str, ...]], depth: int) -> TraceSet:
+    """The trace set of an explicit set of traces, in which each trace is
+    its own state.  The set must hold ``()``, be prefix-closed and hold no
+    trace longer than ``depth``."""
     traces = frozenset(map(tuple, traces))
     if () not in traces:
         raise ValueError("a trace set must hold the empty trace")
@@ -124,73 +177,6 @@ def trie_graph(traces: Iterable[tuple[str, ...]], depth: int) -> SubsetGraph:
                 raise ValueError(f"trace {trace} lacks its prefix {trace[:-1]}")
             children.setdefault(trace[:-1], []).append((trace[-1], trace))
     return subset_graph((), lambda t: children.get(t, ()), depth, state_cap=len(traces))
-
-
-def unfold(graph: SubsetGraph) -> frozenset[tuple[str, ...]]:
-    """Every trace of ``graph``, as a map from each trace to the state set
-    its last move reaches, one level at a time."""
-    level = {(): graph.root}
-    traces = [()]
-    for _ in range(graph.depth):
-        level = {
-            trace + (label,): targets
-            for trace, states in level.items()
-            for label, targets in graph.moves[states].items()
-        }
-        traces.extend(level)
-    return frozenset(traces)
-
-
-def same_traces(a: SubsetGraph, b: SubsetGraph) -> bool:
-    """Whether two graphs of one depth unfold to the same traces: every
-    pair of state sets that a common trace reaches within the depth must
-    enable the same labels.  Breadth first, each pair checked once."""
-    level = seen = {(a.root, b.root)}
-    for _ in range(a.depth):
-        if any(a.moves[left].keys() != b.moves[right].keys() for left, right in level):
-            return False
-        level = {
-            (t, b.moves[right][label]) for left, right in level for label, t in a.moves[left].items()
-        } - seen
-        seen |= level
-    return True
-
-
-class TraceSet:
-    """The prefix-closed set of traces of a subset graph, tagged with its
-    depth.  Two sets compare by a walk over their graphs; the traces are
-    unfolded on first read and kept."""
-
-    def __init__(self, graph: SubsetGraph):
-        self.graph, self.depth = graph, graph.depth
-
-    @cached_property
-    def traces(self) -> frozenset[tuple[str, ...]]:
-        return unfold(self.graph)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TraceSet):
-            return NotImplemented
-        return self.depth == other.depth and same_traces(self.graph, other.graph)
-
-    def __hash__(self) -> int:
-        return hash((self.traces, self.depth))
-
-    def __contains__(self, trace: tuple[str, ...]) -> bool:
-        return tuple(trace) in self.traces
-
-    def __len__(self) -> int:
-        """The number of paths from the root, counted level by level; the
-        graph is deterministic, so each path spells a distinct trace."""
-        level, total = {self.graph.root: 1}, 1
-        for _ in range(self.depth):
-            paths: dict = {}
-            for states, count in level.items():
-                for targets in self.graph.moves[states].values():
-                    paths[targets] = paths.get(targets, 0) + count
-            level = paths
-            total += sum(paths.values())
-        return total
 
 
 def reachable(

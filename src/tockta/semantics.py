@@ -1,8 +1,13 @@
 """Small-step operational semantics and the bounded trace oracle.
 
-Traces are finite sequences over the visible user events plus ``tock``.
-Internal actions (tau, the termination signal, and hidden events) never
-appear in traces and do not count toward the depth bound.
+:func:`step` yields the moves of a labelled transition system in the
+vocabulary of :mod:`lts`: ``(label, successor)`` pairs, where the label is
+an event name, ``tock``, ``None`` for an internal move (tau or a hidden
+event), or :data:`TICK` for termination.  Traces are finite sequences
+over the visible user events plus ``tock``; internal moves and the
+termination signal never appear in them and do not count toward the
+depth bound.  A nested hiding or renaming is folded into one by the CSP
+laws, so recursion under either reaches finitely many terms.
 
 The step rules fix a particular timed reading: every construct lets time
 pass (``tock``) except an unresolved internal choice, a ``tock`` prefix
@@ -16,7 +21,6 @@ termination of the left terminates the whole.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .cspast import (
     TOCK,
@@ -35,11 +39,10 @@ from .cspast import (
     Skip,
     Stop,
 )
-from .lts import BoundExceeded, TraceSet, subset_graph, trie_graph
+from .lts import BoundExceeded, TraceSet, subset_graph
 
 __all__ = [
-    "ActionKind",
-    "Action",
+    "TICK",
     "Terminated",
     "TERMINATED",
     "BoundExceeded",
@@ -48,30 +51,11 @@ __all__ = [
     "TraceSet",
     "trace_to_text",
     "traces_to_text",
-    "traces_from_text",
 ]
 
 
-class ActionKind(Enum):
-    VISIBLE = "visible"
-    TOCK = "tock"
-    TAU = "tau"
-    TICK = "tick"
-
-
-@dataclass(frozen=True, slots=True)
-class Action:
-    kind: ActionKind
-    name: str | None = None  # event name; for tau from hiding, the hidden event
-
-    @staticmethod
-    def visible(name: str) -> "Action":
-        return Action(ActionKind.VISIBLE, name)
-
-
-_TOCK_ACTION = Action(ActionKind.TOCK, TOCK)
-_TAU = Action(ActionKind.TAU)
-_TICK = Action(ActionKind.TICK)
+TICK = "<tick>"  # the termination signal; no event name can equal it
+_JOINED = frozenset({TOCK, TICK})  # both sides of a parallel take these together
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,138 +66,121 @@ class Terminated(CspProcess):
 TERMINATED = Terminated()
 
 
-def step(p: CspProcess, defs: dict[str, CspProcess]) -> frozenset[tuple[Action, CspProcess]]:
-    """The exact successor set of ``p`` under the small-step rules."""
+def _hide(p: CspProcess, hidden: frozenset[str]) -> Hide:
+    """``p \\ hidden``, merging a nested hiding: ``(P \\ A) \\ B = P \\ (A | B)``."""
+    if isinstance(p, Hide):
+        return Hide(p.body, p.hidden | hidden)
+    return Hide(p, hidden)
+
+
+def _rename(p: CspProcess, mapping: tuple[tuple[str, str], ...]) -> Rename:
+    """``p[[mapping]]``, composing a nested renaming: ``P[[m1]][[m2]] = P[[m2 . m1]]``."""
+    if isinstance(p, Rename):
+        outer = dict(mapping)
+        inner = {old: outer.get(new, new) for old, new in p.mapping}
+        return Rename(p.body, tuple({**outer, **inner}.items()))
+    return Rename(p, mapping)
+
+
+def step(p: CspProcess, defs: dict[str, CspProcess]) -> frozenset[tuple[str | None, CspProcess]]:
+    """The exact successor set of ``p`` under the small-step rules, as
+    ``(label, successor)`` moves.  A label is an event name, ``tock``,
+    ``None`` for an internal move, or :data:`TICK`, whose successor is
+    always :data:`TERMINATED`."""
     if isinstance(p, Terminated):
-        return frozenset({(_TOCK_ACTION, TERMINATED)})
+        return frozenset({(TOCK, TERMINATED)})
     if isinstance(p, Stop):
-        return frozenset({(_TOCK_ACTION, p)})
+        return frozenset({(TOCK, p)})
     if isinstance(p, Skip):
-        return frozenset({(_TOCK_ACTION, p), (_TICK, TERMINATED)})
+        return frozenset({(TOCK, p), (TICK, TERMINATED)})
     if isinstance(p, Prefix):
         if p.event == TOCK:
-            return frozenset({(_TOCK_ACTION, p.cont)})
-        return frozenset({(Action.visible(p.event), p.cont), (_TOCK_ACTION, p)})
+            return frozenset({(TOCK, p.cont)})
+        return frozenset({(p.event, p.cont), (TOCK, p)})
     if isinstance(p, Seq):
-        out = set()
-        for act, succ in step(p.left, defs):
-            if act.kind is ActionKind.TICK:
-                out.add((_TAU, p.right))
-            else:
-                out.add((act, Seq(succ, p.right)))
-        return frozenset(out)
+        return frozenset(
+            (None, p.right) if label == TICK else (label, Seq(succ, p.right))
+            for label, succ in step(p.left, defs)
+        )
     if isinstance(p, ExtChoice):
         out = set()
         left_tocks, right_tocks = [], []
-        for act, succ in step(p.left, defs):
-            if act.kind is ActionKind.VISIBLE:
-                out.add((act, succ))
-            elif act.kind is ActionKind.TAU:
-                out.add((act, ExtChoice(succ, p.right)))
-            elif act.kind is ActionKind.TICK:
-                out.add((_TICK, TERMINATED))
-            else:
+        for label, succ in step(p.left, defs):
+            if label == TOCK:
                 left_tocks.append(succ)
-        for act, succ in step(p.right, defs):
-            if act.kind is ActionKind.VISIBLE:
-                out.add((act, succ))
-            elif act.kind is ActionKind.TAU:
-                out.add((act, ExtChoice(p.left, succ)))
-            elif act.kind is ActionKind.TICK:
-                out.add((_TICK, TERMINATED))
             else:
+                out.add((label, ExtChoice(succ, p.right) if label is None else succ))
+        for label, succ in step(p.right, defs):
+            if label == TOCK:
                 right_tocks.append(succ)
-        for ls in left_tocks:
-            for rs in right_tocks:
-                out.add((_TOCK_ACTION, ExtChoice(ls, rs)))
+            else:
+                out.add((label, ExtChoice(p.left, succ) if label is None else succ))
+        out.update((TOCK, ExtChoice(ls, rs)) for ls in left_tocks for rs in right_tocks)
         return frozenset(out)
     if isinstance(p, IntChoice):
-        return frozenset({(_TAU, p.left), (_TAU, p.right)})
+        return frozenset({(None, p.left), (None, p.right)})
     if isinstance(p, (GenPar, Interleave)):
         sync = p.sync_set if isinstance(p, GenPar) else frozenset()
         rebuild = (lambda l, r: GenPar(l, r, sync)) if isinstance(p, GenPar) else Interleave
+        joined = sync | _JOINED
         out = set()
-        lsteps = step(p.left, defs)
-        rsteps = step(p.right, defs)
-        for act, succ in lsteps:
-            if act.kind is ActionKind.VISIBLE and act.name in sync:
-                continue
-            if act.kind in (ActionKind.VISIBLE, ActionKind.TAU):
-                out.add((act, rebuild(succ, p.right)))
-        for act, succ in rsteps:
-            if act.kind is ActionKind.VISIBLE and act.name in sync:
-                continue
-            if act.kind in (ActionKind.VISIBLE, ActionKind.TAU):
-                out.add((act, rebuild(p.left, succ)))
+        left: dict = {}
+        for label, succ in step(p.left, defs):
+            if label in joined:
+                left.setdefault(label, []).append(succ)
+            else:
+                out.add((label, rebuild(succ, p.right)))
+        right: dict = {}
+        for label, succ in step(p.right, defs):
+            if label in joined:
+                right.setdefault(label, []).append(succ)
+            else:
+                out.add((label, rebuild(p.left, succ)))
         # synchronised events, tock and termination need both sides
-        for name in sync:
-            lsucc = [s for a, s in lsteps if a.kind is ActionKind.VISIBLE and a.name == name]
-            rsucc = [s for a, s in rsteps if a.kind is ActionKind.VISIBLE and a.name == name]
-            for ls in lsucc:
-                for rs in rsucc:
-                    out.add((Action.visible(name), rebuild(ls, rs)))
-        for ls in (s for a, s in lsteps if a.kind is ActionKind.TOCK):
-            for rs in (s for a, s in rsteps if a.kind is ActionKind.TOCK):
-                out.add((_TOCK_ACTION, rebuild(ls, rs)))
-        if any(a.kind is ActionKind.TICK for a, _ in lsteps) and any(
-            a.kind is ActionKind.TICK for a, _ in rsteps
-        ):
-            out.add((_TICK, TERMINATED))
+        for label, lsuccs in left.items():
+            for rs in right.get(label, ()):
+                for ls in lsuccs:
+                    out.add((label, TERMINATED if label == TICK else rebuild(ls, rs)))
         return frozenset(out)
     if isinstance(p, Interrupt):
         out = set()
-        lsteps = step(p.left, defs)
-        rsteps = step(p.right, defs)
-        for act, succ in lsteps:
-            if act.kind in (ActionKind.VISIBLE, ActionKind.TAU):
-                out.add((act, Interrupt(succ, p.right)))
-            elif act.kind is ActionKind.TICK:
-                out.add((_TICK, TERMINATED))
-        for act, succ in rsteps:
-            if act.kind is ActionKind.VISIBLE:
-                out.add((act, succ))  # interrupting event discards the left
-            elif act.kind is ActionKind.TAU:
-                out.add((act, Interrupt(p.left, succ)))
-        for ls in (s for a, s in lsteps if a.kind is ActionKind.TOCK):
-            for rs in (s for a, s in rsteps if a.kind is ActionKind.TOCK):
-                out.add((_TOCK_ACTION, Interrupt(ls, rs)))
+        left_tocks, right_tocks = [], []
+        for label, succ in step(p.left, defs):
+            if label == TOCK:
+                left_tocks.append(succ)
+            else:
+                out.add((label, succ if label == TICK else Interrupt(succ, p.right)))
+        for label, succ in step(p.right, defs):
+            if label == TOCK:
+                right_tocks.append(succ)
+            elif label != TICK:  # an interrupting event discards the left
+                out.add((label, Interrupt(p.left, succ) if label is None else succ))
+        out.update((TOCK, Interrupt(ls, rs)) for ls in left_tocks for rs in right_tocks)
         return frozenset(out)
     if isinstance(p, Hide):
-        out = set()
-        for act, succ in step(p.body, defs):
-            if act.kind is ActionKind.VISIBLE and act.name in p.hidden:
-                out.add((Action(ActionKind.TAU, act.name), Hide(succ, p.hidden)))
-            elif act.kind is ActionKind.TICK:
-                out.add((_TICK, TERMINATED))
-            else:
-                out.add((act, Hide(succ, p.hidden)))
-        return frozenset(out)
+        return frozenset(
+            (TICK, succ) if label == TICK
+            else (None if label in p.hidden else label, _hide(succ, p.hidden))
+            for label, succ in step(p.body, defs)
+        )
     if isinstance(p, Rename):
         mapping = p.as_dict()
-        out = set()
-        for act, succ in step(p.body, defs):
-            if act.kind is ActionKind.VISIBLE:
-                out.add((Action.visible(mapping.get(act.name, act.name)), Rename(succ, p.mapping)))
-            elif act.kind is ActionKind.TICK:
-                out.add((_TICK, TERMINATED))
-            else:
-                out.add((act, Rename(succ, p.mapping)))
-        return frozenset(out)
+        return frozenset(
+            (TICK, succ) if label == TICK
+            else (mapping.get(label, label), _rename(succ, p.mapping))
+            for label, succ in step(p.body, defs)
+        )
     if isinstance(p, Ref):
         return step(defs[p.name], defs)
     raise TypeError(f"unknown process node {p!r}")
 
 
+
 def _successors(defs: dict[str, CspProcess]):
-    """``step`` as labelled moves: tau is internal, the termination signal
-    is dropped, visible events and tock keep their name."""
+    """``step`` as the moves of a search: the termination signal is dropped."""
 
     def successors(p: CspProcess):
-        for act, succ in step(p, defs):
-            if act.kind is ActionKind.TAU:
-                yield None, succ
-            elif act.kind is not ActionKind.TICK:
-                yield act.name, succ
+        return ((label, succ) for label, succ in step(p, defs) if label != TICK)
 
     return successors
 
@@ -230,9 +197,7 @@ def csp_traces(
     distinct process states raises :class:`BoundExceeded` rather than
     silently truncating.
     """
-    return TraceSet(
-        subset_graph(spec.body(), _successors(spec.definitions), depth, state_cap=state_cap)
-    )
+    return subset_graph(spec.body(), _successors(spec.definitions), depth, state_cap=state_cap)
 
 
 # --- canonical text format --------------------------------------------------
@@ -247,14 +212,3 @@ def traces_to_text(ts: TraceSet) -> str:
     lines = sorted(map(trace_to_text, ts.traces))
     return "\n".join(lines) + "\n"
 
-
-def traces_from_text(text: str, depth: int) -> TraceSet:
-    """The inverse of :func:`traces_to_text`; ``ValueError`` unless the
-    lines hold ``<>``, are prefix-closed and fit within ``depth``."""
-    traces = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        traces.add(() if line == "<>" else tuple(line.split(",")))
-    return TraceSet(trie_graph(traces, depth))

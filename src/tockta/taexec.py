@@ -395,7 +395,7 @@ def raw_network_traces(
 ) -> TraceSet:
     """Bounded traces over *all* channel names, coordinating ones included."""
     rt = _runtime(net)
-    return TraceSet(subset_graph(_start(rt), rt.successors, depth, state_cap=state_cap))
+    return subset_graph(_start(rt), rt.successors, depth, state_cap=state_cap)
 
 
 def network_traces(
@@ -408,9 +408,7 @@ def network_traces(
     a silent truncation.
     """
     rt = _runtime(net)
-    return TraceSet(
-        subset_graph(_start(rt), rt.successors, depth, hidden=erasure_set(net), state_cap=state_cap)
-    )
+    return subset_graph(_start(rt), rt.successors, depth, hidden=erasure_set(net), state_cap=state_cap)
 
 
 def reachable_configurations(

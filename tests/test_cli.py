@@ -118,6 +118,14 @@ def test_deep_nesting_is_an_input_error(tmp_path, capsys, source, command):
     assert "nests too deeply" in err and "Traceback" not in err
 
 
+def test_recursion_under_hiding_is_checked(tmp_path, capsys):
+    # each unfolding enters the hiding again, so nested hidings must merge
+    path = tmp_path / "hidden.tcsp"
+    path.write_text("P = a -> ((a -> a -> P) \\ {a})\n")
+    assert main(["check", str(path)]) == 0
+    assert "EqualAtStage1" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "old, new",
     [("tock=tock;", "a=bogus;tock=tock;"), ("tockta-channel-kinds:", "tockta-channel-kinds")],

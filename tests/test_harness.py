@@ -1,10 +1,10 @@
 import json
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-from tockta import lts
 from tockta.cspast import (
     CspSpec,
     ExtChoice,
@@ -48,7 +48,7 @@ THREE_CYCLES = parse(
 
 
 def ts(*traces, depth):
-    return TraceSet(trie_graph(traces, depth))
+    return trie_graph(traces, depth)
 
 
 def test_identical_sets_are_equal_at_stage_one():
@@ -143,7 +143,7 @@ def test_the_pair_walk_agrees_with_comparing_unfolded_traces():
                 continue
             walked = compare_traces(source, target)
             assert (walked.verdict == EQUAL_AT_STAGE1) == (source.traces == target.traces)
-            copies = [TraceSet(trie_graph(x.traces, x.depth)) for x in (source, target)]
+            copies = [trie_graph(x.traces, x.depth) for x in (source, target)]
             unfolded = compare_traces(*copies)
             assert (walked.verdict, walked.witnesses) == (unfolded.verdict, unfolded.witnesses)
             pairs += 1
@@ -153,13 +153,15 @@ def test_the_pair_walk_agrees_with_comparing_unfolded_traces():
 
 def _count_unfolds(monkeypatch) -> list:
     calls = []
-    unfold = lts.unfold
+    unfold = TraceSet.traces.func
 
-    def counting_unfold(graph):
-        calls.append(graph.depth)
-        return unfold(graph)
+    def counting_unfold(self):
+        calls.append(self.depth)
+        return unfold(self)
 
-    monkeypatch.setattr(lts, "unfold", counting_unfold)
+    counting = cached_property(counting_unfold)
+    counting.__set_name__(TraceSet, "traces")
+    monkeypatch.setattr(TraceSet, "traces", counting)
     return calls
 
 

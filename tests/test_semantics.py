@@ -17,21 +17,16 @@ from tockta.cspast import (
 )
 from tockta.semantics import (
     TERMINATED,
-    Action,
-    ActionKind,
-    TraceSet,
+    TICK,
     _successors,
     csp_traces,
     step,
-    traces_from_text,
     traces_to_text,
 )
 from tockta.lts import subset_graph, trie_graph
 from tockta.parser import parse
 from tockta.taexec import network_traces
 from tockta.translate import assemble
-
-TOCK_ACT = Action(ActionKind.TOCK, "tock")
 
 
 def spec_of(process) -> CspSpec:
@@ -45,48 +40,59 @@ def brute_traces(spec: CspSpec, depth: int) -> frozenset:
 
     def go(state, trace, seen):
         out.add(trace)
-        for act, succ in step(state, spec.definitions):
-            if act.kind in (ActionKind.TAU, ActionKind.TICK):
+        for label, succ in step(state, spec.definitions):
+            if label in (None, TICK):
                 key = (succ, trace)
                 if key not in seen:
                     go(succ, trace, seen | {key})
             elif len(trace) < depth:
-                go(succ, trace + (act.name,), seen)
+                go(succ, trace + (label,), seen)
 
     go(spec.body(), (), frozenset())
     return frozenset(out)
 
 
 def test_step_stop():
-    assert step(Stop(), {}) == frozenset({(TOCK_ACT, Stop())})
+    assert step(Stop(), {}) == frozenset({("tock", Stop())})
 
 
 def test_step_prefix_offers_event_and_idles():
     p = Prefix("open", Stop())
-    assert step(p, {}) == frozenset({(Action.visible("open"), Stop()), (TOCK_ACT, p)})
+    assert step(p, {}) == frozenset({("open", Stop()), ("tock", p)})
 
 
 def test_step_tock_prefix_consumes_one_unit():
     p = Prefix("tock", Stop())
-    assert step(p, {}) == frozenset({(TOCK_ACT, Stop())})
+    assert step(p, {}) == frozenset({("tock", Stop())})
 
 
 def test_step_internal_choice_is_silent():
-    taus = step(IntChoice(Stop(), Skip()), {})
-    assert {(a.kind, s) for a, s in taus} == {
-        (ActionKind.TAU, Stop()),
-        (ActionKind.TAU, Skip()),
-    }
+    assert step(IntChoice(Stop(), Skip()), {}) == frozenset({(None, Stop()), (None, Skip())})
 
 
 def test_step_terminated_keeps_time_flowing():
-    assert step(TERMINATED, {}) == frozenset({(TOCK_ACT, TERMINATED)})
+    assert step(TERMINATED, {}) == frozenset({("tock", TERMINATED)})
 
 
 def test_external_choice_tock_does_not_resolve():
     p = ExtChoice(Prefix("a", Stop()), Prefix("b", Stop()))
-    tocks = [(a, s) for a, s in step(p, {}) if a.kind is ActionKind.TOCK]
-    assert tocks == [(TOCK_ACT, p)]
+    tocks = [(label, s) for label, s in step(p, {}) if label == "tock"]
+    assert tocks == [("tock", p)]
+
+
+def test_nested_hiding_and_renaming_fold_into_one():
+    hidden = Hide(Prefix("a", Hide(Stop(), frozenset({"b"}))), frozenset({"a"}))
+    assert (None, Hide(Stop(), frozenset({"a", "b"}))) in step(hidden, {})
+    inner = Rename(Prefix("b", Stop()), (("a", "c"), ("b", "a")))
+    renamed = Rename(Prefix("a", inner), (("a", "b"),))
+    assert ("b", Rename(Prefix("b", Stop()), (("a", "c"), ("b", "b")))) in step(renamed, {})
+
+
+@pytest.mark.parametrize("source", ["P = a -> (P \\ {b})", "P = a -> (P [[a <- b]])"], ids=["hide", "rename"])
+def test_recursion_under_hiding_or_renaming_reaches_three_state_sets(source):
+    # deep enough that a term growing by one wrapper per unfolding would
+    # overflow the stack; the trace count itself is too large to read
+    assert len(csp_traces(parse(source), 600).moves) == 3
 
 
 def test_stop_traces_depth_two():
@@ -130,10 +136,10 @@ def test_initials_of_internal_choice_by_lts_enumeration():
     frontier, seen, first = [p], {p}, set()
     while frontier:
         state = frontier.pop()
-        for act, succ in step(state, {}):
-            if act.kind is ActionKind.VISIBLE:
-                first.add(act.name)
-            elif act.kind is ActionKind.TAU and succ not in seen:
+        for label, succ in step(state, {}):
+            if label not in (None, TICK, "tock"):
+                first.add(label)
+            elif label is None and succ not in seen:
                 seen.add(succ)
                 frontier.append(succ)
     assert first == {"a", "b"}
@@ -195,13 +201,11 @@ def test_hiding_deletes_and_retruncates():
     assert csp_traces(hidden, n).traces == frozenset(expected)
 
 
-def test_traces_text_round_trip():
+def test_traces_text_is_sorted_from_the_empty_trace():
     ts = csp_traces(parse("P = a -> STOP"), 2)
     text = traces_to_text(ts)
     assert text.splitlines()[0] == "<>"
     assert text == "".join(sorted(text.splitlines(keepends=True)))
-    again = traces_from_text(text, ts.depth)
-    assert again.traces == ts.traces
 
 
 @pytest.mark.parametrize(
@@ -216,9 +220,6 @@ def test_traces_text_round_trip():
 def test_an_explicit_set_must_be_a_bounded_trace_set(traces, depth, why):
     with pytest.raises(ValueError, match=why):
         trie_graph(traces, depth)
-    text = "".join(",".join(t) + "\n" if t else "<>\n" for t in traces)
-    with pytest.raises(ValueError, match=why):
-        traces_from_text(text, depth)
 
 
 def test_trace_sets_are_equal_exactly_when_traces_and_depth_are():
@@ -229,8 +230,8 @@ def test_trace_sets_are_equal_exactly_when_traces_and_depth_are():
     for spec in specs:
         for depth in (1, 2):
             built = [csp_traces(spec, depth), network_traces(assemble(spec), depth)]
-            sets += built + [TraceSet(trie_graph(built[0].traces, depth))]
-    sets += [TraceSet(trie_graph({()}, 0)), TraceSet(trie_graph({()}, 1))]
+            sets += built + [trie_graph(built[0].traces, depth)]
+    sets += [trie_graph({()}, 0), trie_graph({()}, 1)]
     for x in sets:
         for y in sets:
             same = (x.traces, x.depth) == (y.traces, y.depth)

@@ -538,14 +538,17 @@ def _mixed_network(y_guard=ClockAtom("y", ">=", 1), g_guard=ClockAtom("g", ">=",
     return NetworkModel((sender, receiver, bystander), channels, (("a", 0), ("b", 1)), ("g",), 0)
 
 
-def every_reachable_configuration(net):
-    depth, found = 0, reachable_configurations(net, 0)
-    while True:
-        depth += 1
-        more = reachable_configurations(net, depth)
+def every_reachable_configuration(net, *, state_cap=2_500, max_depth=20):
+    """Deepens until the set stops growing.  The reference networks settle
+    by depth 10 with at most 1,965 configurations; a network whose clocks
+    are not capped keeps growing, and fails here by either bound."""
+    found = reachable_configurations(net, 0, state_cap=state_cap)
+    for depth in range(1, max_depth + 1):
+        more = reachable_configurations(net, depth, state_cap=state_cap)
         if more == found:
             return found
         found = more
+    raise AssertionError(f"still growing at depth {max_depth}")
 
 
 @cache

@@ -6,6 +6,7 @@ import pytest
 from tockta.cspast import Prefix, Skip, Stop
 from tockta.harness import generate_corpus
 from tockta.parser import parse, parse_file
+from tockta.semantics import csp_traces, traces_to_text
 from tockta.tamodel import ChannelKind, GuardExpr, IntAtom, LocationKind
 from tockta.translate import TranslationError, assemble
 from tockta.uppaalxml import emit
@@ -258,3 +259,14 @@ def test_emitted_xml_is_pinned_on_fixtures_and_corpus():
     assert len(specs) == 161
     document = "".join(emit(assemble(spec)) for spec in specs)
     assert hashlib.sha256(document.encode("utf-8")).hexdigest() == XML_DIGEST
+
+
+# The SHA-256 of the depth-8 CSP traces, as ``traces_to_text`` writes them,
+# of the same 161 specs.  It pins the process engine the way XML_DIGEST
+# pins the translator: a rewrite of the step rules must leave it as it is.
+CSP_TRACES_DIGEST = "e8255ef10bc9a86148016774534bbad14a46004a53e6d24add267df482756116"
+
+
+def test_csp_traces_are_pinned_on_fixtures_and_corpus():
+    document = "".join(traces_to_text(csp_traces(spec, 8)) for spec in fixture_and_corpus_specs())
+    assert hashlib.sha256(document.encode("utf-8")).hexdigest() == CSP_TRACES_DIGEST
