@@ -4,6 +4,9 @@ Processes are immutable trees.  The distinguished event name ``tock``
 stands for the passage of one time unit and is therefore banned from
 synchronisation sets, hiding sets and renaming maps: every process (and
 every automaton the translator produces) synchronises on it implicitly.
+
+A :class:`View` says how each event is seen through the wrappers around
+a subterm; :func:`alphabet` and the translator walk the spec with views.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ __all__ = [
     "Ref",
     "CspSpec",
     "alphabet",
-    "resolve_event",
-    "wrapper_key",
+    "View",
+    "plain_view",
+    "wrap",
     "format_process",
     "format_spec",
 ]
@@ -342,34 +346,33 @@ def event_universe(definitions: dict[str, CspProcess]) -> frozenset[str]:
     return frozenset(out)
 
 
-def resolve_event(name: str, wrappers: tuple) -> tuple:
-    """How an occurrence of ``name`` is seen through its enclosing wrappers.
+class View(dict):
+    """Each event of a spec's universe as seen inside some wrappers:
+    ``("plain", name)``, ``("hidden", name)``, or ``("sync", scope, name)``
+    for the innermost scope (any object with a ``sync_set``) that
+    synchronises on it, with the name as renamed there.  Views that resolve
+    every event alike have equal ``key``s, which keeps the unfolding of
+    references finite under ever-deeper (but convergent) renamings."""
 
-    ``wrappers`` lists them innermost first: ``("rename", dict)``,
-    ``("hide", set)`` or ``("sync", scope)``, where ``scope.sync_set`` holds
-    the events a parallel composition synchronises on.  The result is
-    ``("plain", name)``, ``("hidden", name)`` for an occurrence hidden
-    before any scope synchronises on it, or ``("sync", scope, name)`` for
-    the outermost such scope, with the name as renamed there.
-    """
-    hit = None
-    for kind, payload in wrappers:
-        if kind == "rename":
-            name = payload.get(name, name)
-        elif kind == "hide":
-            if name in payload:
-                return ("sync",) + hit if hit else ("hidden", name)
-        elif name in payload.sync_set:
-            hit = (payload, name)
-    return ("sync",) + hit if hit else ("plain", name)
+    def __init__(self, resolutions) -> None:
+        super().__init__(resolutions)
+        self.key = tuple(self.values())
 
 
-def wrapper_key(universe, wrappers: tuple) -> tuple:
-    """Wrapper stacks are interchangeable iff they resolve every event of
-    ``universe`` the same way.  Keying the unfolding of references on this
-    keeps it finite even when recursion re-enters a definition under
-    ever-deeper (but convergent) renamings."""
-    return tuple(resolve_event(name, wrappers) for name in universe)
+def plain_view(definitions: dict[str, CspProcess]) -> View:
+    """The view from outside every wrapper: each event is itself."""
+    return View((name, ("plain", name)) for name in sorted(event_universe(definitions)))
+
+
+def wrap(view: View, wrapper) -> View:
+    """The view inside ``wrapper`` (a ``Hide``, a ``Rename`` or a scope),
+    given the ``view`` just outside it."""
+    if isinstance(wrapper, Rename):
+        mapping = wrapper.as_dict()
+        return View((name, view[mapping.get(name, name)]) for name in view)
+    if isinstance(wrapper, Hide):
+        return View((name, ("hidden", name) if name in wrapper.hidden else seen) for name, seen in view.items())
+    return View((name, ("sync", wrapper, name) if name in wrapper.sync_set else seen) for name, seen in view.items())
 
 
 def alphabet(spec: CspSpec) -> frozenset[str]:
@@ -379,29 +382,24 @@ def alphabet(spec: CspSpec) -> frozenset[str]:
     """
     out: set[str] = set()
     seen: set[tuple] = set()
-    universe = sorted(event_universe(spec.definitions))
 
-    def walk(p: CspProcess, wrappers: tuple) -> None:
+    def walk(p: CspProcess, view: View) -> None:
         if isinstance(p, Prefix):
-            if p.event != TOCK:
-                kind, name = resolve_event(p.event, wrappers)
-                if kind == "plain":
-                    out.add(name)
-            walk(p.cont, wrappers)
-        elif isinstance(p, Hide):
-            walk(p.body, (("hide", p.hidden),) + wrappers)
-        elif isinstance(p, Rename):
-            walk(p.body, (("rename", p.as_dict()),) + wrappers)
+            if p.event != TOCK and view[p.event][0] == "plain":
+                out.add(view[p.event][1])
+            walk(p.cont, view)
+        elif isinstance(p, (Hide, Rename)):
+            walk(p.body, wrap(view, p))
         elif isinstance(p, _BINARY):
-            walk(p.left, wrappers)
-            walk(p.right, wrappers)
+            walk(p.left, view)
+            walk(p.right, view)
         elif isinstance(p, Ref):
-            key = (p.name, wrapper_key(universe, wrappers))
+            key = (p.name, view.key)
             if key not in seen:
                 seen.add(key)
-                walk(spec.definitions[p.name], wrappers)
+                walk(spec.definitions[p.name], view)
 
-    walk(spec.body(), ())
+    walk(spec.body(), plain_view(spec.definitions))
     return frozenset(out)
 
 

@@ -118,6 +118,16 @@ def _tokenize(source: str, line: int = 1, col: int = 1) -> list[_Tok]:
     return toks
 
 
+# The binary operators by token, loosest first; each level is left-associative.
+_LEVELS = (
+    {"INTC": IntChoice},
+    {"EXTC": ExtChoice},
+    {"ILEAVE": Interleave, "PARL": GenPar},
+    {"SEMI": Seq},
+    {"INTERRUPT": Interrupt},
+)
+
+
 class _Parser:
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
@@ -142,50 +152,19 @@ class _Parser:
     def at(self, kind: str) -> bool:
         return self.peek().kind == kind
 
-    # precedence ladder, loosest first
-    def process(self) -> CspProcess:
-        return self.int_choice()
-
-    def int_choice(self) -> CspProcess:
-        p = self.ext_choice()
-        while self.at("INTC"):
-            self.next()
-            p = IntChoice(p, self.ext_choice())
-        return p
-
-    def ext_choice(self) -> CspProcess:
-        p = self.parallel()
-        while self.at("EXTC"):
-            self.next()
-            p = ExtChoice(p, self.parallel())
-        return p
-
-    def parallel(self) -> CspProcess:
-        p = self.sequence()
-        while True:
-            if self.at("ILEAVE"):
-                self.next()
-                p = Interleave(p, self.sequence())
-            elif self.at("PARL"):
-                self.next()
+    def process(self, level: int = 0) -> CspProcess:
+        """A process whose binary operators bind no looser than ``_LEVELS[level]``."""
+        if level == len(_LEVELS):
+            return self.prefix()
+        p = self.process(level + 1)
+        while self.peek().kind in _LEVELS[level]:
+            op = _LEVELS[level][self.next().kind]
+            if op is GenPar:
                 events = self.event_set()
                 self.expect("PARR")
-                p = GenPar(p, self.sequence(), frozenset(events))
+                p = GenPar(p, self.process(level + 1), frozenset(events))
             else:
-                return p
-
-    def sequence(self) -> CspProcess:
-        p = self.interrupt()
-        while self.at("SEMI"):
-            self.next()
-            p = Seq(p, self.interrupt())
-        return p
-
-    def interrupt(self) -> CspProcess:
-        p = self.prefix()
-        while self.at("INTERRUPT"):
-            self.next()
-            p = Interrupt(p, self.prefix())
+                p = op(p, self.process(level + 1))
         return p
 
     def prefix(self) -> CspProcess:

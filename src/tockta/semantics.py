@@ -6,8 +6,9 @@ an event name, ``tock``, ``None`` for an internal move (tau or a hidden
 event), or :data:`TICK` for termination.  Traces are finite sequences
 over the visible user events plus ``tock``; internal moves and the
 termination signal never appear in them and do not count toward the
-depth bound.  A nested hiding or renaming is folded into one by the CSP
-laws, so recursion under either reaches finitely many terms.
+depth bound.  By the CSP laws a nested hiding or renaming is folded into
+one and a hiding moves beneath a renaming, so recursion under them
+reaches finitely many terms.
 
 The step rules fix a particular timed reading: every construct lets time
 pass (``tock``) except an unresolved internal choice, a ``tock`` prefix
@@ -66,8 +67,13 @@ class Terminated(CspProcess):
 TERMINATED = Terminated()
 
 
-def _hide(p: CspProcess, hidden: frozenset[str]) -> Hide:
-    """``p \\ hidden``, merging a nested hiding: ``(P \\ A) \\ B = P \\ (A | B)``."""
+def _hide(p: CspProcess, hidden: frozenset[str]) -> CspProcess:
+    """``p \\ hidden``, merging a nested hiding, ``(P \\ A) \\ B = P \\ (A | B)``,
+    and pushing it beneath a renaming, ``P[[m]] \\ A = (P \\ m⁻¹(A))[[m]]``,
+    so that any chain of both is ``Rename(Hide(body))``."""
+    if isinstance(p, Rename):
+        inverse = {old for old, new in p.mapping if new in hidden} | (hidden - p.as_dict().keys())
+        return _rename(_hide(p.body, frozenset(inverse)), p.mapping)
     if isinstance(p, Hide):
         return Hide(p.body, p.hidden | hidden)
     return Hide(p, hidden)

@@ -12,6 +12,10 @@ channels wire the automata into a network that replays the process:
 * ``<event>_intrpt`` handshakes let the interrupting process retire every
   automaton of the interrupted one.
 
+An occurrence is wired as its context's event view resolves it: plain,
+hidden, or a participant of the innermost scope synchronising on it; a
+group that can fire joins an enclosing such scope as one participant.
+
 Every small automaton returns to its inert initial location after its
 contribution, so recursive definitions close the loop simply by reusing
 the flow channel allocated when the definition was first translated.
@@ -41,12 +45,12 @@ from .cspast import (
     Seq,
     Skip,
     Stop,
+    View,
     _nullable,
     _nullable_map,
     alphabet,
-    event_universe,
-    resolve_event,
-    wrapper_key,
+    plain_view,
+    wrap,
 )
 from .tamodel import (
     Assignment,
@@ -173,7 +177,7 @@ class _Unit:
 
 class _SyncScope:
     """One synchronising parallel composition.  It is compared by identity,
-    so loop keys that resolve an event to it tell scopes apart."""
+    so view keys that resolve an event to it tell scopes apart."""
 
     def __init__(self, sync_set: frozenset[str]):
         self.sync_set = sync_set
@@ -193,7 +197,7 @@ class _Ctx:
     branch: str
     counter: int
     finish: str
-    wrappers: tuple  # innermost first: ("rename", dict) | ("hide", set) | ("sync", scope)
+    view: View  # how each event is seen through the enclosing wrappers
     # identity of every enclosing interrupted side: recursion crossing one
     # stacks armed interrupts in the source semantics, which no finite
     # network can replay, so such loops must not be collapsed
@@ -209,11 +213,10 @@ class _Compiler:
         self.active: dict[tuple, str] = {}
         self.labels = _Shared(SyncLabel)
         self.nullable_defs = _nullable_map(spec.definitions)
-        self.universe = sorted(event_universe(spec.definitions))
         self._marker_seq = 0
 
     def loop_key(self, name: str, ctx: _Ctx) -> tuple:
-        return (name, wrapper_key(self.universe, ctx.wrappers), ctx.markers, ctx.finish)
+        return (name, ctx.view.key, ctx.markers, ctx.finish)
 
     # -- channel bookkeeping ------------------------------------------------
 
@@ -243,17 +246,6 @@ class _Compiler:
         self.int_vars[name] = init
         return name
 
-    # -- event occurrence resolution ----------------------------------------
-
-    def resolve_occurrence(self, event: str, wrappers: tuple) -> tuple:
-        """``resolve_event`` with a channel for a plain or hidden result:
-        ("plain", channel), ("hidden", itau-channel) or ("sync", scope,
-        name-at-scope)."""
-        resolved = resolve_event(event, wrappers)
-        if resolved[0] == "sync":
-            return resolved
-        return resolved[0], self.event_channel(*resolved)
-
     def event_channel(self, kind: str, name: str) -> str:
         """The channel of a plain occurrence, or the itau broadcast of a
         hidden one."""
@@ -264,13 +256,13 @@ class _Compiler:
             self.registry.used.add(chan)
         return self.ensure_channel(chan, ChannelKind.HIDDEN_ITAU, "broadcast")
 
-    def register_participant(self, scope: _SyncScope, name: str, var: str) -> str:
-        group = scope.groups.get(name)
-        if group is None:
-            chan = self.registry.unique(name, "___sync")
-            self.ensure_channel(chan, ChannelKind.SYNCHRONISATION, "broadcast")
-            group = {"channel": chan, "vars": [], "sides": []}
-            scope.groups[name] = group
+    def register_participant(self, scope: _SyncScope, name: str, var: str | None) -> str:
+        """Join ``scope``'s group for ``name`` on its current side with a readiness
+        variable, or None for a forwarded inner group; the first variable brings the channel."""
+        group = scope.groups.setdefault(name, {"channel": None, "vars": [], "sides": []})
+        if var is not None and group["channel"] is None:
+            group["channel"] = self.registry.unique(name, "___sync")
+            self.ensure_channel(group["channel"], ChannelKind.SYNCHRONISATION, "broadcast")
         group["vars"].append(var)
         group["sides"].append(scope.side)
         return group["channel"]
@@ -310,8 +302,7 @@ class _Compiler:
         if isinstance(p, Interrupt):
             return self._compile_interrupt(p, ctx, start)
         if isinstance(p, (Hide, Rename)):
-            wrapper = ("hide", p.hidden) if isinstance(p, Hide) else ("rename", p.as_dict())
-            sub = _Ctx(ctx.branch, ctx.counter, ctx.finish, (wrapper,) + ctx.wrappers, ctx.markers)
+            sub = _Ctx(ctx.branch, ctx.counter, ctx.finish, wrap(ctx.view, p), ctx.markers)
             unit = self.compile(p.body, sub, start)
             ctx.counter = sub.counter
             return unit
@@ -369,34 +360,34 @@ class _Compiler:
         else:
             b.add_edge(source, "s0", sync=self.labels[next_chan, "send"])
 
-    def _child_entry(
-        self,
-        p: CspProcess,
-        ctx: _Ctx,
-        digit: str,
-        finish: str | None,
-        markers: tuple[int, ...] | None = None,
-    ) -> tuple[str, _StartInfo | None, _Ctx | None]:
-        """Allocate the flow action starting one operand of a binary
-        construct; entries are numbered before any sibling channels.
-
-        ``finish=None`` means the operand will get a fresh termination
-        channel of its own, so it can never be a loop re-entry.
-        """
-        branch = ctx.branch + digit
-        if markers is None:
-            markers = ctx.markers
-        if finish is not None:
-            looped = self._loop_target(p, _Ctx(branch, 0, finish, ctx.wrappers, markers))
-            if looped is not None:
-                return looped, None, None
-        info = self.alloc_numbered("startID", branch, ctx, ChannelKind.FLOW)
-        return info.channel, info, _Ctx(branch, info.counter + 1, finish or "", ctx.wrappers, markers)
-
-    def _compile_entry(self, p: CspProcess, info: _StartInfo | None, child: _Ctx | None) -> _Unit:
-        if info is None:
-            return _Unit()
-        return self.compile(p, child, info)
+    def _operands(self, p, ctx: _Ctx, finishes: tuple, view: View, left_markers: tuple = (), scope=None) -> list:
+        """Compile both operands of a binary construct under ``view``, as
+        (entry flow action, fresh finish, unit) per side.  ``finishes`` holds
+        each one's termination channel, or None for a fresh ``finishID`` (only
+        an operand with a given finish can be a loop re-entry, which needs
+        no automata).  Both entries are numbered first, then the fresh
+        finishes; then left and right are compiled, as ``scope``'s sides."""
+        sides = []
+        for digit, q, finish, markers in (
+            ("0", p.left, finishes[0], ctx.markers + left_markers),
+            ("1", p.right, finishes[1], ctx.markers),
+        ):
+            child = _Ctx(ctx.branch + digit, 0, finish, view, markers)
+            looped = finish and self._loop_target(q, child)
+            info = None if looped else self.alloc_numbered("startID", child.branch, ctx, ChannelKind.FLOW)
+            child.counter = info.counter + 1 if info else 0
+            sides.append((q, child, info, looped or info.channel))
+        fresh = [
+            None if child.finish else self.alloc_numbered("finishID", child.branch, ctx, ChannelKind.TERMINATING)
+            for _, child, _, _ in sides
+        ]
+        out = []
+        for side, (q, child, info, entry), fin in zip("LR", sides, fresh):
+            child.finish = child.finish or fin.channel
+            if scope is not None:
+                scope.side = side
+            out.append((entry, fin, self.compile(q, child, info) if info else _Unit()))
+        return out
 
     # individual constructs
 
@@ -435,12 +426,12 @@ class _Compiler:
             unit.absorb(cont)
             return unit
 
-        resolved = self.resolve_occurrence(p.event, ctx.wrappers)
+        resolved = ctx.view[p.event]
         if resolved[0] == "sync":
             return self._compile_sync_participant(p, ctx, start, resolved[1], resolved[2])
 
         hidden = resolved[0] == "hidden"
-        channel = resolved[1]
+        channel = self.event_channel(*resolved)
         b = _TaBuilder()
         s0 = b.add_loc()
         s1 = b.add_loc()
@@ -496,9 +487,9 @@ class _Compiler:
     def _compile_seq(self, p: Seq, ctx: _Ctx, start: _StartInfo) -> _Unit:
         looped = self._loop_target(p.right, ctx)
         if looped is not None:
-            return self.compile(p.left, _Ctx(ctx.branch, ctx.counter, looped, ctx.wrappers, ctx.markers), start)
+            return self.compile(p.left, _Ctx(ctx.branch, ctx.counter, looped, ctx.view, ctx.markers), start)
         handover = self.alloc_numbered("finishID", ctx.branch, ctx, ChannelKind.TERMINATING)
-        left_ctx = _Ctx(ctx.branch, ctx.counter, handover.channel, ctx.wrappers, ctx.markers)
+        left_ctx = _Ctx(ctx.branch, ctx.counter, handover.channel, ctx.view, ctx.markers)
         left = self.compile(p.left, left_ctx, start)
         ctx.counter = left_ctx.counter
         right = self.compile(p.right, ctx, handover)
@@ -511,7 +502,6 @@ class _Compiler:
     def _compile_parallel(self, p: GenPar | Interleave, ctx: _Ctx, start: _StartInfo) -> _Unit:
         sync_set = p.sync_set if isinstance(p, GenPar) else frozenset()
         scope = _SyncScope(sync_set) if sync_set else None
-        child_wrappers = ((("sync", scope),) if scope else ()) + ctx.wrappers
 
         b = _TaBuilder()
         s0 = b.add_loc()
@@ -523,20 +513,8 @@ class _Compiler:
         s6 = b.add_loc()
         s7 = b.add_loc()
 
-        wrapped = _Ctx(ctx.branch, ctx.counter, ctx.finish, child_wrappers, ctx.markers)
-        start_l, info_l, child_l = self._child_entry(p.left, wrapped, "0", None)
-        start_r, info_r, child_r = self._child_entry(p.right, wrapped, "1", None)
-        fin_l = self.alloc_numbered("finishID", ctx.branch + "0", wrapped, ChannelKind.TERMINATING)
-        fin_r = self.alloc_numbered("finishID", ctx.branch + "1", wrapped, ChannelKind.TERMINATING)
-        child_l.finish = fin_l.channel
-        child_r.finish = fin_r.channel
-        if scope is not None:
-            scope.side = "L"
-        left = self._compile_entry(p.left, info_l, child_l)
-        if scope is not None:
-            scope.side = "R"
-        right = self._compile_entry(p.right, info_r, child_r)
-        ctx.counter = wrapped.counter
+        view = wrap(ctx.view, scope) if scope else ctx.view
+        (start_l, fin_l, left), (start_r, fin_r, right) = self._operands(p, ctx, (None, None), view, scope=scope)
 
         b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
         # starting both operands is a compound action, in either order
@@ -566,16 +544,18 @@ class _Compiler:
                     # the event needs both operands; with one side silent it
                     # can never happen, so the participants stay blocked
                     continue
-                if sides.count("L") > 1 or sides.count("R") > 1:
+                outer = ctx.view[name]
+                if outer[0] == "sync":
+                    # the whole group is one participant of the enclosing scope
+                    self.register_participant(outer[1], outer[2], None)
+                    continue
+                if None in group["vars"] or sides.count("L") > 1 or sides.count("R") > 1:
                     raise TranslationError(
                         f"several occurrences of the synchronised event {name!r} "
                         "on one side of a parallel composition have no sum-guard "
                         "translation"
                     )
-                # Never a scope: the participants registered with the
-                # outermost scope over their whole wrapper stack.
-                notify = self.event_channel(*resolve_event(name, ctx.wrappers))
-                reqs.append((notify, group["channel"], tuple(group["vars"])))
+                reqs.append((self.event_channel(*outer), group["channel"], tuple(group["vars"])))
             if reqs:
                 unit.tas.append(_controller(reqs, self.labels))
         unit.absorb(right)
@@ -586,10 +566,7 @@ class _Compiler:
         s0 = b.add_loc()
         s1 = b.add_loc(LocationKind.COMMITTED)
         s2 = b.add_loc(LocationKind.COMMITTED)
-        start_l, info_l, child_l = self._child_entry(p.left, ctx, "0", ctx.finish)
-        start_r, info_r, child_r = self._child_entry(p.right, ctx, "1", ctx.finish)
-        left = self._compile_entry(p.left, info_l, child_l)
-        right = self._compile_entry(p.right, info_r, child_r)
+        (start_l, _, left), (start_r, _, right) = self._operands(p, ctx, (ctx.finish, ctx.finish), ctx.view)
         picked = self.new_var(f"pick{start.branch}_{start.counter}")
         # re-arming the choice (recursion) re-opens it
         b.add_edge(
@@ -637,10 +614,7 @@ class _Compiler:
         s1 = b.add_loc(LocationKind.COMMITTED)
         s2 = b.add_loc(LocationKind.COMMITTED)
         s3 = b.add_loc(LocationKind.COMMITTED)
-        start_l, info_l, child_l = self._child_entry(p.left, ctx, "0", ctx.finish)
-        start_r, info_r, child_r = self._child_entry(p.right, ctx, "1", ctx.finish)
-        left = self._compile_entry(p.left, info_l, child_l)
-        right = self._compile_entry(p.right, info_r, child_r)
+        (start_l, _, left), (start_r, _, right) = self._operands(p, ctx, (ctx.finish, ctx.finish), ctx.view)
         b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
         b.add_edge(s1, s2)  # silent: the choice is the machine's own
         b.add_edge(s1, s3)
@@ -661,14 +635,9 @@ class _Compiler:
         s4 = b.add_loc(LocationKind.COMMITTED)
 
         self._marker_seq += 1
-        start_l, info_l, child_l = self._child_entry(
-            p.left, ctx, "0", ctx.finish, markers=ctx.markers + (self._marker_seq,)
+        (start_l, _, left), (start_r, fin_r, right) = self._operands(
+            p, ctx, (ctx.finish, None), ctx.view, left_markers=(self._marker_seq,)
         )
-        start_r, info_r, child_r = self._child_entry(p.right, ctx, "1", None)
-        fin_r = self.alloc_numbered("finishID", ctx.branch + "1", ctx, ChannelKind.TERMINATING)
-        child_r.finish = fin_r.channel
-        left = self._compile_entry(p.left, info_l, child_l)
-        right = self._compile_entry(p.right, info_r, child_r)
         # interrupt state: 0 armed, 1 interrupted, 2 left side terminated
         state = self.new_var(f"intrpd{ctx.branch}_{fin_r.counter}")
 
@@ -847,7 +816,7 @@ def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
     for event in sorted(events):
         compiler.ensure_channel(event, ChannelKind.USER_EVENT, "binary")
 
-    root = _Ctx("0", 0, registry.claim(_FINISH), ())
+    root = _Ctx("0", 0, registry.claim(_FINISH), plain_view(spec.definitions))
     compiler.ensure_channel(_FINISH, ChannelKind.TERMINATING, "binary")
     if isinstance(process_or_spec, CspSpec):
         start = _StartInfo(registry.claim(f"startID{spec.main}"), root.branch, root.counter)

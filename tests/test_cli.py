@@ -126,6 +126,13 @@ def test_recursion_under_hiding_is_checked(tmp_path, capsys):
     assert "EqualAtStage1" in capsys.readouterr().out
 
 
+def test_recursion_under_renaming_and_hiding_is_checked(tmp_path, capsys):
+    path = tmp_path / "renamed.tcsp"
+    path.write_text("Q = b -> ((Q [[c <- c]]) \\ {b})\n")
+    assert main(["check", str(path), "--depth", "6"]) == 0
+    assert "EqualAtStage1" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "old, new",
     [("tock=tock;", "a=bogus;tock=tock;"), ("tockta-channel-kinds:", "tockta-channel-kinds")],

@@ -11,7 +11,9 @@ from tockta.cspast import (
     SpecError,
     Stop,
     alphabet,
+    plain_view,
     validate_event_name,
+    wrap,
 )
 from tockta.parser import parse
 
@@ -81,3 +83,20 @@ def test_tock_only_allowed_as_prefix():
 def test_rename_must_be_a_function():
     with pytest.raises(SpecError):
         Rename(Skip(), (("a", "b"), ("a", "c")))
+
+
+class _Scope:
+    def __init__(self, *events):
+        self.sync_set = frozenset(events)
+
+
+def test_a_view_resolves_each_event_through_its_wrappers():
+    top = plain_view(parse("P = a -> b -> c -> STOP").definitions)
+    outer, inner = _Scope("c"), _Scope("b")
+    renamed = wrap(wrap(top, outer), Rename(Stop(), (("b", "c"),)))
+    assert renamed["b"] == ("sync", outer, "c")
+    view = wrap(wrap(renamed, inner), Hide(Stop(), frozenset({"a", "c"})))
+    # the innermost wrapper decides: the inner scope takes b, the hiding c
+    assert view == {"a": ("hidden", "a"), "b": ("sync", inner, "b"), "c": ("hidden", "c")}
+    assert wrap(top, Rename(Stop(), (("a", "a"),))).key == top.key
+    assert wrap(top, _Scope("a")).key != wrap(top, _Scope("a")).key

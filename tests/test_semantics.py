@@ -95,6 +95,19 @@ def test_recursion_under_hiding_or_renaming_reaches_three_state_sets(source):
     assert len(csp_traces(parse(source), 600).moves) == 3
 
 
+def test_hiding_moves_beneath_a_renaming():
+    renamed = Rename(Prefix("a", Stop()), (("a", "b"), ("c", "a")))
+    hidden = Hide(Prefix("d", renamed), frozenset({"a"}))
+    # P[[m]] \ A = (P \ m^-1(A))[[m]]: only c becomes a, so c is hidden
+    moved = Rename(Hide(Prefix("a", Stop()), frozenset({"c"})), renamed.mapping)
+    assert ("d", moved) in step(hidden, {})
+
+
+def test_recursion_under_renaming_then_hiding_reaches_four_state_sets():
+    # each unfolding wraps a hiding around a renaming; both fold into one pair
+    assert len(csp_traces(parse("P = a -> ((P [[a <- b]]) \\ {c})"), 400).moves) == 4
+
+
 def test_stop_traces_depth_two():
     assert csp_traces(spec_of(Stop()), 2).traces == frozenset(
         {(), ("tock",), ("tock", "tock")}

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from tockta.cspast import Prefix, Skip, Stop
-from tockta.harness import generate_corpus
+from tockta.harness import EQUAL_AT_STAGE1, check_spec, generate_corpus
 from tockta.parser import parse, parse_file
 from tockta.semantics import csp_traces, traces_to_text
 from tockta.tamodel import ChannelKind, GuardExpr, IntAtom, LocationKind
@@ -232,6 +232,23 @@ def test_assemble_is_deterministic_byte_for_byte():
         "Lighting = close -> offLight -> Lighting\n"
     )))
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # an inner scope blocks the event that an outer scope also
+        # synchronises on, directly or after a renaming
+        "P = (STOP [|{b}|] (b -> SKIP)) [|{b}|] (b -> STOP)",
+        "P = ((STOP [|{b}|] (b -> STOP)) [[b <- c]]) [|{c}|] (c -> STOP)",
+        "P = ((a -> STOP) [|{b}|] (b -> STOP)) [|{a, b}|] (a -> b -> STOP)",
+        "P = a -> a -> b -> (Q [|{a, c}|] Q)\nQ = b -> (STOP [|{a, c}|] (a -> tock -> STOP))",
+        # an inner scope that could release the event, blocked further out
+        "P = ((a -> STOP) [|{a, b}|] (a -> STOP)) [|{a}|] (STOP |~| STOP)",
+    ],
+)
+def test_nested_synchronisation_keeps_every_block(source):
+    assert check_spec(parse(source), 6).verdict == EQUAL_AT_STAGE1
 
 
 def test_unbounded_parallel_recursion_is_rejected():
