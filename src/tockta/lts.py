@@ -55,14 +55,18 @@ class _Graph:
         closure = set(states)
         stack = list(closure)
         moves: dict = {}
+        memo = self._memo
         while stack:
-            for label, succ in self(stack.pop()):
+            state = stack.pop()
+            for label, succ in memo.get(state) or self(state):
                 if label is None or label in hidden:
                     if succ not in closure:
                         closure.add(succ)
                         stack.append(succ)
+                elif label in moves:
+                    moves[label].add(succ)
                 else:
-                    moves.setdefault(label, set()).add(succ)
+                    moves[label] = {succ}
         return closure, {label: frozenset(targets) for label, targets in moves.items()}
 
     def reachable(self, start, depth: int, hidden: frozenset) -> frozenset:

@@ -296,5 +296,11 @@ def parse(source: str) -> CspSpec:
 
 
 def parse_file(path: str) -> CspSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle.read())
+    """Parse a UTF-8 file; other bytes are a ``SpecError`` naming where."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8") from None
+    return parse(text)

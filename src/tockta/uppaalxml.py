@@ -9,13 +9,16 @@ against integer constants, constant assignments, plain synchronisation
 labels) and give each transition or location at most one label of each
 kind.  Locations get deterministic grid coordinates because the model
 itself carries no geometry.
+
+Text is escaped by ``_escape``, not ``xml.sax.saxutils.escape``: that
+import loads the network stack (``urllib.request``, ``ssl``, ``socket``,
+``email``), about 7 MB in every process that imports the package.
 """
 
 from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from xml.sax.saxutils import escape
 
 from .tamodel import (
     Assignment,
@@ -48,6 +51,12 @@ class XmlLoadError(ValueError):
     """Malformed or unsupported document content."""
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data: ``&`` first, then ``<`` and ``>``;
+    quotes stay as they are, since no attribute value is escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _emit_declaration(net: NetworkModel) -> str:
     lines = []
     for decl in net.channels:
@@ -71,27 +80,27 @@ def _grid(index: int) -> tuple[int, int]:
 def emit(net: NetworkModel) -> str:
     """Serialise a validated network to UPPAAL flat XML text."""
     out = ['<?xml version="1.0" encoding="utf-8"?>', _DOCTYPE, "<nta>"]
-    out.append("\t<declaration>" + escape(_emit_declaration(net)) + "</declaration>")
+    out.append("\t<declaration>" + _escape(_emit_declaration(net)) + "</declaration>")
     kinds = ";".join(f"{c.name}={c.kind.value}" for c in net.channels)
     env_name = net.automata[net.environment_index].name if 0 <= net.environment_index < len(net.automata) else ""
     out.append(f"\t<!-- {_KIND_COMMENT}: {kinds} | environment={env_name} -->")
     doc_id = 0
     for ta in net.automata:
         out.append("\t<template>")
-        out.append(f"\t\t<name>{escape(ta.name)}</name>")
+        out.append(f"\t\t<name>{_escape(ta.name)}</name>")
         if ta.clocks:
             local = "\n".join(f"clock {c};" for c in ta.clocks)
-            out.append(f"\t\t<declaration>{escape(local)}</declaration>")
+            out.append(f"\t\t<declaration>{_escape(local)}</declaration>")
         ids: dict[str, str] = {}
         for index, loc in enumerate(ta.locations):
             ids[loc.id] = f"id{doc_id}"
             doc_id += 1
             x, y = _grid(index)
             pieces = [f'\t\t<location id="{ids[loc.id]}" x="{x}" y="{y}">']
-            pieces.append(f"<name>{escape(loc.display_name or loc.id)}</name>")
+            pieces.append(f"<name>{_escape(loc.display_name or loc.id)}</name>")
             if loc.invariant:
                 inv = " && ".join(a.render() for a in loc.invariant)
-                pieces.append(f'<label kind="invariant">{escape(inv)}</label>')
+                pieces.append(f'<label kind="invariant">{_escape(inv)}</label>')
             if loc.kind is LocationKind.COMMITTED:
                 pieces.append("<committed/>")
             elif loc.kind is LocationKind.URGENT:
@@ -104,17 +113,17 @@ def emit(net: NetworkModel) -> str:
             pieces.append(f'<source ref="{ids[edge.source]}"/>')
             pieces.append(f'<target ref="{ids[edge.target]}"/>')
             if edge.guard is not None:
-                pieces.append(f'<label kind="guard">{escape(edge.guard.render())}</label>')
+                pieces.append(f'<label kind="guard">{_escape(edge.guard.render())}</label>')
             if edge.sync is not None:
-                pieces.append(f'<label kind="synchronisation">{escape(edge.sync.render())}</label>')
+                pieces.append(f'<label kind="synchronisation">{_escape(edge.sync.render())}</label>')
             if edge.updates:
                 text = ", ".join(u.render() for u in edge.updates)
-                pieces.append(f'<label kind="assignment">{escape(text)}</label>')
+                pieces.append(f'<label kind="assignment">{_escape(text)}</label>')
             pieces.append("</transition>")
             out.append("".join(pieces))
         out.append("\t</template>")
     names = ", ".join(ta.name for ta in net.automata)
-    out.append(f"\t<system>system {escape(names)};</system>")
+    out.append(f"\t<system>system {_escape(names)};</system>")
     out.append("\t<queries/>")
     out.append("</nta>")
     return "\n".join(out) + "\n"
@@ -417,5 +426,11 @@ def save_file(net: NetworkModel, path: str) -> None:
 
 
 def load_file(path: str) -> NetworkModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load(handle.read())
+    """Load a UTF-8 document; other bytes are an ``XmlLoadError`` naming where."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise XmlLoadError(f"{path}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8") from None
+    return load(text)

@@ -145,3 +145,25 @@ def test_malformed_kind_comment_is_an_input_error(tmp_path, ads_file, capsys, ol
     assert main(["traces", "ta", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("tockta: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, suffix",
+    [
+        (["check"], ".tcsp"),
+        (["translate"], ".tcsp"),
+        (["traces", "csp"], ".tcsp"),
+        (["traces", "ta"], ".xml"),
+    ],
+    ids=["check", "translate", "traces-csp", "traces-ta"],
+)
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command, suffix):
+    path = tmp_path / f"latin1{suffix}"
+    path.write_bytes(b"P = a -> \xff STOP\n")
+    argv = command + [str(path)]
+    if command == ["translate"]:
+        argv += ["-o", str(tmp_path / "out.xml")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tockta: error:") and "Traceback" not in err
+    assert f"{path}: byte 0xff at offset 9 is not UTF-8" in err

@@ -73,6 +73,25 @@ def test_round_trip_on_the_large_shape_shares_one_label_per_channel_and_directio
             assert len({id(label) for label in labels}) == len(set(labels)) < len(labels)
 
 
+def test_markup_characters_in_names_are_escaped_and_round_trip():
+    net = assemble(ADS)
+    ta = net.automata[0]
+    rename = {loc.id: f"{loc.id}<&>\"'" for loc in ta.locations}
+    ta = replace(
+        ta,
+        name="A&B<C>\"D'",
+        locations=tuple(replace(loc, id=rename[loc.id], display_name=rename[loc.id]) for loc in ta.locations),
+        initial=rename[ta.initial],
+        edges=tuple(replace(e, source=rename[e.source], target=rename[e.target]) for e in ta.edges),
+    )
+    net = replace(net, automata=(ta,) + net.automata[1:])
+    doc = emit(net)
+    assert "<name>A&amp;B&lt;C&gt;\"D'</name>" in doc
+    assert doc.count("&lt;&amp;&gt;\"'</name>") == len(ta.locations)
+    assert "&quot;" not in doc and "&apos;" not in doc
+    assert load(doc) == net
+
+
 def test_emit_is_deterministic():
     net = assemble(Stop())
     assert emit(net) == emit(assemble(Stop()))
