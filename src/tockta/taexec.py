@@ -36,7 +36,7 @@ from itertools import product
 from typing import Callable, NamedTuple
 
 from .lts import BoundExceeded  # noqa: F401  (re-exported: every search here raises it)
-from .lts import TraceSet, cannot_reach, reachable, subset_graph
+from .lts import TraceSet, cannot_reach, subset_graph
 from .tamodel import _RELATIONS, ClockAtom, LocationKind, NetworkModel, erasure_set
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "apply_step",
     "raw_network_traces",
     "network_traces",
-    "reachable_configurations",
     "timelock_witnesses",
 ]
 
@@ -409,16 +408,6 @@ def network_traces(
     """
     rt = _runtime(net)
     return subset_graph(_start(rt), rt.successors, depth, hidden=erasure_set(net), state_cap=state_cap)
-
-
-def reachable_configurations(
-    net: NetworkModel, observable_depth: int, *, state_cap: int = 500_000
-) -> frozenset[Configuration]:
-    """Configurations reachable while recording at most ``observable_depth``
-    non-coordinating actions."""
-    rt = _runtime(net)
-    found = reachable(_start(rt), rt.successors, observable_depth, hidden=erasure_set(net), state_cap=state_cap)
-    return frozenset(rt.configs[state] for state in found)
 
 
 def timelock_witnesses(

@@ -45,6 +45,8 @@ _DOCTYPE = (
 )
 
 _KIND_COMMENT = "tockta-channel-kinds"
+# A channel name as the declaration grammar reads it.
+_WORD_RE = re.compile(r"\w+")
 
 
 class XmlLoadError(ValueError):
@@ -78,11 +80,20 @@ def _grid(index: int) -> tuple[int, int]:
 
 
 def emit(net: NetworkModel) -> str:
-    """Serialise a validated network to UPPAAL flat XML text."""
+    """Serialise a validated network to UPPAAL flat XML text.
+
+    Raises ``ValueError`` for a name that ``load`` could not read back: a
+    channel name that is not a word, or an environment name holding
+    ``--``, which would end the kinds comment early."""
+    for decl in net.channels:
+        if not _WORD_RE.fullmatch(decl.name):
+            raise ValueError(f"channel name {decl.name!r} is not a word (letters, digits, underscores)")
+    env_name = net.automata[net.environment_index].name if 0 <= net.environment_index < len(net.automata) else ""
+    if "--" in env_name:
+        raise ValueError(f"environment name {env_name!r} holds '--', which an XML comment cannot")
     out = ['<?xml version="1.0" encoding="utf-8"?>', _DOCTYPE, "<nta>"]
     out.append("\t<declaration>" + _escape(_emit_declaration(net)) + "</declaration>")
     kinds = ";".join(f"{c.name}={c.kind.value}" for c in net.channels)
-    env_name = net.automata[net.environment_index].name if 0 <= net.environment_index < len(net.automata) else ""
     out.append(f"\t<!-- {_KIND_COMMENT}: {kinds} | environment={env_name} -->")
     doc_id = 0
     for ta in net.automata:
@@ -223,14 +234,6 @@ def _children(node: ET.Element, listed: tuple[str, ...]) -> tuple[dict, list]:
     return first, many
 
 
-# The label kinds an edge carries, each with the parser of its text.
-_EDGE_LABELS = {
-    "guard": lambda text, clocks: GuardExpr(_parse_atoms(text, clocks)),
-    "synchronisation": lambda text, clocks: _parse_sync(text),
-    "assignment": lambda text, clocks: _parse_updates(text),
-}
-
-
 def load(document: str) -> NetworkModel:
     """Parse a document in the emitted dialect back into a network.
 
@@ -275,11 +278,13 @@ def load(document: str) -> NetworkModel:
         ChannelDecl(name, mode, kinds[name] if name in kinds else kind_from_name(name))
         for name, mode in channels_raw
     )
-    # The document's labels, locations and edges, each keyed by what
-    # determines it; whether a name in a guard is a clock depends on the
-    # template's local clocks.
-    memo: dict[tuple, object] = {}
-    automata = [_load_template(template, global_clocks, memo) for template in templates]
+    # The document's synchronisations and assignments by text, and its
+    # guards, locations and edges per set of local clocks, which decides
+    # whether a name in a guard is a clock.
+    syncs: dict[str, SyncLabel] = {}
+    assignments: dict[str, tuple[Assignment, ...]] = {}
+    per_clocks: dict[frozenset, tuple[dict, dict, dict]] = {}
+    automata = [_load_template(t, global_clocks, syncs, assignments, per_clocks) for t in templates]
 
     if not automata:
         raise XmlLoadError("document contains no templates")
@@ -311,7 +316,9 @@ def load(document: str) -> NetworkModel:
     return net
 
 
-def _load_template(template: ET.Element, global_clocks: list[str], memo: dict) -> TimedAutomaton:
+def _load_template(
+    template: ET.Element, global_clocks: list[str], syncs: dict, assignments: dict, per_clocks: dict
+) -> TimedAutomaton:
     try:
         first, nodes = _children(template, ("location", "transition"))
     except XmlLoadError as exc:
@@ -332,41 +339,55 @@ def _load_template(template: ET.Element, global_clocks: list[str], memo: dict) -
             )
     clock_names = set(local_clocks) | set(global_clocks)
     clock_key = frozenset(local_clocks)
+    guards, known_locations, known_edges = per_clocks.setdefault(clock_key, ({}, {}, {}))
 
+    # One loop reads each element's children.  Anything but a first
+    # <name>, <source> or <target> among the ``_SINGLE`` tags, or a
+    # <select>, is rare: ``_children`` then checks the element, so errors
+    # keep their order (a repeated ``_SINGLE`` child, then the element's
+    # own checks, then its labels in document order).
     id_to_model: dict[str, str] = {}
     locations = []
+    transitions = []
     used_names: set[str] = set()
     for node in nodes:
         if node.tag != "location":
+            transitions.append(node)
             continue
         try:
             doc_id = node.get("id")
             if doc_id is None:
                 raise XmlLoadError("location without id")
-            parts, labels = _children(node, ("label",))
-            invariants = [
-                lab.text for lab in labels if lab.get("kind") == "invariant" and (lab.text or "").strip()
-            ]
+            label = None
+            kind = LocationKind.NORMAL
+            invariants = []
+            for child in node:
+                tag = child.tag
+                if tag == "label":
+                    if child.get("kind") == "invariant" and (child.text or "").strip():
+                        invariants.append(child.text)
+                elif tag == "name" and label is None:
+                    label = child
+                elif tag == "committed":
+                    kind = LocationKind.COMMITTED
+                elif tag == "urgent" and kind is LocationKind.NORMAL:
+                    kind = LocationKind.URGENT
+                elif tag in _SINGLE:
+                    _children(node, ("label",))
             if len(invariants) > 1:
                 raise XmlLoadError("repeated invariant label")
-            label = parts.get("name")
             model_id = (label.text or "").strip() if label is not None else ""
             if not model_id or model_id in used_names:
                 model_id = doc_id
             used_names.add(model_id)
             id_to_model[doc_id] = model_id
-            kind = LocationKind.NORMAL
-            if "committed" in parts:
-                kind = LocationKind.COMMITTED
-            elif "urgent" in parts:
-                kind = LocationKind.URGENT
-            key = ("location", clock_key, model_id, kind, *invariants)
-            if key not in memo:
+            key = (model_id, kind, *invariants)
+            if key not in known_locations:
                 invariant = _parse_atoms(invariants[0], clock_names) if invariants else ()
                 if any(not isinstance(a, ClockAtom) for a in invariant):
                     raise XmlLoadError("unsupported invariant")
-                memo[key] = Location(model_id, model_id, kind, invariant)
-            locations.append(memo[key])
+                known_locations[key] = Location(model_id, model_id, kind, invariant)
+            locations.append(known_locations[key])
         except XmlLoadError as exc:
             where = "" if doc_id is None else f" at location {doc_id!r}"
             raise XmlLoadError(f"{exc}{where} in template {name!r}") from None
@@ -376,38 +397,47 @@ def _load_template(template: ET.Element, global_clocks: list[str], memo: dict) -
         raise XmlLoadError(f"missing initial location in template {name!r}")
 
     edges = []
-    for index, node in enumerate(n for n in nodes if n.tag == "transition"):
+    for index, node in enumerate(transitions):
         try:
-            parts, labels = _children(node, ("label",))
-            if "select" in parts:
-                raise XmlLoadError("unsupported expression: select")
-            if "source" not in parts or "target" not in parts:
+            source = target = guard = sync = updates = None
+            labels = []
+            for child in node:
+                tag = child.tag
+                if tag == "label":
+                    labels.append(child)
+                elif tag == "source" and source is None:
+                    source = child
+                elif tag == "target" and target is None:
+                    target = child
+                elif (tag in _SINGLE or tag == "select") and "select" in _children(node, ("label",))[0]:
+                    raise XmlLoadError("unsupported expression: select")
+            if source is None or target is None:
                 raise XmlLoadError("transition without endpoints")
-            parsed: dict = {}
-            texts: dict[str, str] = {}
+            texts = []
             for lab in labels:
                 text = (lab.text or "").strip()
-                kind_attr = lab.get("kind")
-                if not text or kind_attr in ("comments", "testcode", None):
+                kind = lab.get("kind")
+                if not text or kind in ("comments", "testcode", None):
                     continue
-                if kind_attr not in _EDGE_LABELS:
-                    raise XmlLoadError(f"unsupported label kind {kind_attr!r}")
-                if kind_attr in texts:
-                    raise XmlLoadError(f"repeated {kind_attr} label")
-                texts[kind_attr] = text
-                key = (kind_attr, text, clock_key if kind_attr == "guard" else None)
-                parse = _EDGE_LABELS[kind_attr]
-                parsed[kind_attr] = memo.get(key) or memo.setdefault(key, parse(text, clock_names))
-            try:
-                src_id = id_to_model[parts["source"].get("ref")]
-                tgt_id = id_to_model[parts["target"].get("ref")]
-            except KeyError:
-                raise XmlLoadError("dangling location reference") from None
-            key = ("edge", clock_key, src_id, tgt_id, *texts.items())
-            if key not in memo:
-                guard, sync = parsed.get("guard"), parsed.get("synchronisation")
-                memo[key] = Edge(src_id, tgt_id, guard, sync, parsed.get("assignment", ()))
-            edges.append(memo[key])
+                if kind == "guard" and guard is None:
+                    guard = guards.get(text) or guards.setdefault(text, GuardExpr(_parse_atoms(text, clock_names)))
+                elif kind == "synchronisation" and sync is None:
+                    sync = syncs.get(text) or syncs.setdefault(text, _parse_sync(text))
+                elif kind == "assignment" and updates is None:
+                    updates = assignments.get(text) or assignments.setdefault(text, _parse_updates(text))
+                elif kind in ("guard", "synchronisation", "assignment"):
+                    raise XmlLoadError(f"repeated {kind} label")
+                else:
+                    raise XmlLoadError(f"unsupported label kind {kind!r}")
+                texts += (kind, text)
+            src_id = id_to_model.get(source.get("ref"))
+            tgt_id = id_to_model.get(target.get("ref"))
+            if src_id is None or tgt_id is None:
+                raise XmlLoadError("dangling location reference")
+            key = (src_id, tgt_id, *texts)
+            if key not in known_edges:
+                known_edges[key] = Edge(src_id, tgt_id, guard, sync, updates or ())
+            edges.append(known_edges[key])
         except XmlLoadError as exc:
             raise XmlLoadError(f"{exc} in template {name!r}, transition {index}") from None
 

@@ -11,6 +11,7 @@ import pytest
 from tockta import taexec
 from tockta.cspast import Skip, Stop
 from tockta.harness import generate_corpus
+from tockta.lts import reachable
 from tockta.parser import parse, parse_file
 from tockta.semantics import BoundExceeded, csp_traces
 from tockta.tamodel import (
@@ -26,6 +27,7 @@ from tockta.tamodel import (
     NetworkModel,
     SyncLabel,
     TimedAutomaton,
+    erasure_set,
 )
 from tockta.taexec import (
     Binary,
@@ -37,7 +39,6 @@ from tockta.taexec import (
     initial_configuration,
     network_traces,
     raw_network_traces,
-    reachable_configurations,
     timelock_witnesses,
 )
 from tockta.translate import assemble
@@ -47,6 +48,16 @@ ADS = parse(
     "Controller = open -> tock -> close -> Controller\n"
     "Lighting = close -> offLight -> Lighting\n"
 )
+
+
+def reachable_configurations(net, observable_depth, *, state_cap=500_000):
+    """Configurations reachable while recording at most ``observable_depth``
+    non-coordinating actions, read back from the executor's interned ids."""
+    rt = taexec._runtime(net)
+    found = reachable(
+        taexec._start(rt), rt.successors, observable_depth, hidden=erasure_set(net), state_cap=state_cap
+    )
+    return frozenset(rt.configs[state] for state in found)
 
 
 def interleaved_cycles(n):
@@ -208,8 +219,6 @@ def test_erased_traces_examples():
 
 
 def test_erasure_is_exactly_strip_and_retruncate():
-    from tockta.tamodel import erasure_set
-
     for source in ("P = a -> tock -> b -> STOP", "Pe = (left->STOP)[](right->STOP)"):
         net = assemble(parse(source))
         depth = 3

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 from tockta.cspast import Stop
 from tockta.harness import generate_corpus
 from tockta.parser import parse, parse_file
-from tockta.tamodel import ChannelKind, GuardExpr, IntAtom
+from tockta.tamodel import ChannelKind, GuardExpr, IntAtom, validate
 from tockta.translate import assemble
 from tockta.uppaalxml import XmlLoadError, emit, load
 
@@ -90,6 +91,45 @@ def test_markup_characters_in_names_are_escaped_and_round_trip():
     assert doc.count("&lt;&amp;&gt;\"'</name>") == len(ta.locations)
     assert "&quot;" not in doc and "&apos;" not in doc
     assert load(doc) == net
+
+
+def renamed(net, environment=None, channel=None):
+    """``net`` with its environment or its first user channel renamed."""
+    env = net.environment_index
+    automata = list(net.automata)
+    channels = list(net.channels)
+    if environment is not None:
+        automata[env] = replace(automata[env], name=environment)
+    if channel is not None:
+        i, decl = next((i, c) for i, c in enumerate(channels) if c.kind is ChannelKind.USER_EVENT)
+        channels[i] = replace(decl, name=channel)
+        automata = [
+            replace(ta, edges=tuple(
+                replace(e, sync=replace(e.sync, channel=channel))
+                if e.sync is not None and e.sync.channel == decl.name else e
+                for e in ta.edges
+            ))
+            for ta in automata
+        ]
+    return replace(net, automata=tuple(automata), channels=tuple(channels))
+
+
+@pytest.mark.parametrize(
+    "environment, channel, message",
+    [("Env--x", None, "environment name 'Env--x'"), (None, "a--b", "channel name 'a--b'")],
+    ids=["environment", "channel"],
+)
+def test_names_the_loader_cannot_read_back_are_refused(environment, channel, message):
+    net = renamed(assemble(parse("P = a -> STOP")), environment, channel)
+    assert validate(net) == []
+    with pytest.raises(ValueError, match=re.escape(message)):
+        emit(net)
+
+
+def test_an_environment_name_ending_in_a_hyphen_round_trips():
+    # The kinds comment puts a space between the name and its closing -->.
+    net = renamed(assemble(parse("P = a -> STOP")), environment="Env-")
+    assert load(emit(net)) == net
 
 
 def test_emit_is_deterministic():
@@ -307,27 +347,116 @@ def test_malformed_kind_comment_is_rejected(old, new, message):
         load(doc)
 
 
+def fixture_documents():
+    docs = [emit(assemble(parse_file(str(path)))) for path in sorted(FIXTURES.glob("*.tcsp"))]
+    assert len(docs) == 5
+    return docs
+
+
+_ALPHABET = "<>/=\"';:|!?&()+-_ \n0123456789abcdesxyz"
+
+
+def edit_characters(doc, rng):
+    """``doc`` after 1-4 seeded character replacements, deletions or insertions."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(doc))
+        op = rng.randrange(3)  # 0 replace, 1 delete, 2 insert
+        ch = "" if op == 1 else rng.choice(_ALPHABET)
+        doc = doc[:i] + ch + doc[i + (op != 2):]
+    return doc
+
+
+# A leaf element: empty, or holding text alone.
+_LEAF_RE = re.compile(r"<(\w+)[^<>]*/>|<(\w+)[^<>]*>[^<>]*</\2>")
+# Children the emitter never writes, some of them unsupported.
+_FOREIGN = (
+    "<select>i : int[0,1]</select>",
+    "<parameter>int x</parameter>",
+    "<committed/>",
+    "<urgent/>",
+    '<label kind="invariant">ck&lt;=1</label>',
+    '<label kind="comments">note</label>',
+    '<label kind="select">i : int[0,1]</label>',
+    '<label kind="guard">start==1</label>',
+    '<label kind="synchronisation">tock?</label>',
+    '<label kind="assignment">start:=1</label>',
+)
+
+
+def edit_elements(doc, rng):
+    """``doc`` after 1-2 seeded element edits, each inserted before a
+    ``<``: delete a leaf element, copy one, or add a foreign one."""
+    for _ in range(rng.randint(1, 2)):
+        op = rng.randrange(3)  # 0 delete, 1 copy, 2 foreign
+        leaf = _LEAF_RE.search(doc, rng.randrange(len(doc)))
+        if op == 0:
+            if leaf is not None:
+                doc = doc[:leaf.start()] + doc[leaf.end():]
+            continue
+        chunk = rng.choice(_FOREIGN) if op == 2 or leaf is None else leaf.group(0)
+        k = max(doc.find("<", rng.randrange(len(doc))), 0)
+        doc = doc[:k] + chunk + doc[k:]
+    return doc
+
+
+def edited_documents(docs, count, seed, edit):
+    rng = random.Random(seed)
+    return [edit(rng.choice(docs), rng) for _ in range(count)]
+
+
 def test_edited_fixture_documents_load_or_raise_xml_load_error():
     # Seeded 1-4 character edits: whatever a damaged file holds, the
     # loader answers with a network or an XmlLoadError, never a crash.
-    docs = [emit(assemble(parse_file(str(path)))) for path in sorted(FIXTURES.glob("*.tcsp"))]
-    assert len(docs) == 5
-    rng = random.Random(1)
-    alphabet = "<>/=\"';:|!?&()+-_ \n0123456789abcdesxyz"
     loaded = 0
-    for _ in range(2000):
-        doc = rng.choice(docs)
-        for _ in range(rng.randint(1, 4)):
-            i = rng.randrange(len(doc))
-            op = rng.randrange(3)  # 0 replace, 1 delete, 2 insert
-            ch = "" if op == 1 else rng.choice(alphabet)
-            doc = doc[:i] + ch + doc[i + (op != 2):]
+    for doc in edited_documents(fixture_documents(), 2000, 1, edit_characters):
         try:
             load(doc)
             loaded += 1
         except XmlLoadError:
             pass
     assert 0 < loaded < 2000
+
+
+def load_outcome(doc):
+    """The loaded network's repr, or the error text; expat's wording of a
+    malformed document varies between versions, so only its prefix counts."""
+    try:
+        return repr(load(doc))
+    except XmlLoadError as exc:
+        head, found, _ = str(exc).partition("malformed XML")
+        return head + found
+
+
+# The SHA-256 of ``load_outcome`` over seeded edits of the fixture, corpus
+# and large-shape documents, one line each.  It pins what the loader
+# accepts, what it builds and the text of each rejection: a rewrite of the
+# loader must leave it as it is.
+LOAD_OUTCOMES_DIGEST = "482c38fca480ecff4049d467e7f7677efae1ef3bba2d5a94a83bd85aec899f89"
+
+
+def test_load_outcomes_of_edited_documents_are_pinned():
+    fixtures = fixture_documents()
+    corpus = [emit(assemble(entry.spec)) for entry in generate_corpus()]
+    large = [emit(assemble(spec)) for spec in large_shape_specs()]
+    docs = (
+        edited_documents(fixtures, 2000, 1, edit_characters)
+        + edited_documents(fixtures, 400, 2, edit_elements)
+        + edited_documents(corpus, 300, 3, edit_characters)
+        + edited_documents(corpus, 300, 4, edit_elements)
+        + edited_documents(large, 20, 5, edit_characters)
+        + edited_documents(large, 20, 6, edit_elements)
+    )
+    outcomes = "".join(load_outcome(doc) + "\n" for doc in docs)
+    assert hashlib.sha256(outcomes.encode("utf-8")).hexdigest() == LOAD_OUTCOMES_DIGEST
+
+
+def test_undefined_entities_in_labels_are_load_errors():
+    # Under the emitted PUBLIC doctype an undefined entity is still an
+    # error, never a label that silently loses the reference.
+    doc = emit(assemble(Stop()))
+    assert doc.count("<!DOCTYPE nta PUBLIC") == 1
+    with pytest.raises(XmlLoadError, match="malformed XML"):
+        load(doc.replace('<label kind="guard">start==0</label>', '<label kind="guard">start&foo;==0</label>', 1))
 
 
 def test_kinds_recovered_from_names_without_metadata_comment():
