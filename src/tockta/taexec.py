@@ -22,16 +22,17 @@ coordinating channels can additionally be erased, which is the view
 compared against the source process semantics.
 
 The searches of :mod:`lts` run over dense integer ids, one per
-configuration met; only what the API returns maps them back.  Each step
-object and each step's effect (automata moves, clock and integer updates)
-is built once per runtime.  A configuration's moves still come from
-``enabled_steps`` and ``apply_step`` looked up by module name.
+configuration met; only what the API returns maps them back.  Each edge
+is compiled once per runtime into its part of a move (automaton, edge,
+target, clock and integer updates); the searches fire those parts
+directly, and step objects are built only for callers of the public API.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -125,12 +126,12 @@ class _Runtime:
 
         # caps[slot] = the largest threshold of an atom on that clock, 0 if none.
         caps = [0] * self.n_clocks
-        # edges[ai][ei] = (source, target, clock updates, int updates).
+        # edges[ai][ei] = (source, part), where the edge's part of a move is
+        # (ai, ei, target, clock updates, int updates).
         self.edges: list[tuple[tuple, ...]] = []
         # locs[ai][location] = (kind, invariant, silent and send edges,
         # channel -> receive edges).  Each edge there is (clock tests, int
-        # tests, channel or None, step): the step is Silent(ai, ei) for a
-        # silent edge, (ai, ei) otherwise.  The clock tests include the
+        # tests, channel or None, part).  The clock tests include the
         # target's invariant on every clock the edge does not reset.
         self.locs: list[dict[str, tuple]] = []
         receivers: dict[str, set[int]] = {}
@@ -164,7 +165,8 @@ class _Runtime:
                         clock_updates[self._clock_slot(ai, upd.target)] = upd.value
                     else:
                         int_updates.append((self.var_pos[upd.target], upd.value))
-                resolved.append((edge.source, edge.target, tuple(clock_updates.items()), tuple(int_updates)))
+                part = (ai, ei, edge.target, tuple(clock_updates.items()), tuple(int_updates))
+                resolved.append((edge.source, part))
                 # A test on a clock the edge resets is decided here, once.
                 fires = True
                 for slot, holds, const in invs[edge.target]:
@@ -175,8 +177,7 @@ class _Runtime:
                 if not fires:
                     continue
                 channel = edge.sync.channel if edge.sync else None
-                step = Silent(ai, ei) if channel is None else (ai, ei)
-                entry = (tuple(clock_tests), tuple(int_tests), channel, step)
+                entry = (tuple(clock_tests), tuple(int_tests), channel, part)
                 if channel is not None and edge.sync.direction == "receive":
                     receive[edge.source].setdefault(channel, []).append(entry)
                     receivers.setdefault(channel, set()).add(ai)
@@ -196,9 +197,6 @@ class _Runtime:
             )
         self.receivers = {channel: tuple(sorted(autos)) for channel, autos in receivers.items()}
         self.clock_caps = tuple(caps)
-        self.binary = cache(Binary)
-        self.broadcast = cache(Broadcast)
-        self.effects: dict = {}  # step -> (moves, clock updates, int updates)
         # configs[i] is the configuration with id i; moves[i] its moves, or None.
         self.ids: dict[Configuration, int] = {}
         self.configs: list[Configuration] = []
@@ -219,46 +217,30 @@ class _Runtime:
             self.moves.append(None)
         return index
 
-    def effect(self, step) -> tuple:
-        """``step``'s ((automaton, source, target), ...), clock updates and
-        int updates, compiled on first use."""
-        out = self.effects.get(step)
-        if out is None:
-            if isinstance(step, Silent):
-                parts = ((step.automaton, step.edge),)
-            elif isinstance(step, Binary):
-                parts = ((step.sender, step.sender_edge), (step.receiver, step.receiver_edge))
-            else:
-                parts = ((step.sender, step.sender_edge),) + step.receivers
-            moves, clocks, ints = [], {}, {}
-            for ai, ei in parts:
-                source, target, clock_updates, int_updates = self.edges[ai][ei]
-                moves.append((ai, source, target))
-                clocks.update(clock_updates)
-                ints.update(int_updates)
-            out = self.effects[step] = (tuple(moves), tuple(clocks.items()), tuple(ints.items()))
-        return out
-
     def successors(self, state: int) -> tuple:
-        """Steps as labelled moves between ids: a binary or broadcast step
-        carries its channel name, silent edges and time ticks are internal.
+        """Moves between ids: a binary or broadcast move is labelled with
+        its channel name, silent edges and time ticks are internal.
 
         The moves of each configuration are computed once for the life of
         the runtime and shared by every search over its network; the ids
-        that let time pass are collected in ``ticking``.  A miss looks ``enabled_steps`` and ``apply_step`` up by their
-        module names, so a wrapper patched in their place sees every call.
+        that let time pass are collected in ``ticking``.  A miss calls
+        ``enabled_steps`` by its module name, so a wrapper patched in its
+        place sees every call, and fires each compiled move directly.
         """
         out = self.moves[state]
         if out is None:
-            net, cfg = self.net, self.configs[state]
-            out = []
-            for step in enabled_steps(net, cfg):
-                if isinstance(step, TimeTick):
-                    self.ticking.add(state)
-                succ = apply_step(net, cfg, step)
-                if succ.clocks is not cfg.clocks:
-                    succ = _normalise(self, succ)
-                out.append((getattr(step, "channel", None), self.intern(succ)))
+            cfg = self.configs[state]
+            steps = enabled_steps(self.net, cfg)
+            # No guard or invariant tells apart a clock's values at or beyond
+            # its cap, now or after any delay, so capping each clock there
+            # loses nothing and keeps the configuration space finite.
+            caps = self.clock_caps
+            out = [(label, self.intern(_fire(cfg, parts, caps))) for label, parts in steps.moves]
+            if steps.tick:
+                self.ticking.add(state)
+                # every interned clock is at or below its cap already
+                clocks = tuple([v + 1 if v < cap else v for v, cap in zip(cfg.clocks, caps)])
+                out.append((None, self.intern(Configuration(cfg.locations, cfg.ints, clocks))))
             out = self.moves[state] = tuple(out)
         return out
 
@@ -291,15 +273,52 @@ def _guard_holds(
     return True
 
 
-def enabled_steps(net: NetworkModel, cfg: Configuration) -> frozenset:
-    """All steps legal from ``cfg``; a pure function of its arguments."""
+class _Steps(Set):
+    """The steps legal from one configuration, as a read-only set.
+
+    It holds the compiled moves, ``(label, parts)`` with one part per edge
+    that fires, and whether time may pass.  The step objects are built
+    only when it is read as a set, and it equals their frozenset."""
+
+    _from_iterable = frozenset  # what a set operation on it returns
+
+    def __init__(self, moves: list, tick: bool, modes: dict):
+        self.moves, self.tick, self._modes = moves, tick, modes
+
+    @cached_property
+    def _steps(self) -> frozenset:
+        steps = [_TICK] * self.tick
+        for label, ((ai, ei, *_), *rest) in self.moves:
+            if label is None:
+                steps.append(Silent(ai, ei))
+            elif self._modes.get(label) == "broadcast":
+                steps.append(Broadcast(label, ai, ei, tuple((aj, ej) for aj, ej, *_ in rest)))
+            else:
+                steps.append(Binary(label, ai, ei, *rest[0][:2]))
+        return frozenset(steps)
+
+    def __contains__(self, step) -> bool:
+        return step in self._steps
+
+    def __iter__(self):
+        return iter(self._steps)
+
+    def __len__(self) -> int:
+        return len(self.moves) + self.tick
+
+    def __hash__(self) -> int:
+        return hash(self._steps)
+
+
+def enabled_steps(net: NetworkModel, cfg: Configuration) -> Set:
+    """All steps legal from ``cfg``, as a read-only set; a pure function of its arguments."""
     rt = _runtime(net)
     locations, ints, clocks = cfg
     committed = set()
     urgent_loc = False
     invariants: list[_ClockTest] = []
-    steps: list = []
-    senders: dict[str, list[tuple[int, int]]] = {}
+    moves: list = []
+    senders: dict[str, list[tuple]] = {}
     for ai, loc in enumerate(locations):
         kind, inv, local, _ = rt.locs[ai][loc]
         if kind is _COMMITTED:
@@ -308,85 +327,86 @@ def enabled_steps(net: NetworkModel, cfg: Configuration) -> frozenset:
             urgent_loc = True
         if inv:
             invariants.extend(inv)
-        for clock_tests, int_tests, channel, step in local:
+        for clock_tests, int_tests, channel, part in local:
             if (clock_tests or int_tests) and not _guard_holds(clock_tests, int_tests, clocks, ints):
                 continue
             if channel is None:
-                steps.append(step)
+                moves.append((None, (part,)))
             else:
-                senders.setdefault(channel, []).append(step)
+                senders.setdefault(channel, []).append(part)
 
     # A receive edge only matters on a channel with an enabled sender.
     urgent_pair = False
     for channel, sends in senders.items():
         receives = [
-            receiver
+            part
             for rj in rt.receivers.get(channel, ())
-            for clock_tests, int_tests, _, receiver in rt.locs[rj][locations[rj]][3].get(channel, ())
+            for clock_tests, int_tests, _, part in rt.locs[rj][locations[rj]][3].get(channel, ())
             if not (clock_tests or int_tests) or _guard_holds(clock_tests, int_tests, clocks, ints)
         ]
         mode = rt.channel_mode.get(channel, "binary")
-        if mode == "broadcast":
-            for ai, ei in sends:
-                by_auto: dict[int, list[int]] = {}
-                for rj, re in receives:
-                    if rj != ai:
-                        by_auto.setdefault(rj, []).append(re)
-                autos = sorted(by_auto)
-                for combo in product(*(by_auto[a] for a in autos)):
-                    steps.append(rt.broadcast(channel, ai, ei, tuple(zip(autos, combo))))
-        else:
-            for ai, ei in sends:
-                for rj, re in receives:
-                    if rj != ai:
-                        steps.append(rt.binary(channel, ai, ei, rj, re))
-                        if mode == "urgent-binary":
-                            urgent_pair = True
+        for send in sends:
+            others = [receive for receive in receives if receive[0] != send[0]]
+            if mode == "broadcast":
+                by_auto: dict[int, list[tuple]] = {}
+                for receive in others:
+                    by_auto.setdefault(receive[0], []).append(receive)
+                moves += [(channel, (send, *combo)) for combo in product(*(by_auto[a] for a in sorted(by_auto)))]
+            else:
+                moves += [(channel, (send, receive)) for receive in others]
+                urgent_pair = urgent_pair or (mode == "urgent-binary" and bool(others))
 
     if committed:
-        steps = [s for s in steps if any(move[0] in committed for move in rt.effect(s)[0])]
-    elif not urgent_loc and not urgent_pair:
-        if all(holds(clocks[slot] + 1, const) for slot, holds, const in invariants):
-            steps.append(_TICK)
-    return frozenset(steps)
+        moves = [move for move in moves if any(part[0] in committed for part in move[1])]
+    tick = not (committed or urgent_loc or urgent_pair) and all(
+        holds(clocks[slot] + 1, const) for slot, holds, const in invariants
+    )
+    return _Steps(moves, tick, rt.channel_mode)
 
 
 def apply_step(net: NetworkModel, cfg: Configuration, step) -> Configuration:
     """Advance the configuration; ``step`` must come from enabled_steps."""
-    locations, ints, clocks = cfg
     if isinstance(step, TimeTick):
-        return Configuration(locations, ints, tuple([v + 1 for v in clocks]))
-    moves, clock_updates, int_updates = _runtime(net).effect(step)
+        return cfg._replace(clocks=tuple([v + 1 for v in cfg.clocks]))
+    if isinstance(step, Silent):
+        pairs = ((step.automaton, step.edge),)
+    elif isinstance(step, Binary):
+        pairs = ((step.sender, step.sender_edge), (step.receiver, step.receiver_edge))
+    else:
+        pairs = ((step.sender, step.sender_edge), *step.receivers)
+    rt = _runtime(net)
+    edges = [rt.edges[ai][ei] for ai, ei in pairs]
+    if any(cfg.locations[part[0]] != source for source, part in edges):
+        # not an assert: under -O the step would be applied anyway
+        raise AssertionError("step not enabled in this configuration")
+    return _fire(cfg, [part for _, part in edges])
+
+
+def _fire(cfg: Configuration, parts, caps: tuple[int, ...] | None = None) -> Configuration:
+    """``cfg`` after the edges of ``parts`` fire together, each clock they
+    assign capped at ``caps`` if given."""
+    locations, ints, clocks = cfg
     locations = list(locations)
-    for ai, source, target in moves:
-        if locations[ai] != source:
-            # not an assert: under -O the step would be applied anyway
-            raise AssertionError("step not enabled in this configuration")
+    new_ints = new_clocks = None
+    for ai, _, target, clock_updates, int_updates in parts:
         locations[ai] = target
-    return Configuration(tuple(locations), _updated(ints, int_updates), _updated(clocks, clock_updates))
-
-
-def _updated(values: tuple[int, ...], updates: tuple) -> tuple[int, ...]:
-    if not updates:
-        return values
-    values = list(values)
-    for slot, value in updates:
-        values[slot] = value
-    return tuple(values)
-
-
-def _normalise(rt: _Runtime, cfg: Configuration) -> Configuration:
-    # No guard or invariant tells apart a clock's values at or beyond its
-    # cap, now or after any delay, so capping each clock there loses nothing
-    # and keeps the reachable configuration space finite.
-    clocks = tuple(map(min, cfg.clocks, rt.clock_caps))
-    if clocks == cfg.clocks:
-        return cfg
-    return Configuration(cfg.locations, cfg.ints, clocks)
+        if int_updates:
+            new_ints = new_ints or list(ints)
+            for slot, value in int_updates:
+                new_ints[slot] = value
+        if clock_updates:
+            new_clocks = new_clocks or list(clocks)
+            for slot, value in clock_updates:
+                new_clocks[slot] = value if caps is None else min(value, caps[slot])
+    return Configuration(
+        tuple(locations),
+        ints if new_ints is None else tuple(new_ints),
+        clocks if new_clocks is None else tuple(new_clocks),
+    )
 
 
 def _start(rt: _Runtime) -> int:
-    return rt.intern(_normalise(rt, initial_configuration(rt.net)))
+    return rt.intern(initial_configuration(rt.net))  # every clock 0, within its cap
 
 
 def raw_network_traces(

@@ -45,7 +45,7 @@ _DOCTYPE = (
 )
 
 _KIND_COMMENT = "tockta-channel-kinds"
-# A channel name as the declaration grammar reads it.
+# A channel, variable or clock name as the declaration grammar reads it.
 _WORD_RE = re.compile(r"\w+")
 
 
@@ -83,11 +83,20 @@ def emit(net: NetworkModel) -> str:
     """Serialise a validated network to UPPAAL flat XML text.
 
     Raises ``ValueError`` for a name that ``load`` could not read back: a
-    channel name that is not a word, or an environment name holding
-    ``--``, which would end the kinds comment early."""
-    for decl in net.channels:
-        if not _WORD_RE.fullmatch(decl.name):
-            raise ValueError(f"channel name {decl.name!r} is not a word (letters, digits, underscores)")
+    channel, integer variable or clock name that is not a word, an
+    automaton name that is empty or has surrounding whitespace (``load``
+    strips it), or an environment name holding ``--``, which would end the
+    kinds comment early."""
+    words = [("channel", decl.name) for decl in net.channels]
+    words += [("integer variable", name) for name, _ in net.int_vars]
+    words += [("clock", name) for name in net.global_clocks]
+    words += [("clock", name) for ta in net.automata for name in ta.clocks]
+    for what, name in words:
+        if not _WORD_RE.fullmatch(name):
+            raise ValueError(f"{what} name {name!r} is not a word (letters, digits, underscores)")
+    for ta in net.automata:
+        if not ta.name or ta.name != ta.name.strip():
+            raise ValueError(f"automaton name {ta.name!r} is empty or has surrounding whitespace")
     env_name = net.automata[net.environment_index].name if 0 <= net.environment_index < len(net.automata) else ""
     if "--" in env_name:
         raise ValueError(f"environment name {env_name!r} holds '--', which an XML comment cannot")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import cache
 from itertools import product
 from operator import eq, ge, gt, le, lt
@@ -573,12 +574,62 @@ def reference_networks():
 
 
 def test_indexed_enabled_steps_equal_the_unindexed_reference():
+    # enabled_steps returns a lazy view; it must read as the frozenset of
+    # the reference's steps under every operation of a set.
     checked = 0
     for net, configurations in reference_networks():
         for cfg in configurations:
-            assert enabled_steps(net, cfg) == reference_enabled_steps(net, cfg), cfg
+            steps, reference = enabled_steps(net, cfg), reference_enabled_steps(net, cfg)
+            assert steps == reference and reference == steps, cfg
+            assert not (steps != reference or reference != steps)
+            assert hash(steps) == hash(reference)
+            assert len(steps) == len(reference)
+            assert Counter(steps) == Counter(reference)
+            assert all(step in steps for step in reference)
+            assert (TimeTick() in steps) == (TimeTick() in reference)
+            assert steps & reference == reference and steps - reference == frozenset()
             checked += 1
     assert checked > 4000
+
+
+def _over_assigning_network():
+    """A clock assigned 3 where no atom tells apart values from 1 on."""
+    ta = TimedAutomaton(
+        "A",
+        (Location("s0", "s0"), Location("s1", "s1")),
+        "s0",
+        ("x",),
+        (
+            Edge("s0", "s1", updates=(Assignment("x", 3),)),
+            Edge("s1", "s0", GuardExpr((ClockAtom("x", ">=", 1),))),
+        ),
+    )
+    return NetworkModel((ta,), (), (), (), 0)
+
+
+def test_compiled_moves_equal_the_reference_steps_applied_and_capped():
+    # The searches never build a step: successors fires compiled moves and
+    # caps clocks inline, and must still agree with the step-by-step
+    # reference; apply_step, for callers of the API, caps nothing.
+    over = _over_assigning_network()
+    assert taexec._runtime(over).clock_caps == (1,)
+    assert apply_step(over, initial_configuration(over), Silent(0, 0)).clocks == (3,)
+    moves = 0
+    for net, configurations in [*reference_networks(), (over, every_reachable_configuration(over))]:
+        rt = taexec._runtime(net)
+        for cfg in configurations:
+            state = rt.intern(cfg)
+            found = Counter((label, rt.configs[succ]) for label, succ in rt.successors(state))
+            expected = Counter()
+            reference = reference_enabled_steps(net, cfg)
+            for step in reference:
+                succ = reference_apply_step(net, cfg, step)
+                succ = succ._replace(clocks=tuple(map(min, succ.clocks, rt.clock_caps)))
+                expected[(getattr(step, "channel", None), succ)] += 1
+            assert found == expected, cfg
+            assert (state in rt.ticking) == (TimeTick() in reference), cfg
+            moves += len(reference)
+    assert moves > 10000
 
 
 def test_compiled_step_effects_equal_the_edge_by_edge_reference():

@@ -126,6 +126,40 @@ def test_names_the_loader_cannot_read_back_are_refused(environment, channel, mes
         emit(net)
 
 
+def _first_automaton(net, **changes):
+    return replace(net, automata=(replace(net.automata[0], **changes), *net.automata[1:]))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda net: replace(net, int_vars=(*net.int_vars, ("x-y", 0))), "integer variable name 'x-y'"),
+        (lambda net: replace(net, global_clocks=("g-h",)), "clock name 'g-h'"),
+        (lambda net: _first_automaton(net, clocks=("c-d",)), "clock name 'c-d'"),
+        (lambda net: _first_automaton(net, name=" TA "), "automaton name ' TA '"),
+        (lambda net: _first_automaton(net, name=""), "automaton name ''"),
+    ],
+    ids=["int-variable", "global-clock", "local-clock", "padded-automaton", "empty-automaton"],
+)
+def test_declared_names_the_loader_cannot_read_back_are_refused(edit, message):
+    # Written out, each of these is rejected by load, or (the padded name)
+    # stripped by it, so the network would come back unequal.
+    net = edit(assemble(parse("P = a -> STOP")))
+    assert validate(net) == []
+    with pytest.raises(ValueError, match=re.escape(message)):
+        emit(net)
+
+
+def test_names_that_are_not_identifiers_but_round_trip_are_kept():
+    # A digit-led variable and an automaton name with inner spaces or
+    # punctuation load back unchanged, so emit must not refuse them.
+    net = assemble(parse("P = a -> STOP"))
+    net = replace(net, int_vars=(*net.int_vars, ("1x", 0)))
+    for name in ("T A", "T,A", "T<A"):
+        renamed_net = _first_automaton(net, name=name)
+        assert load(emit(renamed_net)) == renamed_net
+
+
 def test_an_environment_name_ending_in_a_hyphen_round_trips():
     # The kinds comment puts a space between the name and its closing -->.
     net = renamed(assemble(parse("P = a -> STOP")), environment="Env-")
