@@ -71,6 +71,8 @@ class _Graph:
 
     def reachable(self, start, depth: int, hidden: frozenset) -> frozenset:
         """Level by level on the fewest visible moves."""
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
         seen: set = set()
         frontier = {start}
         for _ in range(depth + 1):
@@ -129,9 +131,6 @@ class TraceSet:
 
     def __hash__(self) -> int:
         return hash((self.traces, self.depth))
-
-    def __contains__(self, trace: tuple[str, ...]) -> bool:
-        return tuple(trace) in self.traces
 
     def __len__(self) -> int:
         """The number of paths from the root, counted level by level; the

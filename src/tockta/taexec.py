@@ -4,7 +4,7 @@ Semantics: unit time ticks increment every clock by one; a binary channel
 pairs one enabled sender with one enabled receiver; a broadcast fires from
 an enabled sender alone and takes every automaton whose matching receive
 edge is enabled at that moment (possibly none).  If any automaton sits in
-a committed location, only steps involving a committed automaton may
+a committed location, only moves involving a committed automaton may
 fire, and time may not pass.  Time also may not pass while an urgent
 location is occupied or an urgent channel has a matched enabled pair.
 
@@ -17,22 +17,20 @@ which on every atom on that clock holds alike, now and after any delay
 clock ``ck`` is tested only by ``ck>=1``, so it takes the values 0 and 1.
 
 Network traces record one entry (the channel name) per binary or
-broadcast step; silent edges and time ticks are unrecorded.  The
+broadcast move; silent edges and time ticks are unrecorded.  The
 coordinating channels can additionally be erased, which is the view
 compared against the source process semantics.
 
 The searches of :mod:`lts` run over dense integer ids, one per
 configuration met; only what the API returns maps them back.  Each edge
 is compiled once per runtime into its part of a move (automaton, edge,
-target, clock and integer updates); the searches fire those parts
-directly, and step objects are built only for callers of the public API.
+target, clock and integer updates); a move is ``(label, parts)``, and the
+searches fire its parts directly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Set
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -42,10 +40,6 @@ from .tamodel import _RELATIONS, ClockAtom, LocationKind, NetworkModel, erasure_
 
 __all__ = [
     "Configuration",
-    "TimeTick",
-    "Silent",
-    "Binary",
-    "Broadcast",
     "initial_configuration",
     "enabled_steps",
     "apply_step",
@@ -64,35 +58,6 @@ class Configuration(NamedTuple):
     clocks: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class TimeTick:
-    """One unit delay: every clock advances by 1, nobody moves."""
-
-
-@dataclass(frozen=True, slots=True)
-class Silent:
-    automaton: int
-    edge: int
-
-
-@dataclass(frozen=True, slots=True)
-class Binary:
-    channel: str
-    sender: int
-    sender_edge: int
-    receiver: int
-    receiver_edge: int
-
-
-@dataclass(frozen=True, slots=True)
-class Broadcast:
-    channel: str
-    sender: int
-    sender_edge: int
-    receivers: tuple[tuple[int, int], ...]  # (automaton, edge), ascending
-
-
-_TICK = TimeTick()
 _COMMITTED, _URGENT = LocationKind.COMMITTED, LocationKind.URGENT
 
 #: A resolved clock atom: (clock slot, comparison, constant).
@@ -230,13 +195,13 @@ class _Runtime:
         out = self.moves[state]
         if out is None:
             cfg = self.configs[state]
-            steps = enabled_steps(self.net, cfg)
+            moves, tick = enabled_steps(self.net, cfg)
             # No guard or invariant tells apart a clock's values at or beyond
             # its cap, now or after any delay, so capping each clock there
             # loses nothing and keeps the configuration space finite.
             caps = self.clock_caps
-            out = [(label, self.intern(_fire(cfg, parts, caps))) for label, parts in steps.moves]
-            if steps.tick:
+            out = [(label, self.intern(_fire(cfg, parts, caps))) for label, parts in moves]
+            if tick:
                 self.ticking.add(state)
                 # every interned clock is at or below its cap already
                 clocks = tuple([v + 1 if v < cap else v for v, cap in zip(cfg.clocks, caps)])
@@ -273,45 +238,12 @@ def _guard_holds(
     return True
 
 
-class _Steps(Set):
-    """The steps legal from one configuration, as a read-only set.
-
-    It holds the compiled moves, ``(label, parts)`` with one part per edge
-    that fires, and whether time may pass.  The step objects are built
-    only when it is read as a set, and it equals their frozenset."""
-
-    _from_iterable = frozenset  # what a set operation on it returns
-
-    def __init__(self, moves: list, tick: bool, modes: dict):
-        self.moves, self.tick, self._modes = moves, tick, modes
-
-    @cached_property
-    def _steps(self) -> frozenset:
-        steps = [_TICK] * self.tick
-        for label, ((ai, ei, *_), *rest) in self.moves:
-            if label is None:
-                steps.append(Silent(ai, ei))
-            elif self._modes.get(label) == "broadcast":
-                steps.append(Broadcast(label, ai, ei, tuple((aj, ej) for aj, ej, *_ in rest)))
-            else:
-                steps.append(Binary(label, ai, ei, *rest[0][:2]))
-        return frozenset(steps)
-
-    def __contains__(self, step) -> bool:
-        return step in self._steps
-
-    def __iter__(self):
-        return iter(self._steps)
-
-    def __len__(self) -> int:
-        return len(self.moves) + self.tick
-
-    def __hash__(self) -> int:
-        return hash(self._steps)
-
-
-def enabled_steps(net: NetworkModel, cfg: Configuration) -> Set:
-    """All steps legal from ``cfg``, as a read-only set; a pure function of its arguments."""
+def enabled_steps(net: NetworkModel, cfg: Configuration) -> tuple[list, bool]:
+    """The moves legal from ``cfg`` and whether time may pass, as
+    ``(moves, tick)``; a pure function of its arguments.  Each move is
+    ``(label, parts)``: the channel name, or None for a silent edge, and
+    one part ``(automaton, edge, target, clock updates, int updates)`` per
+    edge that fires, the sender's first."""
     rt = _runtime(net)
     locations, ints, clocks = cfg
     committed = set()
@@ -361,25 +293,20 @@ def enabled_steps(net: NetworkModel, cfg: Configuration) -> Set:
     tick = not (committed or urgent_loc or urgent_pair) and all(
         holds(clocks[slot] + 1, const) for slot, holds, const in invariants
     )
-    return _Steps(moves, tick, rt.channel_mode)
+    return moves, tick
 
 
-def apply_step(net: NetworkModel, cfg: Configuration, step) -> Configuration:
-    """Advance the configuration; ``step`` must come from enabled_steps."""
-    if isinstance(step, TimeTick):
+def apply_step(net: NetworkModel, cfg: Configuration, move) -> Configuration:
+    """``cfg`` after ``move``, one of the moves of ``enabled_steps``, fires,
+    or after one time unit if ``move`` is None.  No clock is capped."""
+    if move is None:
         return cfg._replace(clocks=tuple([v + 1 for v in cfg.clocks]))
-    if isinstance(step, Silent):
-        pairs = ((step.automaton, step.edge),)
-    elif isinstance(step, Binary):
-        pairs = ((step.sender, step.sender_edge), (step.receiver, step.receiver_edge))
-    else:
-        pairs = ((step.sender, step.sender_edge), *step.receivers)
     rt = _runtime(net)
-    edges = [rt.edges[ai][ei] for ai, ei in pairs]
-    if any(cfg.locations[part[0]] != source for source, part in edges):
-        # not an assert: under -O the step would be applied anyway
-        raise AssertionError("step not enabled in this configuration")
-    return _fire(cfg, [part for _, part in edges])
+    _, parts = move
+    if any(cfg.locations[ai] != rt.edges[ai][ei][0] for ai, ei, *_ in parts):
+        # not an assert: under -O the move would be fired anyway
+        raise AssertionError("move not enabled in this configuration")
+    return _fire(cfg, parts)
 
 
 def _fire(cfg: Configuration, parts, caps: tuple[int, ...] | None = None) -> Configuration:
@@ -434,7 +361,7 @@ def timelock_witnesses(
     net: NetworkModel, *, observable_depth: int = 4, state_cap: int = 500_000
 ) -> list[Configuration]:
     """Configurations reachable within ``observable_depth`` recorded
-    non-coordinating actions from which no step sequence at all re-enables
+    non-coordinating actions from which no sequence of moves re-enables
     the passage of time.  Empty on a healthy translation."""
     rt = _runtime(net)
     stuck = cannot_reach(

@@ -218,8 +218,9 @@ def _parse_declaration(text: str):
             int_vars.append((m.group(1), int(m.group(2) or 0)))
             continue
         m = _CLOCK_RE.match(line)
-        if m:
-            clocks.extend(c.strip() for c in m.group(1).split(",") if c.strip())
+        names = [c.strip() for c in m.group(1).split(",")] if m else ()
+        if names and all(map(_WORD_RE.fullmatch, names)):
+            clocks.extend(names)
             continue
         raise XmlLoadError(f"unsupported declaration {line!r}")
     return channels, int_vars, clocks

@@ -122,9 +122,9 @@ def test_timed_movement_example():
     spec = parse("Pt = move -> tock -> tock -> turn -> SKIP")
     got = csp_traces(spec, 4)
     assert got.traces == brute_traces(spec, 4)
-    assert ("move", "tock", "tock", "turn") in got
-    assert ("tock", "move", "tock", "tock") in got
-    assert ("move", "tock", "turn") not in got
+    assert ("move", "tock", "tock", "turn") in got.traces
+    assert ("tock", "move", "tock", "tock") in got.traces
+    assert ("move", "tock", "turn") not in got.traces
 
 
 def initials(p, defs) -> frozenset[str]:
@@ -177,7 +177,7 @@ def test_prefix_closure_and_monotonicity_and_time_liveness():
     for entry in generate_corpus()[::7]:
         smaller = csp_traces(entry.spec, 3)
         bigger = csp_traces(entry.spec, 4)
-        assert all(trace[:-1] in smaller for trace in smaller.traces if trace)
+        assert all(trace[:-1] in smaller.traces for trace in smaller.traces if trace)
         assert smaller.traces <= bigger.traces
         # while within depth, every trace extends by one tock
         for trace in smaller.traces:

@@ -31,10 +31,6 @@ from tockta.tamodel import (
     erasure_set,
 )
 from tockta.taexec import (
-    Binary,
-    Broadcast,
-    Silent,
-    TimeTick,
     apply_step,
     enabled_steps,
     initial_configuration,
@@ -73,25 +69,31 @@ THREE_CYCLES = interleaved_cycles(3)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def spelled(move):
+    """A move as ``(label, ((automaton, edge), ...))``, the sender first."""
+    label, parts = move
+    return label, tuple((ai, ei) for ai, ei, *_ in parts)
+
+
+def spelled_steps(net, cfg):
+    moves, tick = enabled_steps(net, cfg)
+    return [spelled(move) for move in moves], tick
+
+
 def test_initial_steps_of_translated_stop_is_exactly_the_start():
     net = assemble(Stop())
-    cfg = initial_configuration(net)
-    steps = enabled_steps(net, cfg)
     # the urgent start pair outruns time, and tock needs ck>=1 anyway
-    assert steps == frozenset(
-        {Binary("startID0_0", sender=1, sender_edge=0, receiver=0, receiver_edge=0)}
-    )
+    assert spelled_steps(net, initial_configuration(net)) == ([("startID0_0", ((1, 0), (0, 0)))], False)
 
 
 def test_tock_broadcast_enabled_after_start_and_one_tick():
     net = assemble(Stop())
     cfg = initial_configuration(net)
-    (start,) = enabled_steps(net, cfg)
+    (start,), _ = enabled_steps(net, cfg)
     cfg = apply_step(net, cfg, start)
-    assert TimeTick() in enabled_steps(net, cfg)
-    cfg = apply_step(net, cfg, TimeTick())
-    broadcasts = [s for s in enabled_steps(net, cfg) if isinstance(s, Broadcast)]
-    assert broadcasts == [Broadcast("tock", sender=1, sender_edge=2, receivers=((0, 1),))]
+    assert enabled_steps(net, cfg)[1]
+    cfg = apply_step(net, cfg, None)
+    assert spelled_steps(net, cfg) == ([("tock", ((1, 2), (0, 1)))], True)
 
 
 def test_committed_location_blocks_unrelated_steps():
@@ -106,16 +108,15 @@ def test_committed_location_blocks_unrelated_steps():
         "I", (Location("s0", "s0"), Location("s1", "s1")), "s0", (), (Edge("s0", "s1"),)
     )
     net = NetworkModel((committed_ta, idle_ta), (), (), (), environment_index=0)
-    steps = enabled_steps(net, initial_configuration(net))
-    assert steps == frozenset({Silent(0, 0)})
+    assert spelled_steps(net, initial_configuration(net)) == ([(None, ((0, 0),))], False)
 
 
 def test_time_tick_increments_clocks_and_moves_nobody():
     net = assemble(Stop())
     cfg = initial_configuration(net)
-    (start,) = enabled_steps(net, cfg)
+    (start,), _ = enabled_steps(net, cfg)
     cfg = apply_step(net, cfg, start)
-    ticked = apply_step(net, cfg, TimeTick())
+    ticked = apply_step(net, cfg, None)
     assert ticked.locations == cfg.locations
     assert ticked.ints == cfg.ints
     assert ticked.clocks == tuple(v + 1 for v in cfg.clocks)
@@ -124,7 +125,7 @@ def test_time_tick_increments_clocks_and_moves_nobody():
 def test_start_edge_sets_the_restart_guard_variable():
     net = assemble(Stop())
     cfg = initial_configuration(net)
-    (start,) = enabled_steps(net, cfg)
+    (start,), _ = enabled_steps(net, cfg)
     after = apply_step(net, cfg, start)
     var_names = [name for name, _ in net.int_vars]
     assert after.ints[var_names.index("start")] == 1
@@ -138,8 +139,9 @@ def drive_until(net, cfg, predicate, limit=200):
         for state in frontier:
             if predicate(state):
                 return state
-            for step in enabled_steps(net, state):
-                succ = apply_step(net, state, step)
+            moves, tick = enabled_steps(net, state)
+            for move in moves + [None] * tick:
+                succ = apply_step(net, state, move)
                 if succ not in seen:
                     seen.add(succ)
                     nxt.append(succ)
@@ -157,19 +159,15 @@ def test_sync_broadcast_moves_both_participants_and_resets_readiness():
 
     cfg = drive_until(net, initial_configuration(net), both_ready)
     # the controller announces close, then releases the broadcast
-    close = next(
-        s for s in enabled_steps(net, cfg) if isinstance(s, Binary) and s.channel == "close"
-    )
+    (close,) = [m for m in enabled_steps(net, cfg)[0] if m[0] == "close"]
+    assert len(close[1]) == 2
     cfg = apply_step(net, cfg, close)
-    release = next(
-        s for s in enabled_steps(net, cfg)
-        if isinstance(s, Broadcast) and s.channel == "close___sync"
-    )
-    assert len(release.receivers) == 2
+    (release,) = [m for m in enabled_steps(net, cfg)[0] if m[0] == "close___sync"]
+    _, (_, *receivers) = spelled(release)
+    assert len(receivers) == 2
     after = apply_step(net, cfg, release)
     assert after.ints[gl] == 0 and after.ints[gr] == 0
-    moved = [i for i, _ in release.receivers]
-    for automaton in moved:
+    for automaton, _ in receivers:
         assert after.locations[automaton] != cfg.locations[automaton]
 
 
@@ -188,8 +186,7 @@ def test_broadcast_fires_with_zero_receivers():
         (),
         environment_index=0,
     )
-    steps = enabled_steps(net, initial_configuration(net))
-    assert Broadcast("shout", 0, 0, ()) in steps
+    assert ("shout", ((0, 0),)) in spelled_steps(net, initial_configuration(net))[0]
 
 
 def test_raw_traces_of_translated_stop():
@@ -250,7 +247,7 @@ def test_enabled_steps_is_a_pure_function():
 def test_step_outside_its_source_location_is_a_programming_error():
     net = assemble(Stop())
     cfg = initial_configuration(net)
-    (start,) = enabled_steps(net, cfg)
+    (start,), _ = enabled_steps(net, cfg)
     after = apply_step(net, cfg, start)
     with pytest.raises(AssertionError):
         apply_step(net, after, start)
@@ -262,13 +259,13 @@ from tockta.taexec import apply_step, enabled_steps, initial_configuration
 from tockta.translate import assemble
 net = assemble(Stop())
 cfg = initial_configuration(net)
-(start,) = enabled_steps(net, cfg)
+(start,), _ = enabled_steps(net, cfg)
 after = apply_step(net, cfg, start)
 try:
     apply_step(net, after, start)
 except AssertionError:
     raise SystemExit(0)
-raise SystemExit("applied a step that is not enabled")
+raise SystemExit("fired a move that is not enabled")
 """
 
 
@@ -308,6 +305,17 @@ def test_timelock_reports_a_dead_committed_location():
     net = _silent_chain([LocationKind.NORMAL], LocationKind.COMMITTED)
     (stuck,) = timelock_witnesses(net)
     assert stuck.locations == ("s1",)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [lambda net: timelock_witnesses(net, observable_depth=-1), lambda net: reachable_configurations(net, -1)],
+    ids=["timelock_witnesses", "reachable"],
+)
+def test_a_negative_depth_is_refused(search):
+    # reaching nothing, not even the start, would read as a healthy network
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        search(_silent_chain([LocationKind.NORMAL], LocationKind.COMMITTED))
 
 
 def test_timelock_follows_a_long_committed_chain_to_time():
@@ -389,9 +397,9 @@ def reference_slots(net):
 
 
 def reference_enabled_steps(net, cfg):
-    """``enabled_steps`` without indexes: every out-edge of every automaton
-    is tested, then each enabled sender is paired with every enabled
-    receiver on its channel."""
+    """``enabled_steps`` without indexes, its moves spelled: every out-edge
+    of every automaton is tested, then each enabled sender is paired with
+    every enabled receiver on its channel."""
     slot, var_pos = reference_slots(net)
 
     def all_hold(ai, atoms, clocks):
@@ -413,7 +421,7 @@ def reference_enabled_steps(net, cfg):
                 clocks[slot(ai, upd.target)] = upd.value
         return all_hold(ai, ta.location(edge.target).invariant, clocks)
 
-    steps, sends, receives, committed, urgent = [], {}, {}, set(), False
+    moves, sends, receives, committed, urgent = [], {}, {}, set(), False
     for ai, ta in enumerate(net.automata):
         kind = ta.location(cfg.locations[ai]).kind
         if kind is LocationKind.COMMITTED:
@@ -422,7 +430,7 @@ def reference_enabled_steps(net, cfg):
         for ei, edge in enumerate(ta.edges):
             if edge.source == cfg.locations[ai] and enabled(ai, ta, edge):
                 if edge.sync is None:
-                    steps.append(Silent(ai, ei))
+                    moves.append((None, ((ai, ei),)))
                 else:
                     side = sends if edge.sync.direction == "send" else receives
                     side.setdefault(edge.sync.channel, []).append((ai, ei))
@@ -432,44 +440,30 @@ def reference_enabled_steps(net, cfg):
             others = [(rj, re) for rj, re in receives.get(channel, ()) if rj != ai]
             if mode == "broadcast":
                 autos = sorted({rj for rj, _ in others})
-                choices = [[re for rj, re in others if rj == a] for a in autos]
-                steps += [Broadcast(channel, ai, ei, tuple(zip(autos, c))) for c in product(*choices)]
+                choices = [[(rj, re) for rj, re in others if rj == a] for a in autos]
+                moves += [(channel, ((ai, ei), *c)) for c in product(*choices)]
             else:
-                steps += [Binary(channel, ai, ei, rj, re) for rj, re in others]
+                moves += [(channel, ((ai, ei), (rj, re))) for rj, re in others]
                 urgent = urgent or (mode == "urgent-binary" and bool(others))
 
-    def involves(step):
-        if isinstance(step, Silent):
-            return {step.automaton}
-        if isinstance(step, Binary):
-            return {step.sender, step.receiver}
-        return {step.sender} | {a for a, _ in step.receivers}
-
     if committed:
-        return frozenset(s for s in steps if involves(s) & committed)
+        return [m for m in moves if any(a in committed for a, _ in m[1])], False
     ticked = [v + 1 for v in cfg.clocks]
-    if not urgent and all(
+    return moves, not urgent and all(
         all_hold(ai, ta.location(cfg.locations[ai]).invariant, ticked)
         for ai, ta in enumerate(net.automata)
-    ):
-        steps.append(TimeTick())
-    return frozenset(steps)
+    )
 
 
-def reference_apply_step(net, cfg, step):
-    """``apply_step`` without compiled effects: the step's edges are read
-    from ``net.automata`` and applied one after another."""
-    if isinstance(step, TimeTick):
+def reference_apply_step(net, cfg, move):
+    """``apply_step`` without compiled effects: the edges of a spelled move
+    are read from ``net.automata`` and applied one after another; None is
+    one time unit."""
+    if move is None:
         return cfg._replace(clocks=tuple(v + 1 for v in cfg.clocks))
-    if isinstance(step, Silent):
-        parts = [(step.automaton, step.edge)]
-    elif isinstance(step, Binary):
-        parts = [(step.sender, step.sender_edge), (step.receiver, step.receiver_edge)]
-    else:
-        parts = [(step.sender, step.sender_edge), *step.receivers]
     slot, var_pos = reference_slots(net)
     locations, ints, clocks = map(list, cfg)
-    for ai, ei in parts:
+    for ai, ei in move[1]:
         edge = net.automata[ai].edges[ei]
         assert locations[ai] == edge.source
         locations[ai] = edge.target
@@ -574,20 +568,13 @@ def reference_networks():
 
 
 def test_indexed_enabled_steps_equal_the_unindexed_reference():
-    # enabled_steps returns a lazy view; it must read as the frozenset of
-    # the reference's steps under every operation of a set.
+    # as multisets, so a move found twice fails too
     checked = 0
     for net, configurations in reference_networks():
         for cfg in configurations:
-            steps, reference = enabled_steps(net, cfg), reference_enabled_steps(net, cfg)
-            assert steps == reference and reference == steps, cfg
-            assert not (steps != reference or reference != steps)
-            assert hash(steps) == hash(reference)
-            assert len(steps) == len(reference)
-            assert Counter(steps) == Counter(reference)
-            assert all(step in steps for step in reference)
-            assert (TimeTick() in steps) == (TimeTick() in reference)
-            assert steps & reference == reference and steps - reference == frozenset()
+            moves, tick = spelled_steps(net, cfg)
+            reference, reference_tick = reference_enabled_steps(net, cfg)
+            assert Counter(moves) == Counter(reference) and tick == reference_tick, cfg
             checked += 1
     assert checked > 4000
 
@@ -608,12 +595,13 @@ def _over_assigning_network():
 
 
 def test_compiled_moves_equal_the_reference_steps_applied_and_capped():
-    # The searches never build a step: successors fires compiled moves and
-    # caps clocks inline, and must still agree with the step-by-step
-    # reference; apply_step, for callers of the API, caps nothing.
+    # successors fires compiled moves and caps clocks inline, and must
+    # agree with the move-by-move reference; apply_step caps nothing.
     over = _over_assigning_network()
     assert taexec._runtime(over).clock_caps == (1,)
-    assert apply_step(over, initial_configuration(over), Silent(0, 0)).clocks == (3,)
+    cfg = initial_configuration(over)
+    (assign,), _ = enabled_steps(over, cfg)
+    assert apply_step(over, cfg, assign).clocks == (3,)
     moves = 0
     for net, configurations in [*reference_networks(), (over, every_reachable_configuration(over))]:
         rt = taexec._runtime(net)
@@ -621,14 +609,14 @@ def test_compiled_moves_equal_the_reference_steps_applied_and_capped():
             state = rt.intern(cfg)
             found = Counter((label, rt.configs[succ]) for label, succ in rt.successors(state))
             expected = Counter()
-            reference = reference_enabled_steps(net, cfg)
-            for step in reference:
-                succ = reference_apply_step(net, cfg, step)
+            reference, tick = reference_enabled_steps(net, cfg)
+            for move in reference + [None] * tick:
+                succ = reference_apply_step(net, cfg, move)
                 succ = succ._replace(clocks=tuple(map(min, succ.clocks, rt.clock_caps)))
-                expected[(getattr(step, "channel", None), succ)] += 1
+                expected[(move[0] if move else None, succ)] += 1
             assert found == expected, cfg
-            assert (state in rt.ticking) == (TimeTick() in reference), cfg
-            moves += len(reference)
+            assert (state in rt.ticking) == tick, cfg
+            moves += len(reference) + tick
     assert moves > 10000
 
 
@@ -636,8 +624,10 @@ def test_compiled_step_effects_equal_the_edge_by_edge_reference():
     applied = 0
     for net, configurations in reference_networks():
         for cfg in configurations:
-            for step in enabled_steps(net, cfg):
-                assert apply_step(net, cfg, step) == reference_apply_step(net, cfg, step), (cfg, step)
+            moves, tick = enabled_steps(net, cfg)
+            for move in moves + [None] * tick:
+                reference = reference_apply_step(net, cfg, move and spelled(move))
+                assert apply_step(net, cfg, move) == reference, (cfg, move)
                 applied += 1
     assert applied > 10000
 

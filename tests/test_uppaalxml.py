@@ -226,6 +226,14 @@ def test_template_parameters_are_unsupported():
         load(doc)
 
 
+@pytest.mark.parametrize("line", ["clock x y;", "clock ck,;"])
+def test_clock_names_that_emit_would_refuse_are_unsupported(line):
+    # before the template's own clock, which the network still needs
+    doc = emit(assemble(Stop())).replace("<declaration>clock ck;", f"<declaration>{line}\nclock ck;", 1)
+    with pytest.raises(XmlLoadError, match=re.escape(f"unsupported declaration {line!r}")):
+        load(doc)
+
+
 def test_arbitrary_arithmetic_is_unsupported():
     doc = emit(assemble(Stop())).replace(
         '<label kind="guard">start==0</label>',
