@@ -46,7 +46,7 @@ TOCK = "tock"
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 # Name shapes the translator reserves for generated coordination channels.
-_RESERVED_PREFIXES = ("startID", "finishID", "extID", "intrpID", "excpID")
+_RESERVED_PREFIXES = ("itau_", "startID", "finishID", "extID", "intrpID", "excpID")
 _RESERVED_SUFFIXES = ("___sync", "_exch", "_intrpt")
 
 
@@ -56,11 +56,7 @@ class SpecError(ValueError):
 
 def is_reserved_action_name(name: str) -> bool:
     """True for names the translator may generate for coordination channels."""
-    if name in ("tau", "itau") or name.startswith("itau_"):
-        return True
-    if any(name.startswith(p) for p in _RESERVED_PREFIXES):
-        return True
-    return any(name.endswith(s) for s in _RESERVED_SUFFIXES)
+    return name in ("tau", "itau") or name.startswith(_RESERVED_PREFIXES) or name.endswith(_RESERVED_SUFFIXES)
 
 
 def validate_event_name(name: str, *, allow_tock: bool = False) -> str:
@@ -214,11 +210,11 @@ class CspSpec:
         if self.main not in self.definitions:
             raise SpecError(f"main process {self.main!r} is not defined")
         for name, body in self.definitions.items():
-            for ref in _collect_refs(body):
-                if ref not in self.definitions:
+            for p in _subterms(body):
+                if isinstance(p, Ref) and p.name not in self.definitions:
                     pos = self.positions.get(name)
                     where = f" (defined at line {pos[0]})" if pos else ""
-                    raise SpecError(f"unresolved reference {ref!r} in {name!r}{where}")
+                    raise SpecError(f"unresolved reference {p.name!r} in {name!r}{where}")
         self._check_guardedness()
 
     def _check_guardedness(self) -> None:
@@ -251,16 +247,19 @@ class CspSpec:
         return self.definitions[self.main]
 
 
-def _collect_refs(p: CspProcess) -> set[str]:
-    if isinstance(p, Ref):
-        return {p.name}
-    if isinstance(p, Prefix):
-        return _collect_refs(p.cont)
-    if isinstance(p, (Hide, Rename)):
-        return _collect_refs(p.body)
-    if isinstance(p, _BINARY):
-        return _collect_refs(p.left) | _collect_refs(p.right)
-    return set()
+def _subterms(p: CspProcess):
+    """``p`` and every term inside it, in pre-order; references are not
+    unfolded."""
+    stack = [p]
+    while stack:
+        p = stack.pop()
+        yield p
+        if isinstance(p, Prefix):
+            stack.append(p.cont)
+        elif isinstance(p, (Hide, Rename)):
+            stack.append(p.body)
+        elif isinstance(p, _BINARY):
+            stack += (p.right, p.left)
 
 
 def _nullable_map(defs: dict[str, CspProcess]) -> dict[str, bool]:
@@ -320,29 +319,17 @@ def _unguarded_refs(p: CspProcess, nullable: dict[str, bool]) -> set[str]:
 def event_universe(definitions: dict[str, CspProcess]) -> frozenset[str]:
     """Every event name appearing syntactically anywhere in the spec."""
     out: set[str] = set()
-
-    def walk(p: CspProcess) -> None:
-        if isinstance(p, Prefix):
-            if p.event != TOCK:
-                out.add(p.event)
-            walk(p.cont)
-        elif isinstance(p, Hide):
-            out.update(p.hidden)
-            walk(p.body)
-        elif isinstance(p, Rename):
-            for old, new in p.mapping:
-                out.update((old, new))
-            walk(p.body)
-        elif isinstance(p, GenPar):
-            out.update(p.sync_set)
-            walk(p.left)
-            walk(p.right)
-        elif isinstance(p, _BINARY):
-            walk(p.left)
-            walk(p.right)
-
     for body in definitions.values():
-        walk(body)
+        for p in _subterms(body):
+            if isinstance(p, Prefix):
+                out.add(p.event)
+            elif isinstance(p, Hide):
+                out |= p.hidden
+            elif isinstance(p, Rename):
+                out.update(name for pair in p.mapping for name in pair)
+            elif isinstance(p, GenPar):
+                out |= p.sync_set
+    out.discard(TOCK)  # only a prefix may name it
     return frozenset(out)
 
 
@@ -405,6 +392,9 @@ def alphabet(spec: CspSpec) -> frozenset[str]:
 
 # --- pretty printer -------------------------------------------------------
 
+_INFIX = {Seq: ";", ExtChoice: "[]", IntChoice: "|~|", Interleave: "|||", Interrupt: "/\\"}
+
+
 def format_process(p: CspProcess) -> str:
     """Render a process in the concrete syntax accepted by the parser."""
     if isinstance(p, Stop):
@@ -416,19 +406,11 @@ def format_process(p: CspProcess) -> str:
         if isinstance(p.cont, (Stop, Skip, Prefix, Ref)):
             return f"{p.event} -> {cont}"
         return f"{p.event} -> ({cont})"
-    if isinstance(p, Seq):
-        return f"({format_process(p.left)}) ; ({format_process(p.right)})"
-    if isinstance(p, ExtChoice):
-        return f"({format_process(p.left)}) [] ({format_process(p.right)})"
-    if isinstance(p, IntChoice):
-        return f"({format_process(p.left)}) |~| ({format_process(p.right)})"
+    if type(p) in _INFIX:
+        return f"({format_process(p.left)}) {_INFIX[type(p)]} ({format_process(p.right)})"
     if isinstance(p, GenPar):
         events = ", ".join(sorted(p.sync_set))
         return f"({format_process(p.left)}) [|{{{events}}}|] ({format_process(p.right)})"
-    if isinstance(p, Interleave):
-        return f"({format_process(p.left)}) ||| ({format_process(p.right)})"
-    if isinstance(p, Interrupt):
-        return f"({format_process(p.left)}) /\\ ({format_process(p.right)})"
     if isinstance(p, Hide):
         events = ", ".join(sorted(p.hidden))
         return f"({format_process(p.body)}) \\ {{{events}}}"

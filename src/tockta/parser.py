@@ -12,6 +12,7 @@ Operator precedence, tightest first: postfix hiding/renaming, prefix
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .cspast import (
@@ -55,66 +56,53 @@ class _Tok:
     col: int
 
 
-_PUNCT = [
-    ("[[", "RENL"),
-    ("]]", "RENR"),
-    ("[|", "PARL"),
-    ("|]", "PARR"),
-    ("[]", "EXTC"),
-    ("|~|", "INTC"),
-    ("|||", "ILEAVE"),
-    ("/\\", "INTERRUPT"),
-    ("->", "ARROW"),
-    ("<-", "MAPSTO"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("{", "LBRACE"),
-    ("}", "RBRACE"),
-    (",", "COMMA"),
-    (";", "SEMI"),
-    ("\\", "HIDE"),
-    ("=", "EQUALS"),
-]
-_PUNCT.sort(key=lambda item: -len(item[0]))
+_PUNCT = {
+    "[[": "RENL",
+    "]]": "RENR",
+    "[|": "PARL",
+    "|]": "PARR",
+    "[]": "EXTC",
+    "|~|": "INTC",
+    "|||": "ILEAVE",
+    "/\\": "INTERRUPT",
+    "->": "ARROW",
+    "<-": "MAPSTO",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "{": "LBRACE",
+    "}": "RBRACE",
+    ",": "COMMA",
+    ";": "SEMI",
+    "\\": "HIDE",
+    "=": "EQUALS",
+}
+# A newline, blanks, a punctuation mark (longest first), a word, or any
+# other character, which is an error.
+_TOKEN_RE = re.compile(
+    "|".join([r"\n", r"[ \t\r]+", *map(re.escape, sorted(_PUNCT, key=len, reverse=True)), r"\w+", "."])
+)
 
 
 def _tokenize(source: str, line: int = 1, col: int = 1) -> list[_Tok]:
     """Tokens of ``source``, positioned as if it started at ``line:col``."""
     toks: list[_Tok] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        for text, kind in _PUNCT:
-            if source.startswith(text, i):
-                toks.append(_Tok(kind, text, line, col))
-                i += len(text)
-                col += len(text)
-                break
-        else:
-            if ch.isalpha():
-                j = i
-                while j < n and (source[j].isalnum() or source[j] == "_"):
-                    j += 1
-                toks.append(_Tok("IDENT", source[i:j], line, col))
-                col += j - i
-                i = j
+    base = -col  # the token at offset i is in column i - base
+    for m in _TOKEN_RE.finditer(source):
+        text = m.group()
+        kind = _PUNCT.get(text)
+        if kind is None:
+            if text[0].isalpha():
+                kind = "IDENT"
+            elif text == "\n":
+                line += 1
+                base = m.start()
+                continue
+            elif text[0] in " \t\r":
+                continue
             else:
-                raise CspSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("EOF", "", line, col))
+                raise CspSyntaxError(f"unexpected character {text[0]!r}", line, m.start() - base)
+        toks.append(_Tok(kind, text, line, m.start() - base))
+    toks.append(_Tok("EOF", "", line, len(source) - base))
     return toks
 
 
@@ -234,9 +222,6 @@ class _Parser:
 
     def event_set(self) -> list[str]:
         self.expect("LBRACE")
-        return self._ident_list_until_rbrace()
-
-    def _ident_list_until_rbrace(self) -> list[str]:
         events: list[str] = []
         if not self.at("RBRACE"):
             while True:

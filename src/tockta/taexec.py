@@ -77,23 +77,25 @@ class _Runtime:
         self.net = net
         self.var_pos = {name: i for i, (name, _) in enumerate(net.int_vars)}
         self.init_ints = tuple(value for _, value in net.int_vars)
-        self.clock_pos: dict[tuple[int | None, str], int] = {}
-        slots: list[int] = []
-        for name in net.global_clocks:
-            self.clock_pos[(None, name)] = len(slots)
-            slots.append(0)
-        for ai, ta in enumerate(net.automata):
-            for name in ta.clocks:
-                self.clock_pos[(ai, name)] = len(slots)
-                slots.append(0)
-        self.n_clocks = len(slots)
+        # clock_slots[ai] = {clock name: slot} as automaton ai sees its
+        # clocks: a local clock hides a global one of the same name.
+        shared = {name: slot for slot, name in enumerate(net.global_clocks)}
+        self.clock_slots: list[dict[str, int]] = []
+        self.n_clocks = len(net.global_clocks)
+        for ta in net.automata:
+            self.clock_slots.append({**shared, **{name: self.n_clocks + i for i, name in enumerate(ta.clocks)}})
+            self.n_clocks += len(ta.clocks)
         self.channel_mode = {c.name: c.mode for c in net.channels}
 
         # caps[slot] = the largest threshold of an atom on that clock, 0 if none.
         caps = [0] * self.n_clocks
-        # edges[ai][ei] = (source, part), where the edge's part of a move is
-        # (ai, ei, target, clock updates, int updates).
-        self.edges: list[tuple[tuple, ...]] = []
+
+        def clock_test(clocks: dict[str, int], atom: ClockAtom) -> _ClockTest:
+            """``atom`` as a test on its slot in ``clocks``; raises that slot's cap."""
+            slot = clocks[atom.clock]
+            caps[slot] = max(caps[slot], atom.const + _PAST[atom.op])
+            return slot, _RELATIONS[atom.op], atom.const
+
         # locs[ai][location] = (kind, invariant, silent and send edges,
         # channel -> receive edges).  Each edge there is (clock tests, int
         # tests, channel or None, part).  The clock tests include the
@@ -101,37 +103,27 @@ class _Runtime:
         self.locs: list[dict[str, tuple]] = []
         receivers: dict[str, set[int]] = {}
         for ai, ta in enumerate(net.automata):
-            invs: dict[str, tuple[_ClockTest, ...]] = {}
-            for loc in ta.locations:
-                tests = []
-                for atom in loc.invariant:
-                    slot = self._clock_slot(ai, atom.clock)
-                    tests.append((slot, _RELATIONS[atom.op], atom.const))
-                    caps[slot] = max(caps[slot], atom.const + _PAST[atom.op])
-                invs[loc.id] = tuple(tests)
+            clocks = self.clock_slots[ai]
+            invs = {loc.id: tuple(clock_test(clocks, atom) for atom in loc.invariant) for loc in ta.locations}
             local: dict[str, list] = {loc.id: [] for loc in ta.locations}
             receive: dict[str, dict[str, list]] = {loc.id: {} for loc in ta.locations}
-            resolved = []
             for ei, edge in enumerate(ta.edges):
                 clock_tests = []
                 int_tests = []
                 for atom in edge.guard.atoms if edge.guard is not None else ():
                     if isinstance(atom, ClockAtom):
-                        slot = self._clock_slot(ai, atom.clock)
-                        clock_tests.append((slot, _RELATIONS[atom.op], atom.const))
-                        caps[slot] = max(caps[slot], atom.const + _PAST[atom.op])
+                        clock_tests.append(clock_test(clocks, atom))
                     else:
                         positions = tuple(self.var_pos[v] for v in atom.variables)
                         int_tests.append((positions, _RELATIONS[atom.op], atom.const))
                 clock_updates: dict[int, int] = {}
                 int_updates = []
                 for upd in edge.updates:
-                    if (ai, upd.target) in self.clock_pos or (None, upd.target) in self.clock_pos:
-                        clock_updates[self._clock_slot(ai, upd.target)] = upd.value
+                    if upd.target in clocks:
+                        clock_updates[clocks[upd.target]] = upd.value
                     else:
                         int_updates.append((self.var_pos[upd.target], upd.value))
                 part = (ai, ei, edge.target, tuple(clock_updates.items()), tuple(int_updates))
-                resolved.append((edge.source, part))
                 # A test on a clock the edge resets is decided here, once.
                 fires = True
                 for slot, holds, const in invs[edge.target]:
@@ -148,7 +140,6 @@ class _Runtime:
                     receivers.setdefault(channel, set()).add(ai)
                 else:
                     local[edge.source].append(entry)
-            self.edges.append(tuple(resolved))
             self.locs.append(
                 {
                     loc.id: (
@@ -167,12 +158,6 @@ class _Runtime:
         self.configs: list[Configuration] = []
         self.moves: list[tuple | None] = []
         self.ticking: set[int] = set()
-
-    def _clock_slot(self, automaton: int, name: str) -> int:
-        key = (automaton, name)
-        if key in self.clock_pos:
-            return self.clock_pos[key]
-        return self.clock_pos[(None, name)]
 
     def intern(self, cfg: Configuration) -> int:
         index = self.ids.get(cfg)
@@ -301,9 +286,8 @@ def apply_step(net: NetworkModel, cfg: Configuration, move) -> Configuration:
     or after one time unit if ``move`` is None.  No clock is capped."""
     if move is None:
         return cfg._replace(clocks=tuple([v + 1 for v in cfg.clocks]))
-    rt = _runtime(net)
     _, parts = move
-    if any(cfg.locations[ai] != rt.edges[ai][ei][0] for ai, ei, *_ in parts):
+    if any(cfg.locations[ai] != net.automata[ai].edges[ei].source for ai, ei, *_ in parts):
         # not an assert: under -O the move would be fired anyway
         raise AssertionError("move not enabled in this configuration")
     return _fire(cfg, parts)

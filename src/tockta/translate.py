@@ -165,6 +165,8 @@ class _Unit:
     slots: list[_Slot] = field(default_factory=list)
     blockable: list[tuple[_TaBuilder, str]] = field(default_factory=list)
     stable: list[tuple[_TaBuilder, str]] = field(default_factory=list)
+    # a relay back into an expansion on the stack, under wrappers at most
+    looped: bool = False
 
     def absorb(self, other: "_Unit", *, slots: bool = True, blockable: bool = True) -> None:
         self.tas.extend(other.tas)
@@ -321,7 +323,7 @@ class _Compiler:
             s1 = b.add_loc(LocationKind.COMMITTED)
             b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
             b.add_edge(s1, s0, sync=self.labels[looped, "send"])
-            return _Unit(tas=[b])
+            return _Unit(tas=[b], looped=True)
         if len(self.active) >= _MAX_EXPANSION_DEPTH:
             raise TranslationError(
                 f"recursion through {p.name!r} grows its context; "
@@ -567,6 +569,10 @@ class _Compiler:
         s1 = b.add_loc(LocationKind.COMMITTED)
         s2 = b.add_loc(LocationKind.COMMITTED)
         (start_l, _, left), (start_r, _, right) = self._operands(p, ctx, (ctx.finish, ctx.finish), ctx.view)
+        if not (left.tas and right.tas) or left.looped or right.looped:
+            # an operand that is itself a loop entry, bare or under wrappers,
+            # starts with no event of its own for the choice to gate
+            raise TranslationError("an external-choice operand that loops back into its expansion cannot be gated")
         picked = self.new_var(f"pick{start.branch}_{start.counter}")
         # re-arming the choice (recursion) re-opens it
         b.add_edge(

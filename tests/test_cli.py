@@ -1,8 +1,13 @@
+import functools
 import json
 
 import pytest
 
+from tockta import cli, harness, taexec
 from tockta.cli import main
+from tockta.harness import generate_corpus
+from tockta.parser import parse
+from tockta.translate import assemble
 
 ADS = (
     "ADS = Controller [|{close}|] Lighting\n"
@@ -167,3 +172,51 @@ def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command, su
     err = capsys.readouterr().err
     assert err.startswith("tockta: error:") and "Traceback" not in err
     assert f"{path}: byte 0xff at offset 9 is not UTF-8" in err
+
+
+def test_a_blown_state_cap_exits_one(monkeypatch, ads_file, capsys):
+    capped = functools.partial(harness.network_traces, state_cap=1)
+    monkeypatch.setattr(harness, "network_traces", capped)
+    assert main(["check", str(ads_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tockta: error:") and "Traceback" not in err
+
+
+def _traces_of(text):
+    """A stand-in for ``harness.network_traces`` that explores the network
+    of ``text`` instead of the one it is given."""
+    net = assemble(parse(text))
+    return lambda _, depth: taexec.network_traces(net, depth)
+
+
+def test_check_prints_the_witnesses_of_a_mismatch(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "p.tcsp"
+    path.write_text("P = a -> STOP\n")
+    monkeypatch.setattr(harness, "network_traces", _traces_of("P = b -> STOP"))
+    assert main(["check", str(path), "--depth", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "p: Mismatch at depth 1",
+        "  only in csp: a",
+        "  only in ta: b",
+    ]
+
+
+def test_corpus_run_counts_its_mismatches(monkeypatch, capsys):
+    entries = generate_corpus()[:3]
+    wrong = _traces_of("P = b -> STOP")
+    networks = iter([taexec.network_traces, wrong, taexec.network_traces])
+    monkeypatch.setattr(cli, "generate_corpus", lambda: entries)
+    monkeypatch.setattr(harness, "network_traces", lambda net, depth: next(networks)(net, depth))
+    assert main(["corpus", "run", "--depth", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[1].split()[0] for line in lines[:3]] == ["EqualAtStage1", "Mismatch", "EqualAtStage1"]
+    assert lines[3:] == ["corpus: 1 mismatches"]
+
+
+def test_a_choice_operand_looping_back_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "loop.tcsp"
+    path.write_text("P = a -> (P [] (b -> STOP))\n")
+    assert main(["translate", str(path), "-o", str(tmp_path / "loop.xml")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tockta: error:") and "external-choice operand" in err
+    assert not (tmp_path / "loop.xml").exists()

@@ -11,6 +11,7 @@ from tockta.cspast import (
     SpecError,
     Stop,
     alphabet,
+    event_universe,
     plain_view,
     validate_event_name,
     wrap,
@@ -100,3 +101,8 @@ def test_a_view_resolves_each_event_through_its_wrappers():
     assert view == {"a": ("hidden", "a"), "b": ("sync", inner, "b"), "c": ("hidden", "c")}
     assert wrap(top, Rename(Stop(), (("a", "a"),))).key == top.key
     assert wrap(top, _Scope("a")).key != wrap(top, _Scope("a")).key
+
+
+def test_event_universe_names_every_event_but_tock():
+    spec = parse("P = ((a -> tock -> STOP) [|{b}|] (c -> STOP)) \\ {d} [[e <- f]] ; (Q /\\ SKIP)\nQ = g -> Q")
+    assert event_universe(spec.definitions) == frozenset("abcdefg")

@@ -70,3 +70,39 @@ def test_delicate_shapes_preserve_traces(source):
 def test_untranslatable_shapes_are_rejected(source, why):
     with pytest.raises(TranslationError, match=why):
         assemble(parse(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "P = a -> (P [] (b -> STOP))",
+        "Q = b -> ((c -> Q) [] Q)",
+        "P = Q\nQ = c -> ((a -> (STOP)) [] ((Q) [[a <- a]]))",
+        "P = a -> ((b -> STOP) [] ((P \\ {d}) [[c <- c]]))",
+    ],
+    ids=["direct", "right-operand", "through-renaming", "through-wrappers"],
+)
+def test_a_choice_operand_looping_back_into_its_expansion_is_rejected(source):
+    # such an operand starts with the loop's own flow action, which no gate
+    # of the choice can see, so its network would keep the choice open
+    with pytest.raises(TranslationError, match="external-choice operand"):
+        assemble(parse(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "P = a -> (P |~| (b -> STOP))",
+        "P = a -> ((P |~| (b -> STOP)) [] (c -> STOP))",
+        "P = a -> ((SKIP ; P) [] (b -> STOP))",
+        "P = a -> ((tock -> P) [] (b -> STOP))",
+        "P = a -> ((b -> P) [] (c -> STOP))",
+        "P = (a -> P) [] (b -> STOP)",
+        # a wrapped loop past an automaton of the operand, too
+        "P = a -> (((P [[c <- c]]) |~| (c -> STOP)) [] (b -> STOP))",
+        "P = a -> ((SKIP ; (P [[a <- a]])) [] (b -> STOP))",
+        "P = a -> (((d -> (P \\ {e})) \\ {d}) [] (b -> STOP))",
+    ],
+)
+def test_loops_that_a_choice_can_gate_are_still_translated(source):
+    assert equal_up_to(source, 10), source

@@ -135,6 +135,29 @@ def test_syntax_errors_report_file_positions(source, position):
     assert str(err.value).startswith(f"{position[0]}:{position[1]}: ")
 
 
+@pytest.mark.parametrize(
+    "source, message, position",
+    [
+        ("P = a -> -b", "unexpected character '-'", (1, 10)),
+        ("P = a -> STOP\n  [] 9b -> STOP", "unexpected character '9'", (2, 6)),
+        ("P = a ->\t_b", "unexpected character '_'", (1, 10)),
+        # a word starts with a letter; any other word character is refused
+        ("P = été -> ½ -> STOP", "unexpected character '½'", (1, 12)),
+        ("P = (a -> STOP) \\ {b, }", "unexpected '}' (expected IDENT)", (1, 23)),
+    ],
+)
+def test_a_character_outside_the_token_set_is_refused_where_it_stands(source, message, position):
+    with pytest.raises(CspSyntaxError) as err:
+        parse(source)
+    assert (err.value.line, err.value.col) == position
+    assert str(err.value) == f"{position[0]}:{position[1]}: {message}"
+
+
+def test_the_first_unresolved_reference_in_the_text_is_named():
+    with pytest.raises(SpecError, match="unresolved reference 'Q' in 'P'"):
+        parse("P = (Q ; R) [] (a -> S)")
+
+
 def test_guarded_recursion_through_seq_accepted():
     spec = parse("P = (a -> SKIP) ; P")
     assert isinstance(spec.body(), Seq)

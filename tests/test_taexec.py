@@ -720,7 +720,7 @@ def test_per_clock_caps_are_exact(guard):
     finally:
         taexec._runtime.cache_clear()
     # the guard's own threshold, but y's invariant <=1 at r1 needs 2
-    slot = reference.clock_pos[(1, "y") if guard.clock == "y" else (None, "g")]
+    slot = reference.clock_slots[1][guard.clock]
     threshold = guard.const + (guard.op in (">", "<=", "=="))
     assert caps[slot] == max(threshold, 2 if guard.clock == "y" else 0)
     assert explore() == (traces, sorted(_capped(stuck, caps)), _capped(reached, caps))

@@ -9,7 +9,21 @@ import pytest
 from tockta.cspast import Stop
 from tockta.harness import generate_corpus
 from tockta.parser import parse, parse_file
-from tockta.tamodel import ChannelKind, GuardExpr, IntAtom, validate
+from tockta.tamodel import (
+    Assignment,
+    ChannelDecl,
+    ChannelKind,
+    ClockAtom,
+    Edge,
+    GuardExpr,
+    IntAtom,
+    Location,
+    LocationKind,
+    NetworkModel,
+    SyncLabel,
+    TimedAutomaton,
+    validate,
+)
 from tockta.translate import assemble
 from tockta.uppaalxml import XmlLoadError, emit, load
 
@@ -41,6 +55,31 @@ def test_round_trip_identity_on_showcase_networks():
     for net in nets:
         assert load(emit(net)) == net
     assert '<label kind="guard">(v1 + v2 + v3)==3</label>' in emit(nets[-1])
+
+
+def test_round_trip_carries_invariants_urgent_locations_and_global_clocks():
+    # no translated network has any of these, but the format carries them
+    worker = TimedAutomaton(
+        "A",
+        (
+            Location("s0", "s0", invariant=(ClockAtom("x", ">=", 1), ClockAtom("x", "<=", 3))),
+            Location("s1", "s1", LocationKind.URGENT),
+        ),
+        "s0",
+        ("x",),
+        (
+            Edge("s0", "s1", GuardExpr((ClockAtom("g", ">", 2), IntAtom(("v",), "==", 0))), SyncLabel("go", "send")),
+            Edge("s1", "s0", updates=(Assignment("x", 0), Assignment("v", 2))),
+        ),
+    )
+    env = TimedAutomaton("Env", (Location("e0", "e0"),), "e0", (), (Edge("e0", "e0", sync=SyncLabel("go", "receive")),))
+    net = NetworkModel((worker, env), (ChannelDecl("go", "binary", ChannelKind.USER_EVENT),), (("v", 0),), ("g",), 1)
+    assert validate(net) == []
+    text = emit(net)
+    for piece in ("clock g;", "<declaration>clock x;</declaration>", "x&gt;=1 &amp;&amp; x&lt;=3", "<urgent/>",
+                  "g&gt;2 &amp;&amp; v==0", "x:=0, v:=2"):
+        assert piece in text
+    assert load(text) == net
 
 
 def large_shape_specs():
