@@ -78,9 +78,31 @@ def validate_event_name(name: str, *, allow_tock: bool = False) -> str:
 
 
 class CspProcess:
-    """Base class for process terms; all subclasses are frozen dataclasses."""
+    """Base class for process terms; all subclasses are frozen dataclasses.
 
-    __slots__ = ()
+    A term's hash is computed once, when it is built, from its type, its
+    event names and sets, and the cached hashes of its subterms; so hashing
+    never walks a term.  Each node with fields hashes them by name.  String
+    hashes are salted per process, so the memo must never be pickled or
+    copied: ``__reduce__`` rebuilds a term from its fields."""
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__hash__ = CspProcess.__hash__  # kept by @dataclass, being explicit
+
+    def __post_init__(self) -> None:  # for the nodes without fields
+        _set_hash(self, hash(type(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
+
+
+_set_hash = CspProcess._hash.__set__  # not blocked by a frozen dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,32 +122,39 @@ class Prefix(CspProcess):
 
     def __post_init__(self) -> None:
         validate_event_name(self.event, allow_tock=True)
+        _set_hash(self, hash((type(self), self.event, self.cont._hash)))
 
 
 @dataclass(frozen=True, slots=True)
-class Seq(CspProcess):
+class _Binary(CspProcess):
+    """A binary operator; the subclasses differ only in their type."""
+
     left: CspProcess
     right: CspProcess
 
-
-@dataclass(frozen=True, slots=True)
-class ExtChoice(CspProcess):
-    left: CspProcess
-    right: CspProcess
+    def __post_init__(self) -> None:
+        _set_hash(self, hash((type(self), self.left._hash, self.right._hash)))
 
 
 @dataclass(frozen=True, slots=True)
-class IntChoice(CspProcess):
-    left: CspProcess
-    right: CspProcess
+class Seq(_Binary):
+    """``left ; right``"""
 
 
 @dataclass(frozen=True, slots=True)
-class GenPar(CspProcess):
+class ExtChoice(_Binary):
+    """``left [] right``"""
+
+
+@dataclass(frozen=True, slots=True)
+class IntChoice(_Binary):
+    """``left |~| right``"""
+
+
+@dataclass(frozen=True, slots=True)
+class GenPar(_Binary):
     """Parallel composition synchronising on ``sync_set`` (never on tock)."""
 
-    left: CspProcess
-    right: CspProcess
     sync_set: frozenset[str]
 
     def __post_init__(self) -> None:
@@ -134,18 +163,17 @@ class GenPar(CspProcess):
             if name == TOCK:
                 raise SpecError("'tock' cannot appear in a synchronisation set")
             validate_event_name(name)
+        _set_hash(self, hash((type(self), self.left._hash, self.right._hash, self.sync_set)))
 
 
 @dataclass(frozen=True, slots=True)
-class Interleave(CspProcess):
-    left: CspProcess
-    right: CspProcess
+class Interleave(_Binary):
+    """``left ||| right``"""
 
 
 @dataclass(frozen=True, slots=True)
-class Interrupt(CspProcess):
-    left: CspProcess
-    right: CspProcess
+class Interrupt(_Binary):
+    """``left /\\ right``"""
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,6 +187,7 @@ class Hide(CspProcess):
             if name == TOCK:
                 raise SpecError("'tock' cannot be hidden")
             validate_event_name(name)
+        _set_hash(self, hash((type(self), self.body._hash, self.hidden)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,6 +209,7 @@ class Rename(CspProcess):
                 if name == TOCK:
                     raise SpecError("'tock' cannot take part in a renaming")
                 validate_event_name(name)
+        _set_hash(self, hash((type(self), self.body._hash, self.mapping)))
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)
@@ -191,8 +221,8 @@ class Ref(CspProcess):
 
     name: str
 
-
-_BINARY = (Seq, ExtChoice, IntChoice, GenPar, Interleave, Interrupt)
+    def __post_init__(self) -> None:
+        _set_hash(self, hash((type(self), self.name)))
 
 
 @dataclass
@@ -258,21 +288,15 @@ def _subterms(p: CspProcess):
             stack.append(p.cont)
         elif isinstance(p, (Hide, Rename)):
             stack.append(p.body)
-        elif isinstance(p, _BINARY):
+        elif isinstance(p, _Binary):
             stack += (p.right, p.left)
 
 
 def _nullable_map(defs: dict[str, CspProcess]) -> dict[str, bool]:
     """Which definitions can terminate without any visible event or tock."""
-    result = {name: False for name in defs}
-    changed = True
-    while changed:
-        changed = False
-        for name, body in defs.items():
-            val = _nullable(body, result)
-            if val and not result[name]:
-                result[name] = True
-                changed = True
+    result = dict.fromkeys(defs, False)
+    while grown := [name for name, body in defs.items() if not result[name] and _nullable(body, result)]:
+        result.update(dict.fromkeys(grown, True))
     return result
 
 
@@ -281,11 +305,9 @@ def _nullable(p: CspProcess, defs_nullable: dict[str, bool]) -> bool:
         return True
     if isinstance(p, (Stop, Prefix)):
         return False
-    if isinstance(p, Seq):
-        return _nullable(p.left, defs_nullable) and _nullable(p.right, defs_nullable)
     if isinstance(p, (ExtChoice, IntChoice)):
         return _nullable(p.left, defs_nullable) or _nullable(p.right, defs_nullable)
-    if isinstance(p, (GenPar, Interleave)):
+    if isinstance(p, (Seq, GenPar, Interleave)):
         return _nullable(p.left, defs_nullable) and _nullable(p.right, defs_nullable)
     if isinstance(p, Interrupt):
         return _nullable(p.left, defs_nullable)
@@ -309,7 +331,7 @@ def _unguarded_refs(p: CspProcess, nullable: dict[str, bool]) -> set[str]:
         return out
     if isinstance(p, (Hide, Rename)):
         return _unguarded_refs(p.body, nullable)
-    if isinstance(p, _BINARY):
+    if isinstance(p, _Binary):
         return _unguarded_refs(p.left, nullable) | _unguarded_refs(p.right, nullable)
     raise TypeError(f"unknown process node {p!r}")
 
@@ -377,7 +399,7 @@ def alphabet(spec: CspSpec) -> frozenset[str]:
             walk(p.cont, view)
         elif isinstance(p, (Hide, Rename)):
             walk(p.body, wrap(view, p))
-        elif isinstance(p, _BINARY):
+        elif isinstance(p, _Binary):
             walk(p.left, view)
             walk(p.right, view)
         elif isinstance(p, Ref):

@@ -106,14 +106,16 @@ def _tokenize(source: str, line: int = 1, col: int = 1) -> list[_Tok]:
     return toks
 
 
-# The binary operators by token, loosest first; each level is left-associative.
-_LEVELS = (
-    {"INTC": IntChoice},
-    {"EXTC": ExtChoice},
-    {"ILEAVE": Interleave, "PARL": GenPar},
-    {"SEMI": Seq},
-    {"INTERRUPT": Interrupt},
-)
+# The binary operators by token, as (level, constructor) with the loosest
+# level 0; each level is left-associative.
+_BINARY_OPS = {
+    "INTC": (0, IntChoice),
+    "EXTC": (1, ExtChoice),
+    "ILEAVE": (2, Interleave),
+    "PARL": (2, GenPar),
+    "SEMI": (3, Seq),
+    "INTERRUPT": (4, Interrupt),
+}
 
 
 class _Parser:
@@ -141,18 +143,18 @@ class _Parser:
         return self.peek().kind == kind
 
     def process(self, level: int = 0) -> CspProcess:
-        """A process whose binary operators bind no looser than ``_LEVELS[level]``."""
-        if level == len(_LEVELS):
-            return self.prefix()
-        p = self.process(level + 1)
-        while self.peek().kind in _LEVELS[level]:
-            op = _LEVELS[level][self.next().kind]
-            if op is GenPar:
+        """A process whose binary operators bind no looser than ``level``,
+        by precedence climbing: one call per operand."""
+        p = self.prefix()
+        while (op := _BINARY_OPS.get(self.peek().kind)) and op[0] >= level:
+            op_level, make = op
+            self.next()
+            if make is GenPar:
                 events = self.event_set()
                 self.expect("PARR")
-                p = GenPar(p, self.process(level + 1), frozenset(events))
+                p = GenPar(p, self.process(op_level + 1), frozenset(events))
             else:
-                p = op(p, self.process(level + 1))
+                p = make(p, self.process(op_level + 1))
         return p
 
     def prefix(self) -> CspProcess:
@@ -181,16 +183,7 @@ class _Parser:
                     raise CspSyntaxError(str(exc), tok.line, tok.col) from exc
             elif self.at("RENL"):
                 tok = self.next()
-                pairs = []
-                while True:
-                    old = self.expect("IDENT").text
-                    self.expect("MAPSTO")
-                    new = self.expect("IDENT").text
-                    pairs.append((old, new))
-                    if self.at("COMMA"):
-                        self.next()
-                    else:
-                        break
+                pairs = self.comma_list(self.renaming_pair)
                 self.expect("RENR")
                 try:
                     p = Rename(p, tuple(pairs))
@@ -220,18 +213,24 @@ class _Parser:
             expected=("STOP", "SKIP", "identifier", "("),
         )
 
+    def renaming_pair(self) -> tuple[str, str]:
+        old = self.expect("IDENT").text
+        self.expect("MAPSTO")
+        return old, self.expect("IDENT").text
+
     def event_set(self) -> list[str]:
         self.expect("LBRACE")
-        events: list[str] = []
-        if not self.at("RBRACE"):
-            while True:
-                events.append(self.expect("IDENT").text)
-                if self.at("COMMA"):
-                    self.next()
-                else:
-                    break
+        events = [] if self.at("RBRACE") else self.comma_list(lambda: self.expect("IDENT").text)
         self.expect("RBRACE")
         return events
+
+    def comma_list(self, item) -> list:
+        """One or more ``item()``, separated by commas."""
+        items = [item()]
+        while self.at("COMMA"):
+            self.next()
+            items.append(item())
+        return items
 
 
 def _split_definitions(source: str) -> list[tuple[str, str, int, int]]:

@@ -88,11 +88,26 @@ def _rename(p: CspProcess, mapping: tuple[tuple[str, str], ...]) -> Rename:
     return Rename(p, mapping)
 
 
-def step(p: CspProcess, defs: dict[str, CspProcess]) -> frozenset[tuple[str | None, CspProcess]]:
+def step(
+    p: CspProcess, defs: dict[str, CspProcess], *, memo: dict | None = None
+) -> frozenset[tuple[str | None, CspProcess]]:
     """The exact successor set of ``p`` under the small-step rules, as
     ``(label, successor)`` moves.  A label is an event name, ``tock``,
     ``None`` for an internal move, or :data:`TICK`, whose successor is
-    always :data:`TERMINATED`."""
+    always :data:`TERMINATED`.
+
+    ``memo``, kept by the caller for one search, maps each term already
+    stepped to its moves; it is read for ``p`` and for every subterm the
+    rules recurse into, so each is stepped once per search."""
+    if memo is None:
+        return _moves(p, defs, None)
+    out = memo.get(p)
+    if out is None:
+        out = memo[p] = _moves(p, defs, memo)
+    return out
+
+
+def _moves(p: CspProcess, defs: dict[str, CspProcess], memo: dict | None) -> frozenset:
     if isinstance(p, Terminated):
         return frozenset({(TOCK, TERMINATED)})
     if isinstance(p, Stop):
@@ -106,17 +121,17 @@ def step(p: CspProcess, defs: dict[str, CspProcess]) -> frozenset[tuple[str | No
     if isinstance(p, Seq):
         return frozenset(
             (None, p.right) if label == TICK else (label, Seq(succ, p.right))
-            for label, succ in step(p.left, defs)
+            for label, succ in step(p.left, defs, memo=memo)
         )
     if isinstance(p, ExtChoice):
         out = set()
         left_tocks, right_tocks = [], []
-        for label, succ in step(p.left, defs):
+        for label, succ in step(p.left, defs, memo=memo):
             if label == TOCK:
                 left_tocks.append(succ)
             else:
                 out.add((label, ExtChoice(succ, p.right) if label is None else succ))
-        for label, succ in step(p.right, defs):
+        for label, succ in step(p.right, defs, memo=memo):
             if label == TOCK:
                 right_tocks.append(succ)
             else:
@@ -131,13 +146,13 @@ def step(p: CspProcess, defs: dict[str, CspProcess]) -> frozenset[tuple[str | No
         joined = sync | _JOINED
         out = set()
         left: dict = {}
-        for label, succ in step(p.left, defs):
+        for label, succ in step(p.left, defs, memo=memo):
             if label in joined:
                 left.setdefault(label, []).append(succ)
             else:
                 out.add((label, rebuild(succ, p.right)))
         right: dict = {}
-        for label, succ in step(p.right, defs):
+        for label, succ in step(p.right, defs, memo=memo):
             if label in joined:
                 right.setdefault(label, []).append(succ)
             else:
@@ -151,12 +166,12 @@ def step(p: CspProcess, defs: dict[str, CspProcess]) -> frozenset[tuple[str | No
     if isinstance(p, Interrupt):
         out = set()
         left_tocks, right_tocks = [], []
-        for label, succ in step(p.left, defs):
+        for label, succ in step(p.left, defs, memo=memo):
             if label == TOCK:
                 left_tocks.append(succ)
             else:
                 out.add((label, succ if label == TICK else Interrupt(succ, p.right)))
-        for label, succ in step(p.right, defs):
+        for label, succ in step(p.right, defs, memo=memo):
             if label == TOCK:
                 right_tocks.append(succ)
             elif label != TICK:  # an interrupting event discards the left
@@ -167,26 +182,32 @@ def step(p: CspProcess, defs: dict[str, CspProcess]) -> frozenset[tuple[str | No
         return frozenset(
             (TICK, succ) if label == TICK
             else (None if label in p.hidden else label, _hide(succ, p.hidden))
-            for label, succ in step(p.body, defs)
+            for label, succ in step(p.body, defs, memo=memo)
         )
     if isinstance(p, Rename):
         mapping = p.as_dict()
         return frozenset(
             (TICK, succ) if label == TICK
             else (mapping.get(label, label), _rename(succ, p.mapping))
-            for label, succ in step(p.body, defs)
+            for label, succ in step(p.body, defs, memo=memo)
         )
     if isinstance(p, Ref):
-        return step(defs[p.name], defs)
+        return step(defs[p.name], defs, memo=memo)
     raise TypeError(f"unknown process node {p!r}")
 
 
 
-def _successors(defs: dict[str, CspProcess]):
-    """``step`` as the moves of a search: the termination signal is dropped."""
+def _successors(defs: dict[str, CspProcess], state_cap: int = 200_000):
+    """``step`` as the moves of one search: the termination signal is
+    dropped, and the search's memo counts toward its ``state_cap``, so a
+    term that keeps growing ends in :class:`BoundExceeded`."""
+    memo: dict = {}
 
     def successors(p: CspProcess):
-        return ((label, succ) for label, succ in step(p, defs) if label != TICK)
+        moves = step(p, defs, memo=memo)
+        if len(memo) > state_cap:
+            raise BoundExceeded(f"exploration exceeded {state_cap} states")
+        return ((label, succ) for label, succ in moves if label != TICK)
 
     return successors
 
@@ -203,7 +224,7 @@ def csp_traces(
     distinct process states raises :class:`BoundExceeded` rather than
     silently truncating.
     """
-    return subset_graph(spec.body(), _successors(spec.definitions), depth, state_cap=state_cap)
+    return subset_graph(spec.body(), _successors(spec.definitions, state_cap), depth, state_cap=state_cap)
 
 
 # --- canonical text format --------------------------------------------------

@@ -1,5 +1,14 @@
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tockta
 from tockta.cspast import (
     ExtChoice,
     GenPar,
@@ -106,3 +115,50 @@ def test_a_view_resolves_each_event_through_its_wrappers():
 def test_event_universe_names_every_event_but_tock():
     spec = parse("P = ((a -> tock -> STOP) [|{b}|] (c -> STOP)) \\ {d} [[e <- f]] ; (Q /\\ SKIP)\nQ = g -> Q")
     assert event_universe(spec.definitions) == frozenset("abcdefg")
+
+
+# Every node type, with sets and a renaming whose hashes are salted.
+TERMS_SOURCE = (
+    "P = (((a -> SKIP) ; Q) [] ((b -> STOP) |~| Q)) [|{a}|] (((Q ||| STOP) /\\ (c -> STOP)) \\ {b} [[c <- d]])\n"
+    "Q = tock -> a -> Q\n"
+)
+
+_LOAD_IN_FRESH_PROCESS = """
+import pickle, sys
+from tockta.parser import parse
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = parse(sys.argv[1]).definitions
+assert hash(fresh["P"]) != int(sys.argv[2]), "the child process did not get a new hash salt"
+assert loaded == fresh
+assert [hash(loaded[name]) for name in fresh] == [hash(fresh[name]) for name in fresh]
+assert len({loaded["P"], fresh["P"]}) == 1
+"""
+
+
+def test_term_hash_memo_never_leaves_its_process():
+    definitions = parse(TERMS_SOURCE).definitions
+    term = definitions["P"]
+    digest = hash(term)
+    assert hash(copy.copy(term)) == digest
+    assert hash(copy.deepcopy(term)) == digest
+    assert hash(dataclasses.replace(term)) == digest
+    assert "_hash" not in repr(term)
+
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(tockta.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    child = subprocess.run(
+        [sys.executable, "-c", _LOAD_IN_FRESH_PROCESS, TERMS_SOURCE, str(digest)],
+        input=pickle.dumps(definitions),
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr.decode()
+
+
+def test_hashing_never_walks_a_term():
+    deep = Stop()
+    for i in range(5_000):
+        deep = Prefix("a", ExtChoice(deep, Skip())) if i % 2 else Hide(deep, frozenset({"b"}))
+    assert hash(deep) == hash(copy.copy(deep))  # deeper than the recursion limit

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,16 +17,18 @@ from tockta.cspast import (
     Skip,
     Stop,
 )
+from tockta.harness import generate_corpus
 from tockta.semantics import (
     TERMINATED,
     TICK,
+    BoundExceeded,
     _successors,
     csp_traces,
     step,
     traces_to_text,
 )
 from tockta.lts import subset_graph, trie_graph
-from tockta.parser import parse
+from tockta.parser import parse, parse_file
 from tockta.taexec import network_traces
 from tockta.translate import assemble
 
@@ -298,3 +302,46 @@ def test_random_print_parse_round_trip(process):
 
     spec = spec_of(process)
     assert parse(format_spec(spec)).definitions == spec.definitions
+
+
+# --- the per-search memo ------------------------------------------------------
+
+def family(n: int) -> CspSpec:
+    """``P0 ||| ... ||| P(n-1)`` with ``Pi = ai -> tock -> bi -> Pi``."""
+    lines = ["MAIN = " + " ||| ".join(f"P{i}" for i in range(n))]
+    lines += [f"P{i} = a{i} -> tock -> b{i} -> P{i}" for i in range(n)]
+    return parse("\n".join(lines))
+
+
+def unmemoised_traces(spec: CspSpec, depth: int):
+    """The subset graph of ``csp_traces`` over plain ``step``, which steps
+    every subterm of every state afresh."""
+
+    def successors(p):
+        return ((label, succ) for label, succ in step(p, spec.definitions) if label != TICK)
+
+    return subset_graph(spec.body(), successors, depth, state_cap=200_000)
+
+
+def test_the_memo_changes_no_subset_graph():
+    fixtures = Path(__file__).parents[1] / "fixtures"
+    specs = [parse_file(str(path)) for path in sorted(fixtures.glob("*.tcsp"))]
+    specs += [entry.spec for entry in generate_corpus()] + [family(n) for n in (1, 2, 3)]
+    assert len(specs) == 164
+    for spec in specs:
+        memoised, plain = csp_traces(spec, 6), unmemoised_traces(spec, 6)
+        assert (memoised.root, memoised.moves) == (plain.root, plain.moves)
+
+
+def test_a_term_growing_under_hiding_ends_in_bound_exceeded():
+    spec = parse("P = ((d -> P) \\ {d}) [] (b -> STOP)")
+    with pytest.raises(BoundExceeded):
+        csp_traces(spec, 2, state_cap=2_000)
+
+
+def test_memo_entries_count_toward_the_state_cap():
+    # one state, but stepping it steps every component and definition
+    spec = family(4)
+    assert csp_traces(spec, 1, state_cap=20).traces == {()} | {(f"a{i}",) for i in range(4)} | {("tock",)}
+    with pytest.raises(BoundExceeded):
+        csp_traces(spec, 1, state_cap=3)
