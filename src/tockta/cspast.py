@@ -78,13 +78,15 @@ def validate_event_name(name: str, *, allow_tock: bool = False) -> str:
 
 
 class CspProcess:
-    """Base class for process terms; all subclasses are frozen dataclasses.
+    """Base class for process terms; every subclass is a slots dataclass.
 
-    A term's hash is computed once, when it is built, from its type, its
-    event names and sets, and the cached hashes of its subterms; so hashing
-    never walks a term.  Each node with fields hashes them by name.  String
-    hashes are salted per process, so the memo must never be pickled or
-    copied: ``__reduce__`` rebuilds a term from its fields."""
+    Terms are immutable by contract (the tests enforce it), not frozen: a
+    frozen dataclass stores each field through ``object.__setattr__``, about
+    four times dearer per term.  A term's hash is computed once, when it is
+    built, from its type, its event names and sets, and the cached hashes of
+    its subterms; so hashing never walks a term.  String hashes are salted
+    per process, so the memo is never pickled or copied: ``__reduce__``
+    rebuilds a term from its fields."""
 
     __slots__ = ("_hash",)
 
@@ -93,7 +95,7 @@ class CspProcess:
         cls.__hash__ = CspProcess.__hash__  # kept by @dataclass, being explicit
 
     def __post_init__(self) -> None:  # for the nodes without fields
-        _set_hash(self, hash(type(self)))
+        self._hash = hash(type(self))
 
     def __hash__(self) -> int:
         return self._hash
@@ -102,30 +104,27 @@ class CspProcess:
         return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
 
 
-_set_hash = CspProcess._hash.__set__  # not blocked by a frozen dataclass
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Stop(CspProcess):
     """Deadlock: refuses everything but lets time pass."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Skip(CspProcess):
     """Successful termination."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Prefix(CspProcess):
     event: str
     cont: CspProcess
 
     def __post_init__(self) -> None:
         validate_event_name(self.event, allow_tock=True)
-        _set_hash(self, hash((type(self), self.event, self.cont._hash)))
+        self._hash = hash((type(self), self.event, self.cont._hash))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Binary(CspProcess):
     """A binary operator; the subclasses differ only in their type."""
 
@@ -133,64 +132,64 @@ class _Binary(CspProcess):
     right: CspProcess
 
     def __post_init__(self) -> None:
-        _set_hash(self, hash((type(self), self.left._hash, self.right._hash)))
+        self._hash = hash((type(self), self.left._hash, self.right._hash))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Seq(_Binary):
     """``left ; right``"""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ExtChoice(_Binary):
     """``left [] right``"""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class IntChoice(_Binary):
     """``left |~| right``"""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class GenPar(_Binary):
     """Parallel composition synchronising on ``sync_set`` (never on tock)."""
 
     sync_set: frozenset[str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sync_set", frozenset(self.sync_set))
+        self.sync_set = frozenset(self.sync_set)
         for name in self.sync_set:
             if name == TOCK:
                 raise SpecError("'tock' cannot appear in a synchronisation set")
             validate_event_name(name)
-        _set_hash(self, hash((type(self), self.left._hash, self.right._hash, self.sync_set)))
+        self._hash = hash((type(self), self.left._hash, self.right._hash, self.sync_set))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Interleave(_Binary):
     """``left ||| right``"""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Interrupt(_Binary):
     """``left /\\ right``"""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Hide(CspProcess):
     body: CspProcess
     hidden: frozenset[str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden", frozenset(self.hidden))
+        self.hidden = frozenset(self.hidden)
         for name in self.hidden:
             if name == TOCK:
                 raise SpecError("'tock' cannot be hidden")
             validate_event_name(name)
-        _set_hash(self, hash((type(self), self.body._hash, self.hidden)))
+        self._hash = hash((type(self), self.body._hash, self.hidden))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Rename(CspProcess):
     """Event renaming; ``mapping`` is a function stored as sorted pairs."""
 
@@ -198,10 +197,9 @@ class Rename(CspProcess):
     mapping: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple(sorted(self.mapping))
-        object.__setattr__(self, "mapping", pairs)
+        self.mapping = tuple(sorted(self.mapping))
         seen: set[str] = set()
-        for old, new in pairs:
+        for old, new in self.mapping:
             if old in seen:
                 raise SpecError(f"event {old!r} renamed twice")
             seen.add(old)
@@ -209,20 +207,20 @@ class Rename(CspProcess):
                 if name == TOCK:
                     raise SpecError("'tock' cannot take part in a renaming")
                 validate_event_name(name)
-        _set_hash(self, hash((type(self), self.body._hash, self.mapping)))
+        self._hash = hash((type(self), self.body._hash, self.mapping))
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Ref(CspProcess):
     """Reference to a named definition."""
 
     name: str
 
     def __post_init__(self) -> None:
-        _set_hash(self, hash((type(self), self.name)))
+        self._hash = hash((type(self), self.name))
 
 
 @dataclass

@@ -48,7 +48,7 @@ class CspSyntaxError(SpecError):
         super().__init__(f"{line}:{col}: {message}{hint}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Tok:
     kind: str
     text: str

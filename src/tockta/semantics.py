@@ -59,7 +59,7 @@ TICK = "<tick>"  # the termination signal; no event name can equal it
 _JOINED = frozenset({TOCK, TICK})  # both sides of a parallel take these together
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Terminated(CspProcess):
     """The state after successful termination; time still passes."""
 

@@ -1,12 +1,16 @@
 """Data model for UPPAAL-style timed automata networks.
 
-Automata are immutable value objects.  Every channel carries a
-:class:`ChannelKind` distinguishing user events, the tock broadcast, and
-the generated coordination channels; the coordination kinds (plus hidden
-events) form the erasure set removed from traces before comparison with
-the source process.  Clocks take non-negative integer values: time only
-advances in unit ticks, which is exact for the constraints this model
-ever contains (comparisons against integer constants).
+Automata are hashable value objects, immutable by contract (the tests
+enforce it) rather than frozen: the translator and the XML loader build
+them by the hundred thousand, and a frozen dataclass stores each field
+through ``object.__setattr__``, about four times dearer.  Every channel
+carries a :class:`ChannelKind` distinguishing user events, the tock
+broadcast, and the generated coordination channels; the coordination
+kinds (plus hidden events) form the erasure set removed from traces
+before comparison with the source process.  Clocks take non-negative
+integer values: time only advances in unit ticks, which is exact for the
+constraints this model ever contains (comparisons against integer
+constants).
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ class LocationKind(Enum):
     COMMITTED = "committed"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ClockAtom:
     clock: str
     op: str  # one of < <= == >= >
@@ -113,7 +117,7 @@ class ClockAtom:
         return f"{self.clock}{self.op}{self.const}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class IntAtom:
     """Linear atom: sum of integer variables compared with a constant."""
 
@@ -131,7 +135,7 @@ class IntAtom:
         return f"({' + '.join(self.variables)}){self.op}{self.const}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class GuardExpr:
     atoms: tuple[ClockAtom | IntAtom, ...]
 
@@ -139,7 +143,7 @@ class GuardExpr:
         return " && ".join(a.render() for a in self.atoms)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Location:
     id: str
     display_name: str = ""
@@ -147,7 +151,7 @@ class Location:
     invariant: tuple[ClockAtom, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SyncLabel:
     channel: str
     direction: str  # "send" prints "!", "receive" prints "?"
@@ -160,7 +164,7 @@ class SyncLabel:
         return self.channel + ("!" if self.direction == "send" else "?")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Assignment:
     """Integer variable assignment or clock reset (value 0)."""
 
@@ -171,7 +175,7 @@ class Assignment:
         return f"{self.target}:={self.value}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Edge:
     source: str
     target: str
@@ -180,7 +184,7 @@ class Edge:
     updates: tuple[Assignment, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class TimedAutomaton:
     name: str
     locations: tuple[Location, ...]
@@ -195,7 +199,7 @@ class TimedAutomaton:
         raise KeyError(loc_id)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ChannelDecl:
     name: str
     mode: str  # "binary", "broadcast" or "urgent-binary"
@@ -206,18 +210,16 @@ class ChannelDecl:
             raise ValueError(f"bad channel mode {self.mode!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class NetworkModel:
     automata: tuple[TimedAutomaton, ...]
     channels: tuple[ChannelDecl, ...]
     int_vars: tuple[tuple[str, int], ...]
     global_clocks: tuple[str, ...] = ()
     environment_index: int = -1
-    # The structural hash walks every automaton, and the executor looks
-    # its per-network index up by this hash on every step, so it is
-    # computed once per instance.  String hashes are salted per process,
-    # so the memo must never be pickled or copied: ``__reduce__`` rebuilds
-    # from the compared fields alone.
+    # The executor looks its per-network index up by this hash on every
+    # step, so it is computed once.  String hashes are salted per process,
+    # so ``__reduce__`` rebuilds from the compared fields, without the memo.
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def _key(self) -> tuple:
@@ -225,7 +227,7 @@ class NetworkModel:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._key()))
+            self._hash = hash(self._key())
         return self._hash
 
     def __reduce__(self):
