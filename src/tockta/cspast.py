@@ -12,7 +12,7 @@ a subterm; :func:`alphabet` and the translator walk the spec with views.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 __all__ = [
     "TOCK",
@@ -155,13 +155,15 @@ class GenPar(_Binary):
     """Parallel composition synchronising on ``sync_set`` (never on tock)."""
 
     sync_set: frozenset[str]
+    checked: InitVar[bool] = field(default=False, kw_only=True)  # True: a frozenset of valid names
 
-    def __post_init__(self) -> None:
-        self.sync_set = frozenset(self.sync_set)
-        for name in self.sync_set:
-            if name == TOCK:
-                raise SpecError("'tock' cannot appear in a synchronisation set")
-            validate_event_name(name)
+    def __post_init__(self, checked: bool) -> None:
+        if not checked:
+            self.sync_set = frozenset(self.sync_set)
+            for name in self.sync_set:
+                if name == TOCK:
+                    raise SpecError("'tock' cannot appear in a synchronisation set")
+                validate_event_name(name)
         self._hash = hash((type(self), self.left._hash, self.right._hash, self.sync_set))
 
 
@@ -179,13 +181,15 @@ class Interrupt(_Binary):
 class Hide(CspProcess):
     body: CspProcess
     hidden: frozenset[str]
+    checked: InitVar[bool] = field(default=False, kw_only=True)  # True: a frozenset of valid names
 
-    def __post_init__(self) -> None:
-        self.hidden = frozenset(self.hidden)
-        for name in self.hidden:
-            if name == TOCK:
-                raise SpecError("'tock' cannot be hidden")
-            validate_event_name(name)
+    def __post_init__(self, checked: bool) -> None:
+        if not checked:
+            self.hidden = frozenset(self.hidden)
+            for name in self.hidden:
+                if name == TOCK:
+                    raise SpecError("'tock' cannot be hidden")
+                validate_event_name(name)
         self._hash = hash((type(self), self.body._hash, self.hidden))
 
 
@@ -195,18 +199,20 @@ class Rename(CspProcess):
 
     body: CspProcess
     mapping: tuple[tuple[str, str], ...]
+    checked: InitVar[bool] = field(default=False, kw_only=True)  # True: valid names; they are still sorted
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, checked: bool) -> None:
         self.mapping = tuple(sorted(self.mapping))
-        seen: set[str] = set()
-        for old, new in self.mapping:
-            if old in seen:
-                raise SpecError(f"event {old!r} renamed twice")
-            seen.add(old)
-            for name in (old, new):
-                if name == TOCK:
-                    raise SpecError("'tock' cannot take part in a renaming")
-                validate_event_name(name)
+        if not checked:
+            seen: set[str] = set()
+            for old, new in self.mapping:
+                if old in seen:
+                    raise SpecError(f"event {old!r} renamed twice")
+                seen.add(old)
+                for name in (old, new):
+                    if name == TOCK:
+                        raise SpecError("'tock' cannot take part in a renaming")
+                    validate_event_name(name)
         self._hash = hash((type(self), self.body._hash, self.mapping))
 
     def as_dict(self) -> dict[str, str]:

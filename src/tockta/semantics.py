@@ -75,8 +75,8 @@ def _hide(p: CspProcess, hidden: frozenset[str]) -> CspProcess:
         inverse = {old for old, new in p.mapping if new in hidden} | (hidden - p.as_dict().keys())
         return _rename(_hide(p.body, frozenset(inverse)), p.mapping)
     if isinstance(p, Hide):
-        return Hide(p.body, p.hidden | hidden)
-    return Hide(p, hidden)
+        return Hide(p.body, p.hidden | hidden, checked=True)
+    return Hide(p, hidden, checked=True)
 
 
 def _rename(p: CspProcess, mapping: tuple[tuple[str, str], ...]) -> Rename:
@@ -84,8 +84,8 @@ def _rename(p: CspProcess, mapping: tuple[tuple[str, str], ...]) -> Rename:
     if isinstance(p, Rename):
         outer = dict(mapping)
         inner = {old: outer.get(new, new) for old, new in p.mapping}
-        return Rename(p.body, tuple({**outer, **inner}.items()))
-    return Rename(p, mapping)
+        return Rename(p.body, tuple({**outer, **inner}.items()), checked=True)
+    return Rename(p, mapping, checked=True)
 
 
 def step(
@@ -142,7 +142,7 @@ def _moves(p: CspProcess, defs: dict[str, CspProcess], memo: dict | None) -> fro
         return frozenset({(None, p.left), (None, p.right)})
     if isinstance(p, (GenPar, Interleave)):
         sync = p.sync_set if isinstance(p, GenPar) else frozenset()
-        rebuild = (lambda l, r: GenPar(l, r, sync)) if isinstance(p, GenPar) else Interleave
+        rebuild = (lambda l, r: GenPar(l, r, sync, checked=True)) if isinstance(p, GenPar) else Interleave
         joined = sync | _JOINED
         out = set()
         left: dict = {}

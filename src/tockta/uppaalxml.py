@@ -8,7 +8,8 @@ expression grammar this model supports (conjunctions of comparisons
 against integer constants, constant assignments, plain synchronisation
 labels) and give each transition or location at most one label of each
 kind.  Locations get deterministic grid coordinates because the model
-itself carries no geometry.
+itself carries no geometry.  ``load`` parses a chunk at a time and frees
+each template's elements once it has loaded them.
 
 Text is escaped by ``_escape``, not ``xml.sax.saxutils.escape``: that
 import loads the network stack (``urllib.request``, ``ssl``, ``socket``,
@@ -244,24 +245,64 @@ def _children(node: ET.Element, listed: tuple[str, ...]) -> tuple[dict, list]:
     return first, many
 
 
+_CHUNK = 1 << 16  # characters fed to the XML parser at a time
+
+
+def _complete_children(document: str, parser: ET.XMLParser, holder: ET.Element):
+    """Feed ``document`` to ``parser`` by chunks, yielding each child of the root once it is closed."""
+    done = 0
+    for start in range(0, len(document), _CHUNK):
+        parser.feed(document[start : start + _CHUNK])
+        for root in holder:
+            if root.tag is not ET.Comment:
+                yield from root[done:-1]  # the last may be open
+                done = max(done, len(root) - 1)
+    parser.close()
+
+
 def load(document: str) -> NetworkModel:
     """Parse a document in the emitted dialect back into a network.
 
     One pass over each element's children finds its parts.  Each model
     object is built once per document: a label text is parsed once, and
     equal labels, locations and edges are one shared object."""
+    comments: list[ET.Element] = []  # each comment, in document order, as it is inserted
+    builder = ET.TreeBuilder(
+        comment_factory=lambda text: comments.append(ET.Comment(text)) or comments[-1], insert_comments=True
+    )
+    holder = builder.start("", {})  # the document's root element becomes its child
+    children = _complete_children(document, ET.XMLParser(target=builder), holder)
+    # The document's synchronisations and assignments by text, and its
+    # guards, locations and edges per set of local clocks, which decides
+    # whether a name in a guard is a clock.
+    syncs: dict[str, SyncLabel] = {}
+    assignments: dict[str, tuple[Assignment, ...]] = {}
+    per_clocks: dict[frozenset, tuple[dict, dict, dict]] = {}
+    loaded: dict[ET.Element, tuple | TimedAutomaton] = {}  # a declaration's parts or an automaton
     try:
-        parser = ET.XMLParser(target=ET.TreeBuilder(insert_comments=True))
-        root = ET.fromstring(document, parser=parser)
+        clocks = None
+        for node in children:
+            try:
+                if node.tag == "declaration" and clocks is None:
+                    loaded[node] = _parse_declaration(node.text or "")
+                    clocks = loaded[node][2]
+                elif node.tag == "template" and clocks is not None:
+                    loaded[node] = _load_template(node, clocks, syncs, assignments, per_clocks)
+                    node.clear()
+            except XmlLoadError:
+                break  # the failing element is read again, in order, below
+        for _ in children:  # parse the rest
+            pass
     except ET.ParseError as exc:
         raise XmlLoadError(f"malformed XML: {exc}") from exc
+    root = next(node for node in holder if node.tag is not ET.Comment)
     if root.tag != "nta":
         raise XmlLoadError(f"expected root element 'nta', found {root.tag!r}")
 
     kinds: dict[str, ChannelKind] = {}
     env_name: str | None = None
-    for node in root.iter(ET.Comment):
-        if _KIND_COMMENT in (node.text or ""):
+    for node in comments:
+        if _KIND_COMMENT in (node.text or "") and node not in holder:  # not outside the root
             _, colon, body = node.text.partition(":")
             if not colon:
                 raise XmlLoadError(f"{_KIND_COMMENT} comment without a colon")
@@ -281,20 +322,14 @@ def load(document: str) -> NetworkModel:
 
     first, templates = _children(root, ("template",))
     decl_node = first.get("declaration")
-    channels_raw, int_vars, global_clocks = _parse_declaration(
+    channels_raw, int_vars, global_clocks = loaded.get(decl_node) or _parse_declaration(
         decl_node.text or "" if decl_node is not None else ""
     )
     channels = tuple(
         ChannelDecl(name, mode, kinds[name] if name in kinds else kind_from_name(name))
         for name, mode in channels_raw
     )
-    # The document's synchronisations and assignments by text, and its
-    # guards, locations and edges per set of local clocks, which decides
-    # whether a name in a guard is a clock.
-    syncs: dict[str, SyncLabel] = {}
-    assignments: dict[str, tuple[Assignment, ...]] = {}
-    per_clocks: dict[frozenset, tuple[dict, dict, dict]] = {}
-    automata = [_load_template(t, global_clocks, syncs, assignments, per_clocks) for t in templates]
+    automata = [loaded.get(t) or _load_template(t, global_clocks, syncs, assignments, per_clocks) for t in templates]
 
     if not automata:
         raise XmlLoadError("document contains no templates")
@@ -467,10 +502,9 @@ def save_file(net: NetworkModel, path: str) -> None:
 
 def load_file(path: str) -> NetworkModel:
     """Load a UTF-8 document; other bytes are an ``XmlLoadError`` naming where."""
-    with open(path, "rb") as handle:
-        data = handle.read()
     try:
-        text = data.decode("utf-8")
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")  # the bytes are freed before loading
     except UnicodeDecodeError as exc:
-        raise XmlLoadError(f"{path}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8") from None
+        raise XmlLoadError(f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} is not UTF-8") from None
     return load(text)

@@ -7,7 +7,6 @@ refuse an assignment that does not come from the object's own
 ``__init__`` or ``__post_init__``, the whole pipeline runs unchanged.
 """
 
-import importlib.util
 import sys
 from dataclasses import FrozenInstanceError, is_dataclass, replace
 from pathlib import Path
@@ -69,19 +68,6 @@ def sealed(monkeypatch):
         monkeypatch.setattr(cls, "__setattr__", _setattr_while_building)
 
 
-def _workloads():
-    # The benchmark's corpus cases: each corpus process with its seeded mutant.
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 def _pipeline(spec, depth, *, mutant=None):
     net = assemble(spec)
     assert load(emit(net)) == net
@@ -120,8 +106,8 @@ def test_the_fixtures_never_assign_to_a_built_value(sealed):
         _pipeline(parse_file(str(path)), 6)
 
 
-def test_the_corpus_and_its_mutants_never_assign_to_a_built_value(sealed):
-    workloads = _workloads()
+def test_the_corpus_and_its_mutants_never_assign_to_a_built_value(sealed, workloads):
+    # The benchmark's corpus cases: each corpus process with its seeded mutant.
     cases = workloads.corpus_cases(1)
     assert len(cases) == 156
     for entry, mutant, expected in cases:
@@ -132,5 +118,5 @@ def test_the_corpus_and_its_mutants_never_assign_to_a_built_value(sealed):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_the_interleaving_family_never_assigns_to_a_built_value(sealed, n):
-    _pipeline(parse(_workloads().family_text(n)), 6)
+def test_the_interleaving_family_never_assigns_to_a_built_value(sealed, workloads, n):
+    _pipeline(parse(workloads.family_text(n)), 6)

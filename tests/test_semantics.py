@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tockta import cspast
 from tockta.cspast import (
     CspSpec,
     ExtChoice,
@@ -337,6 +338,19 @@ def test_a_term_growing_under_hiding_ends_in_bound_exceeded():
     spec = parse("P = ((d -> P) \\ {d}) [] (b -> STOP)")
     with pytest.raises(BoundExceeded):
         csp_traces(spec, 2, state_cap=2_000)
+
+
+def test_successors_do_not_revalidate_event_names(monkeypatch):
+    # The names were checked when the spec was built; hiding, renaming and
+    # parallel successors carry them over unchecked.
+    growing = parse("P = ((d -> P) \\ {d}) [] (b -> STOP)")
+    synchronised = parse("P = (a -> b -> P) [|{a}|] (a -> c -> (P [[c <- e]]))")
+    calls = []
+    monkeypatch.setattr(cspast, "validate_event_name", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(BoundExceeded):
+        csp_traces(growing, 3, state_cap=2_000)
+    assert len(csp_traces(synchronised, 3).traces) == 20
+    assert calls == []
 
 
 def test_memo_entries_count_toward_the_state_cap():

@@ -1,11 +1,15 @@
+import functools
 import hashlib
 import random
 import re
+import tracemalloc
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from tockta import uppaalxml
 from tockta.cspast import Stop
 from tockta.harness import generate_corpus
 from tockta.parser import parse, parse_file
@@ -515,11 +519,12 @@ def load_outcome(doc):
 LOAD_OUTCOMES_DIGEST = "482c38fca480ecff4049d467e7f7677efae1ef3bba2d5a94a83bd85aec899f89"
 
 
-def test_load_outcomes_of_edited_documents_are_pinned():
+@functools.cache
+def pinned_documents():
     fixtures = fixture_documents()
     corpus = [emit(assemble(entry.spec)) for entry in generate_corpus()]
     large = [emit(assemble(spec)) for spec in large_shape_specs()]
-    docs = (
+    edited = (
         edited_documents(fixtures, 2000, 1, edit_characters)
         + edited_documents(fixtures, 400, 2, edit_elements)
         + edited_documents(corpus, 300, 3, edit_characters)
@@ -527,8 +532,70 @@ def test_load_outcomes_of_edited_documents_are_pinned():
         + edited_documents(large, 20, 5, edit_characters)
         + edited_documents(large, 20, 6, edit_elements)
     )
-    outcomes = "".join(load_outcome(doc) + "\n" for doc in docs)
+    return fixtures + corpus, edited
+
+
+def test_load_outcomes_of_edited_documents_are_pinned():
+    outcomes = "".join(load_outcome(doc) + "\n" for doc in pinned_documents()[1])
     assert hashlib.sha256(outcomes.encode("utf-8")).hexdigest() == LOAD_OUTCOMES_DIGEST
+
+
+def test_the_chunk_size_changes_no_load_outcome(monkeypatch):
+    docs = [doc for part in pinned_documents() for doc in part]
+    expected = [load_outcome(doc) for doc in docs]
+    monkeypatch.setattr(uppaalxml, "_CHUNK", 97)
+    assert [load_outcome(doc) for doc in docs] == expected
+
+
+def failing_first_template(doc):
+    """``doc`` with its first template's initial location removed."""
+    return doc.replace("<init ref=", "<init xref=", 1)
+
+
+def test_errors_keep_their_order_across_chunks(workloads):
+    net = assemble(parse(workloads.family_text(16)))
+    doc = emit(net)
+    first_end, system = doc.index("</template>"), doc.index("\t<system>")
+    assert first_end < uppaalxml._CHUNK < system - uppaalxml._CHUNK
+    with pytest.raises(XmlLoadError, match="missing initial location in template 'TA00'"):
+        load(failing_first_template(doc))
+
+    def after_templates(text, piece):
+        return text.replace("\t<system>", piece + "\t<system>", 1)
+
+    cases = [
+        (failing_first_template(doc).replace("</nta>", "</ntb>"), "malformed XML"),
+        (after_templates(failing_first_template(doc), "\t<declaration>chan zz;</declaration>\n"), "repeated <declaration>"),
+    ]
+    comment = re.search(r"\t<!-- tockta-channel-kinds:.*-->\n", doc).group(0)
+    bad_comment = comment.replace(": ", ": a=bogus;", 1)
+    cases.append((after_templates(failing_first_template(doc).replace(comment, ""), bad_comment), "unknown channel kind 'bogus'"))
+    for text, message in cases:
+        with pytest.raises(XmlLoadError, match=message):
+            load(text)
+    declaration = re.search(r"\t<declaration>.*?</declaration>\n", doc, re.S).group(0)
+    assert load(after_templates(doc.replace(declaration, "", 1), declaration)) == net
+
+
+def test_comments_outside_the_root_element_are_ignored():
+    net = assemble(Stop())
+    bad = "<!-- tockta-channel-kinds -->"
+    assert load(emit(net).replace("<nta>", bad + "<nta>", 1) + bad + "\n") == net
+
+
+def test_load_holds_one_template_at_a_time(workloads):
+    doc = emit(assemble(parse(workloads.family_text(32))))
+    assert len(doc) > 800_000
+
+    def traced_peak(parse_document):
+        tracemalloc.start()
+        try:
+            parse_document(doc)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(load) < traced_peak(ET.fromstring) / 4
 
 
 def test_undefined_entities_in_labels_are_load_errors():
