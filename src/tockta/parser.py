@@ -142,17 +142,24 @@ class _Parser:
     def at(self, kind: str) -> bool:
         return self.peek().kind == kind
 
+    def checked(self, tok: _Tok, make, *args, **kw):
+        """``make(*args, **kw)``, with a bad event name reported at ``tok``."""
+        try:
+            return make(*args, **kw)
+        except SpecError as exc:
+            raise CspSyntaxError(str(exc), tok.line, tok.col) from exc
+
     def process(self, level: int = 0) -> CspProcess:
         """A process whose binary operators bind no looser than ``level``,
         by precedence climbing: one call per operand."""
         p = self.prefix()
         while (op := _BINARY_OPS.get(self.peek().kind)) and op[0] >= level:
             op_level, make = op
-            self.next()
+            tok = self.next()
             if make is GenPar:
                 events = self.event_set()
                 self.expect("PARR")
-                p = GenPar(p, self.process(op_level + 1), frozenset(events))
+                p = self.checked(tok, GenPar, p, self.process(op_level + 1), frozenset(events))
             else:
                 p = make(p, self.process(op_level + 1))
         return p
@@ -161,10 +168,7 @@ class _Parser:
         if self.at("IDENT") and self.toks[self.pos + 1].kind == "ARROW":
             tok = self.next()
             self.next()
-            try:
-                validate_event_name(tok.text, allow_tock=True)
-            except SpecError as exc:
-                raise CspSyntaxError(str(exc), tok.line, tok.col) from exc
+            self.checked(tok, validate_event_name, tok.text, allow_tock=True)
             if tok.text in ("STOP", "SKIP"):
                 raise CspSyntaxError(f"{tok.text} cannot be an event", tok.line, tok.col)
             return Prefix(tok.text, self.prefix())
@@ -174,21 +178,13 @@ class _Parser:
         p = self.atom()
         while True:
             if self.at("HIDE"):
-                self.next()
-                events = self.event_set()
-                try:
-                    p = Hide(p, frozenset(events))
-                except SpecError as exc:
-                    tok = self.peek()
-                    raise CspSyntaxError(str(exc), tok.line, tok.col) from exc
+                tok = self.next()
+                p = self.checked(tok, Hide, p, frozenset(self.event_set()))
             elif self.at("RENL"):
                 tok = self.next()
                 pairs = self.comma_list(self.renaming_pair)
                 self.expect("RENR")
-                try:
-                    p = Rename(p, tuple(pairs))
-                except SpecError as exc:
-                    raise CspSyntaxError(str(exc), tok.line, tok.col) from exc
+                p = self.checked(tok, Rename, p, tuple(pairs))
             else:
                 return p
 

@@ -75,6 +75,9 @@ _MAX_EXPANSION_DEPTH = 64
 _FINISH = "finishID0"
 # The environment's clock, which times every tock.
 _CLOCK = "ck"
+# The channel suffix and mode of each kind of gate: a choice's handshake
+# knocks back one automaton, an interrupt's kill retires them all at once.
+_GATES = {ChannelKind.EXT_CHOICE: ("_exch", "binary"), ChannelKind.INTERRUPT: ("_intrpt", "broadcast")}
 
 
 class TranslationError(Exception):
@@ -123,11 +126,16 @@ class _TaBuilder:
 
     def __init__(self) -> None:
         self.loc_kinds: list[LocationKind] = []
+        # where the automaton waits: every normal location but the inert
+        # initial s0; gate and committed locations are only passed through
+        self.waiting: list[str] = []
         self.edges: list[Edge] = []
         self.reset_map: dict[str, tuple[Assignment, ...]] = {}
 
     def add_loc(self, kind: LocationKind = LocationKind.NORMAL) -> str:
         loc_id = f"s{len(self.loc_kinds)}"
+        if kind is LocationKind.NORMAL and self.loc_kinds:
+            self.waiting.append(loc_id)
         self.loc_kinds.append(kind)
         return loc_id
 
@@ -164,17 +172,21 @@ class _Unit:
     tas: list[_TaBuilder] = field(default_factory=list)
     slots: list[_Slot] = field(default_factory=list)
     blockable: list[tuple[_TaBuilder, str]] = field(default_factory=list)
-    stable: list[tuple[_TaBuilder, str]] = field(default_factory=list)
     # a relay back into an expansion on the stack, under wrappers at most
     looped: bool = False
 
-    def absorb(self, other: "_Unit", *, slots: bool = True, blockable: bool = True) -> None:
+    def absorb(self, other: "_Unit", opening: bool = True) -> None:
+        """Take over ``other``'s automata; its slots and blockable locations
+        stay gatable only if it is ``opening`` here, not behind a first event."""
         self.tas.extend(other.tas)
-        if slots:
+        if opening:
             self.slots.extend(other.slots)
-        if blockable:
             self.blockable.extend(other.blockable)
-        self.stable.extend(other.stable)
+
+    def waiting(self) -> list[tuple[_TaBuilder, str]]:
+        """Every location where one of the unit's automata waits, which a
+        knock-back must reset."""
+        return [(b, loc) for b in self.tas for loc in b.waiting]
 
 
 class _SyncScope:
@@ -269,20 +281,37 @@ class _Compiler:
         group["sides"].append(scope.side)
         return group["channel"]
 
-    def make_compound_start(
-        self, stable: list[tuple[_TaBuilder, str]], start: _StartInfo
-    ) -> None:
-        """Turn a compound construct's start into its own reset.
+    def close_compound(
+        self, b: _TaBuilder, start: _StartInfo, left: _Unit, right: _Unit, *between: _TaBuilder
+    ) -> _Unit:
+        """The unit of a compound construct: its coordinator ``b``, the left
+        operand, ``between`` and the right operand.
 
-        The start becomes a broadcast: besides dispatching the
-        coordinator it knocks every stale automaton of the subtree back
-        to its inert initial location, so recursion may re-enter the
-        construct mid-flight (anything still running belongs to an
-        abandoned round).
+        The start becomes the construct's own reset, a broadcast: besides
+        dispatching the coordinator it knocks every waiting automaton of
+        the operands back to its inert initial location, so recursion may
+        re-enter the construct mid-flight (anything still running belongs
+        to an abandoned round).
         """
         decl = self.channels[start.channel]
         self.channels[start.channel] = ChannelDecl(start.channel, "broadcast", decl.kind)
-        _knock_back(stable, self.labels[start.channel, "receive"])
+        _knock_back(left.waiting() + right.waiting(), self.labels[start.channel, "receive"])
+        unit = _Unit(tas=[b])
+        unit.absorb(left)
+        unit.tas.extend(between)
+        unit.absorb(right)
+        return unit
+
+    def _gate(self, kind: ChannelKind, slots: list[_Slot], var: str, value: int, knock: list) -> None:
+        """Gate each slot's first event on a fresh handshake of ``kind``,
+        which claims ``var`` for ``value`` and knocks every automaton at one
+        of the ``knock`` locations back to its inert initial location."""
+        suffix, mode = _GATES[kind]
+        for slot in slots:
+            channel = self.registry.unique(slot.event, suffix)
+            self.ensure_channel(channel, kind, mode)
+            _gate_slot(slot, self.labels[channel, "send"], var, value)
+            _knock_back(knock, self.labels[channel, "receive"])
 
     # -- compilation ---------------------------------------------------------
 
@@ -350,17 +379,24 @@ class _Compiler:
         info = self.alloc_numbered("startID", ctx.branch, ctx, ChannelKind.FLOW)
         return info.channel, self.compile(p, ctx, info)
 
-    def _close_chain(self, b: _TaBuilder, source: str, ready: str, start: _StartInfo, next_chan: str) -> None:
-        """Final edge of a small automaton: hand the flow to the successor.
+    def _then(self, unit: _Unit, p: Prefix, ctx: _Ctx, start: _StartInfo) -> _Unit:
+        """Hand the flow from the last location of ``unit``'s one automaton
+        to the continuation of ``p``, whose openings stay ``unit``'s while
+        ``unit`` has no slot.
 
         A definition consisting of a single automaton cannot synchronise
         with itself to loop, so re-entering one's own start short-circuits
-        silently back to the ready location.
+        silently back to the ready location ``s1``.
         """
+        (b,) = unit.tas
+        next_chan, cont = self._compile_cont(p.cont, ctx)
+        last = f"s{len(b.loc_kinds) - 1}"
         if next_chan == start.channel:
-            b.add_edge(source, ready)
+            b.add_edge(last, "s1")
         else:
-            b.add_edge(source, "s0", sync=self.labels[next_chan, "send"])
+            b.add_edge(last, "s0", sync=self.labels[next_chan, "send"])
+        unit.absorb(cont, opening=not unit.slots)
+        return unit
 
     def _operands(self, p, ctx: _Ctx, finishes: tuple, view: View, left_markers: tuple = (), scope=None) -> list:
         """Compile both operands of a binary construct under ``view``, as
@@ -393,13 +429,21 @@ class _Compiler:
 
     # individual constructs
 
-    def _compile_stop(self, start: _StartInfo) -> _Unit:
+    def _waiting_ta(self, start: _StartInfo, size: int = 2, tock_to: str = "s1") -> _TaBuilder:
+        """The paper's TA1, STOP's automaton: the start action moves it from
+        its inert initial location ``s0`` to ``s1``, where it lets time pass.
+        The other atomic rules extend it to ``size`` normal locations; a
+        ``tock`` prefix moves on to ``tock_to`` with the first time unit."""
         b = _TaBuilder()
-        s0 = b.add_loc()
-        s1 = b.add_loc()
-        b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
-        b.add_edge(s1, s1, sync=self.labels[TOCK, "receive"])
-        return _Unit(tas=[b], blockable=[(b, s1)], stable=[(b, s1)])
+        for _ in range(size):
+            b.add_loc()
+        b.add_edge("s0", "s1", sync=self.labels[start.channel, "receive"])
+        b.add_edge("s1", tock_to, sync=self.labels[TOCK, "receive"])
+        return b
+
+    def _compile_stop(self, start: _StartInfo) -> _Unit:
+        b = self._waiting_ta(start)
+        return _Unit(tas=[b], blockable=[(b, "s1")])
 
     def _compile_skip(self, ctx: _Ctx, start: _StartInfo) -> _Unit:
         unit = self._compile_stop(start)
@@ -412,79 +456,33 @@ class _Compiler:
 
     def _compile_prefix(self, p: Prefix, ctx: _Ctx, start: _StartInfo) -> _Unit:
         if p.event == TOCK:
-            b = _TaBuilder()
-            s0 = b.add_loc()
-            s1 = b.add_loc()
-            s2 = b.add_loc()
-            b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
-            b.add_edge(s1, s2, sync=self.labels[TOCK, "receive"])
-            next_chan, cont = self._compile_cont(p.cont, ctx)
-            self._close_chain(b, s2, s1, start, next_chan)
-            unit = _Unit(
-                tas=[b],
-                blockable=[(b, s1), (b, s2)],
-                stable=[(b, s1), (b, s2)],
-            )
-            unit.absorb(cont)
-            return unit
-
-        resolved = ctx.view[p.event]
-        if resolved[0] == "sync":
-            return self._compile_sync_participant(p, ctx, start, resolved[1], resolved[2])
-
-        hidden = resolved[0] == "hidden"
-        channel = self.event_channel(*resolved)
-        b = _TaBuilder()
-        s0 = b.add_loc()
-        s1 = b.add_loc()
-        s2 = b.add_loc()
-        b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
-        b.add_edge(s1, s1, sync=self.labels[TOCK, "receive"])
-        ev_edge = b.add_edge(s1, s2, sync=self.labels[channel, "send"])
-        next_chan, cont = self._compile_cont(p.cont, ctx)
-        self._close_chain(b, s2, s1, start, next_chan)
-
-        unit = _Unit(tas=[b], stable=[(b, s1), (b, s2)])
-        if hidden:
-            # The occurrence is invisible: it neither resolves a choice nor
-            # interrupts, so the branch stays gatable through it.
-            unit.blockable = [(b, s1), (b, s2)]
-            unit.absorb(cont)
+            b = self._waiting_ta(start, 3, tock_to="s2")
         else:
-            unit.slots = [_Slot(b, s1, [ev_edge], channel)]
-            unit.blockable = [(b, s1)]
-            unit.absorb(cont, slots=False, blockable=False)
-        return unit
+            resolved = ctx.view[p.event]
+            if resolved[0] == "sync":
+                return self._compile_sync_participant(p, ctx, start, resolved[1], resolved[2])
+            channel = self.event_channel(*resolved)
+            b = self._waiting_ta(start, 3)
+            ev_edge = b.add_edge("s1", "s2", sync=self.labels[channel, "send"])
+            if resolved[0] == "plain":
+                unit = _Unit(tas=[b], slots=[_Slot(b, "s1", [ev_edge], channel)], blockable=[(b, "s1")])
+                return self._then(unit, p, ctx, start)
+        # Time and a hidden occurrence are invisible: they neither resolve a
+        # choice nor interrupt, so the branch stays gatable through them.
+        return self._then(_Unit(tas=[b], blockable=[(b, "s1"), (b, "s2")]), p, ctx, start)
 
     def _compile_sync_participant(
         self, p: Prefix, ctx: _Ctx, start: _StartInfo, scope: _SyncScope, name: str
     ) -> _Unit:
         var = self.new_var(f"g_{name}{start.branch}_{start.counter}")
         sync_chan = self.register_participant(scope, name, var)
-        b = _TaBuilder()
-        s0 = b.add_loc()
-        s1 = b.add_loc()
-        s2 = b.add_loc()
-        s3 = b.add_loc()
-        b.add_edge(s0, s1, sync=self.labels[start.channel, "receive"])
-        b.add_edge(s1, s1, sync=self.labels[TOCK, "receive"])
-        ready_edge = b.add_edge(s1, s2, updates=(Assignment(var, 1),))
-        b.add_edge(s2, s2, sync=self.labels[TOCK, "receive"])
-        b.add_edge(
-            s2, s3, sync=self.labels[sync_chan, "receive"], updates=(Assignment(var, 0),)
-        )
-        next_chan, cont = self._compile_cont(p.cont, ctx)
-        self._close_chain(b, s3, s1, start, next_chan)
-        b.reset_map[s2] = (Assignment(var, 0),)
-
-        unit = _Unit(
-            tas=[b],
-            slots=[_Slot(b, s1, [ready_edge], name)],
-            blockable=[(b, s1)],
-            stable=[(b, s1), (b, s2), (b, s3)],
-        )
-        unit.absorb(cont, slots=False, blockable=False)
-        return unit
+        b = self._waiting_ta(start, 4)
+        ready_edge = b.add_edge("s1", "s2", updates=(Assignment(var, 1),))
+        b.add_edge("s2", "s2", sync=self.labels[TOCK, "receive"])
+        b.add_edge("s2", "s3", sync=self.labels[sync_chan, "receive"], updates=(Assignment(var, 0),))
+        b.reset_map["s2"] = (Assignment(var, 0),)
+        unit = _Unit(tas=[b], slots=[_Slot(b, "s1", [ready_edge], name)], blockable=[(b, "s1")])
+        return self._then(unit, p, ctx, start)
 
     def _compile_seq(self, p: Seq, ctx: _Ctx, start: _StartInfo) -> _Unit:
         looped = self._loop_target(p.right, ctx)
@@ -496,9 +494,8 @@ class _Compiler:
         ctx.counter = left_ctx.counter
         right = self.compile(p.right, ctx, handover)
         unit = _Unit()
-        left_nullable = _nullable(p.left, self.nullable_defs)
         unit.absorb(left)
-        unit.absorb(right, slots=left_nullable, blockable=left_nullable)
+        unit.absorb(right, opening=_nullable(p.left, self.nullable_defs))
         return unit
 
     def _compile_parallel(self, p: GenPar | Interleave, ctx: _Ctx, start: _StartInfo) -> _Unit:
@@ -533,10 +530,8 @@ class _Compiler:
         # a recursion may re-enter while this round still waits on finishes
         for parked in (s4, s5, s6, s7):
             b.add_edge(parked, s1, sync=self.labels[start.channel, "receive"])
-        self.make_compound_start(left.stable + right.stable, start)
 
-        unit = _Unit(tas=[b], stable=[(b, s4), (b, s5), (b, s6), (b, s7)])
-        unit.absorb(left)
+        controllers = []
         if scope is not None:
             reqs = []
             for name in sorted(scope.groups):
@@ -559,9 +554,8 @@ class _Compiler:
                     )
                 reqs.append((self.event_channel(*outer), group["channel"], tuple(group["vars"])))
             if reqs:
-                unit.tas.append(_controller(reqs, self.labels))
-        unit.absorb(right)
-        return unit
+                controllers.append(_controller(reqs, self.labels))
+        return self.close_compound(b, start, left, right, *controllers)
 
     def _compile_ext_choice(self, p: ExtChoice, ctx: _Ctx, start: _StartInfo) -> _Unit:
         b = _TaBuilder()
@@ -581,38 +575,16 @@ class _Compiler:
         b.add_edge(s1, s2, sync=self.labels[start_l, "send"])
         b.add_edge(s2, s0, sync=self.labels[start_r, "send"])
 
-        self._wire_choice(left, right, picked)
+        # The first event of one branch blocks the other: its handshake
+        # knocks one automaton of the losing branch back to its inert
+        # initial location and records the winner in ``picked``.
+        self._gate(ChannelKind.EXT_CHOICE, left.slots, picked, 1, right.blockable)
+        self._gate(ChannelKind.EXT_CHOICE, right.slots, picked, 2, left.blockable)
         # termination of a side resolves the choice too: the first branch
         # to signal the shared finish claims it, silencing the other
         _claim_finish_edges(left.tas, ctx.finish, picked, 1)
         _claim_finish_edges(right.tas, ctx.finish, picked, 2)
-        self.make_compound_start(left.stable + right.stable, start)
-
-        unit = _Unit(tas=[b])
-        unit.absorb(left)
-        unit.absorb(right)
-        return unit
-
-    def _wire_choice(self, left: _Unit, right: _Unit, picked: str) -> None:
-        """The first event of one branch blocks the other branch.
-
-        The handshake knocks one automaton of the losing branch back to
-        its inert initial location and records the winner in ``picked``;
-        events the winning branch offers later (an armed interrupt, a
-        loop re-offering) pass the gate silently.
-        """
-        for side, own, other in ((1, left, right), (2, right, left)):
-            for slot in own.slots:
-                channel = self.registry.unique(slot.event, "_exch")
-                self.ensure_channel(channel, ChannelKind.EXT_CHOICE, "binary")
-                _gate_slot(
-                    slot,
-                    self.labels[channel, "send"],
-                    handshake_guard=GuardExpr((IntAtom((picked,), "==", 0),)),
-                    updates=(Assignment(picked, side),),
-                    freepass_guard=GuardExpr((IntAtom((picked,), "==", side),)),
-                )
-                _knock_back(other.blockable, self.labels[channel, "receive"])
+        return self.close_compound(b, start, left, right)
 
     def _compile_int_choice(self, p: IntChoice, ctx: _Ctx, start: _StartInfo) -> _Unit:
         b = _TaBuilder()
@@ -626,11 +598,7 @@ class _Compiler:
         b.add_edge(s1, s3)
         b.add_edge(s2, s0, sync=self.labels[start_l, "send"])
         b.add_edge(s3, s0, sync=self.labels[start_r, "send"])
-        self.make_compound_start(left.stable + right.stable, start)
-        unit = _Unit(tas=[b])
-        unit.absorb(left)
-        unit.absorb(right)
-        return unit
+        return self.close_compound(b, start, left, right)
 
     def _compile_interrupt(self, p: Interrupt, ctx: _Ctx, start: _StartInfo) -> _Unit:
         b = _TaBuilder()
@@ -665,31 +633,16 @@ class _Compiler:
         b.add_edge(
             s3, s1, sync=self.labels[start.channel, "receive"], updates=(Assignment(state, 0),)
         )
-        self.make_compound_start(left.stable + right.stable, start)
+        unit = self.close_compound(b, start, left, right)
 
         # successful termination of the interrupted side retires the whole
         # construct: nothing may interrupt it any more
         for builder, i in _finish_edges(left.tas, ctx.finish):
             edge = builder.edges[i]
             builder.edges[i] = replace(edge, updates=edge.updates + (Assignment(state, 2),))
-
-        for slot in right.slots:
-            # the kill is a broadcast: every automaton of the interrupted
-            # side that is at a stable location retires at once
-            channel = self.registry.unique(slot.event, "_intrpt")
-            self.ensure_channel(channel, ChannelKind.INTERRUPT, "broadcast")
-            _gate_slot(
-                slot,
-                self.labels[channel, "send"],
-                handshake_guard=GuardExpr((IntAtom((state,), "==", 0),)),
-                updates=(Assignment(state, 1),),
-                freepass_guard=GuardExpr((IntAtom((state,), "==", 1),)),
-            )
-            _knock_back(left.stable, self.labels[channel, "receive"])
-
-        unit = _Unit(tas=[b], stable=[(b, s3)])
-        unit.absorb(left)
-        unit.absorb(right)
+        # the kill is a broadcast: every automaton of the interrupted side
+        # that is waiting retires at once
+        self._gate(ChannelKind.INTERRUPT, right.slots, state, 1, left.waiting())
         return unit
 
 
@@ -735,24 +688,21 @@ def _claim_finish_edges(
         )
 
 
-def _gate_slot(
-    slot: _Slot,
-    sync: SyncLabel,
-    handshake_guard: GuardExpr,
-    updates: tuple[Assignment, ...],
-    freepass_guard: GuardExpr,
-) -> None:
+def _gate_slot(slot: _Slot, sync: SyncLabel, var: str, value: int) -> None:
     """Insert a gate before the slot's event.
 
-    The handshake edge performs the coordinating action; the silent
-    free-pass edge lets the event fire once the coordination has already
-    been decided in this slot's favour (an armed interrupt firing after
-    its choice was won, a loop re-offering its own branch).
+    The handshake edge performs the coordinating action: while ``var``
+    is undecided (0) it claims it for ``value``.  The silent free-pass
+    edge lets the event fire once ``var`` already holds ``value``, decided
+    in this slot's favour (an armed interrupt firing after its choice was
+    won, a loop re-offering its own branch).
     """
     b = slot.builder
     gate = b.add_loc(LocationKind.COMMITTED)
-    handshake = b.add_edge(slot.ready, gate, guard=handshake_guard, sync=sync, updates=updates)
-    freepass = b.add_edge(slot.ready, gate, guard=freepass_guard)
+    handshake = b.add_edge(
+        slot.ready, gate, guard=GuardExpr((IntAtom((var,), "==", 0),)), sync=sync, updates=(Assignment(var, value),)
+    )
+    freepass = b.add_edge(slot.ready, gate, guard=GuardExpr((IntAtom((var,), "==", value),)))
     for i in slot.entry_edges:
         b.edges[i] = replace(b.edges[i], source=gate)
     slot.entry_edges = [handshake, freepass]

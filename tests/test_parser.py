@@ -86,29 +86,39 @@ def test_multiline_definition_continues():
     assert spec.definitions["Q"] == Stop()
 
 
+PARSE_ERRORS = [
+    ("P = ", "unexpected", (1, 4)),
+    ("P = a ->", "unexpected", (1, 9)),
+    ("P = (a -> STOP", "expected", (1, 15)),
+    # errors of the whole spec have no one position
+    ("P = a -> Q", "unresolved reference", None),
+    ("P = P", "unguarded recursion", None),
+    ("P = Q [] a -> STOP\nQ = P [] b -> STOP\n", "unguarded recursion", None),
+    ("P = startID0_0 -> STOP", "reserved", (1, 5)),
+    ("P = itau -> STOP", "reserved", (1, 5)),
+    ("P = a___sync -> STOP", "reserved", (1, 5)),
+    # a bad name in a wrapper's set is reported at the wrapper's operator
+    ("P = (a -> STOP) [|{tock}|] STOP", "tock", (1, 17)),
+    ("P = (a -> STOP)\n  [|{b, startID1}|] (b -> STOP)", "reserved", (2, 3)),
+    ("P = (a -> STOP) \\ {tock}", "tock", (1, 17)),
+    ("P = (a -> STOP) [[a <- tock]]", "tock", (1, 17)),
+    ("P = (a -> STOP) [[a <- b, a <- c]]", "renamed twice", (1, 17)),
+    ("P = STOP\nP = SKIP", "duplicate", (2, 1)),
+]
+
+
 @pytest.mark.parametrize(
-    "source, fragment",
-    [
-        ("P = ", "unexpected"),
-        ("P = a ->", "unexpected"),
-        ("P = (a -> STOP", "expected"),
-        ("P = a -> Q", "unresolved reference"),
-        ("P = P", "unguarded recursion"),
-        ("P = Q [] a -> STOP\nQ = P [] b -> STOP\n", "unguarded recursion"),
-        ("P = startID0_0 -> STOP", "reserved"),
-        ("P = itau -> STOP", "reserved"),
-        ("P = a___sync -> STOP", "reserved"),
-        ("P = (a -> STOP) [|{tock}|] STOP", "tock"),
-        ("P = (a -> STOP) \\ {tock}", "tock"),
-        ("P = (a -> STOP) [[a <- tock]]", "tock"),
-        ("P = (a -> STOP) [[a <- b, a <- c]]", "renamed twice"),
-        ("P = STOP\nP = SKIP", "duplicate"),
-    ],
+    "source, fragment, position", PARSE_ERRORS, ids=[f"{source}-{fragment}" for source, fragment, _ in PARSE_ERRORS]
 )
-def test_parse_errors(source, fragment):
+def test_parse_errors(source, fragment, position):
     with pytest.raises(SpecError) as err:
         parse(source)
     assert fragment.lower() in str(err.value).lower()
+    if position is None:
+        assert not isinstance(err.value, CspSyntaxError)
+    else:
+        assert isinstance(err.value, CspSyntaxError)
+        assert (err.value.line, err.value.col) == position
 
 
 def test_syntax_error_carries_position():

@@ -1,7 +1,10 @@
 import functools
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -596,6 +599,35 @@ def test_load_holds_one_template_at_a_time(workloads):
             tracemalloc.stop()
 
     assert traced_peak(load) < traced_peak(ET.fromstring) / 4
+
+
+_LOAD_ON_THE_PYTHON_BUILDER = """
+import inspect, sys
+sys.modules["_elementtree"] = None  # before any import of ElementTree
+import xml.etree.ElementTree as ET
+from tockta.cspast import Stop
+from tockta.translate import assemble
+from tockta.uppaalxml import XmlLoadError, emit, load
+assert inspect.isfunction(ET.TreeBuilder.close), "the C TreeBuilder is still in use"
+net = assemble(Stop())
+assert load(emit(net)) == net
+try:
+    load(emit(net)[:-20])
+except XmlLoadError as exc:
+    assert "malformed XML" in str(exc), exc
+else:
+    raise AssertionError("a truncated document loaded")
+"""
+
+
+def test_load_works_on_the_pure_python_tree_builder():
+    # The holder element that load opens stays open; unlike the C builder,
+    # the Python one checks for open elements at close().
+    env = {**os.environ, "PYTHONPATH": str(Path(uppaalxml.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", _LOAD_ON_THE_PYTHON_BUILDER], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
 
 
 def test_undefined_entities_in_labels_are_load_errors():
