@@ -392,27 +392,27 @@ def alphabet(spec: CspSpec) -> frozenset[str]:
     """All visible user events reachable from main, after renaming and hiding.
 
     Hidden occurrences are invisible and excluded; tock is never included.
+    The walk keeps its own stack, so a long chain of references cannot
+    exhaust the interpreter's.
     """
     out: set[str] = set()
     seen: set[tuple] = set()
-
-    def walk(p: CspProcess, view: View) -> None:
+    stack = [(spec.body(), plain_view(spec.definitions))]
+    while stack:
+        p, view = stack.pop()
         if isinstance(p, Prefix):
             if p.event != TOCK and view[p.event][0] == "plain":
                 out.add(view[p.event][1])
-            walk(p.cont, view)
+            stack.append((p.cont, view))
         elif isinstance(p, (Hide, Rename)):
-            walk(p.body, wrap(view, p))
+            stack.append((p.body, wrap(view, p)))
         elif isinstance(p, _Binary):
-            walk(p.left, view)
-            walk(p.right, view)
+            stack += ((p.right, view), (p.left, view))
         elif isinstance(p, Ref):
             key = (p.name, view.key)
             if key not in seen:
                 seen.add(key)
-                walk(spec.definitions[p.name], view)
-
-    walk(spec.body(), plain_view(spec.definitions))
+                stack.append((spec.definitions[p.name], view))
     return frozenset(out)
 
 

@@ -9,7 +9,9 @@ against integer constants, constant assignments, plain synchronisation
 labels) and give each transition or location at most one label of each
 kind.  Locations get deterministic grid coordinates because the model
 itself carries no geometry.  ``load`` parses a chunk at a time and frees
-each template's elements once it has loaded them.
+each template's elements once it has loaded them, with the cyclic
+garbage collector paused for the whole process (``load`` says why that
+is safe).  ``save_file`` writes the document a line at a time.
 
 Text is escaped by ``_escape``, not ``xml.sax.saxutils.escape``: that
 import loads the network stack (``urllib.request``, ``ssl``, ``socket``,
@@ -18,6 +20,7 @@ import loads the network stack (``urllib.request``, ``ssl``, ``socket``,
 
 from __future__ import annotations
 
+import gc
 import re
 import xml.etree.ElementTree as ET
 
@@ -88,6 +91,11 @@ def emit(net: NetworkModel) -> str:
     automaton name that is empty or has surrounding whitespace (``load``
     strips it), or an environment name holding ``--``, which would end the
     kinds comment early."""
+    return "\n".join(_lines(net, _checked_environment_name(net))) + "\n"
+
+
+def _checked_environment_name(net: NetworkModel) -> str:
+    """The environment's name, once every name ``emit`` writes is one that ``load`` reads back."""
     words = [("channel", decl.name) for decl in net.channels]
     words += [("integer variable", name) for name, _ in net.int_vars]
     words += [("clock", name) for name in net.global_clocks]
@@ -101,17 +109,24 @@ def emit(net: NetworkModel) -> str:
     env_name = net.automata[net.environment_index].name if 0 <= net.environment_index < len(net.automata) else ""
     if "--" in env_name:
         raise ValueError(f"environment name {env_name!r} holds '--', which an XML comment cannot")
-    out = ['<?xml version="1.0" encoding="utf-8"?>', _DOCTYPE, "<nta>"]
-    out.append("\t<declaration>" + _escape(_emit_declaration(net)) + "</declaration>")
+    return env_name
+
+
+def _lines(net: NetworkModel, env_name: str):
+    """The document's lines, without their line ends, one at a time."""
+    yield '<?xml version="1.0" encoding="utf-8"?>'
+    yield _DOCTYPE
+    yield "<nta>"
+    yield "\t<declaration>" + _escape(_emit_declaration(net)) + "</declaration>"
     kinds = ";".join(f"{c.name}={c.kind.value}" for c in net.channels)
-    out.append(f"\t<!-- {_KIND_COMMENT}: {kinds} | environment={env_name} -->")
+    yield f"\t<!-- {_KIND_COMMENT}: {kinds} | environment={env_name} -->"
     doc_id = 0
     for ta in net.automata:
-        out.append("\t<template>")
-        out.append(f"\t\t<name>{_escape(ta.name)}</name>")
+        yield "\t<template>"
+        yield f"\t\t<name>{_escape(ta.name)}</name>"
         if ta.clocks:
             local = "\n".join(f"clock {c};" for c in ta.clocks)
-            out.append(f"\t\t<declaration>{_escape(local)}</declaration>")
+            yield f"\t\t<declaration>{_escape(local)}</declaration>"
         ids: dict[str, str] = {}
         for index, loc in enumerate(ta.locations):
             ids[loc.id] = f"id{doc_id}"
@@ -127,8 +142,8 @@ def emit(net: NetworkModel) -> str:
             elif loc.kind is LocationKind.URGENT:
                 pieces.append("<urgent/>")
             pieces.append("</location>")
-            out.append("".join(pieces))
-        out.append(f'\t\t<init ref="{ids[ta.initial]}"/>')
+            yield "".join(pieces)
+        yield f'\t\t<init ref="{ids[ta.initial]}"/>'
         for edge in ta.edges:
             pieces = ["\t\t<transition>"]
             pieces.append(f'<source ref="{ids[edge.source]}"/>')
@@ -141,13 +156,12 @@ def emit(net: NetworkModel) -> str:
                 text = ", ".join(u.render() for u in edge.updates)
                 pieces.append(f'<label kind="assignment">{_escape(text)}</label>')
             pieces.append("</transition>")
-            out.append("".join(pieces))
-        out.append("\t</template>")
+            yield "".join(pieces)
+        yield "\t</template>"
     names = ", ".join(ta.name for ta in net.automata)
-    out.append(f"\t<system>system {_escape(names)};</system>")
-    out.append("\t<queries/>")
-    out.append("</nta>")
-    return "\n".join(out) + "\n"
+    yield f"\t<system>system {_escape(names)};</system>"
+    yield "\t<queries/>"
+    yield "</nta>"
 
 
 _CHAN_RE = re.compile(r"^(broadcast\s+chan|urgent\s+chan|chan)\s+(\w+)\s*;\s*$")
@@ -229,6 +243,9 @@ def _parse_declaration(text: str):
 
 # Tags of which an element may have one child at most.
 _SINGLE = frozenset({"name", "init", "source", "target", "declaration"})
+# A location's kind by the tag that sets it.  Location keys hold the tag:
+# a ``str`` hashes in C, an ``Enum`` member through ``Enum.__hash__``.
+_KINDS = {"": LocationKind.NORMAL, "committed": LocationKind.COMMITTED, "urgent": LocationKind.URGENT}
 
 
 def _children(node: ET.Element, listed: tuple[str, ...]) -> tuple[dict, list]:
@@ -271,7 +288,26 @@ def load(document: str) -> NetworkModel:
 
     One pass over each element's children finds its parts.  Each model
     object is built once per document: a label text is parsed once, and
-    equal labels, locations and edges are one shared object."""
+    equal labels, locations and edges are one shared object.
+
+    The cyclic garbage collector is paused while ``load`` runs.  The
+    allocations of a large document trigger hundreds of its passes, each
+    rescanning live objects, and they would reclaim nothing: nothing
+    ``load`` builds holds a reference cycle, so reference counting frees
+    all of it.  A cycle that other code makes meanwhile is collected once
+    the collector runs again.  The pause applies to the whole process,
+    every thread included.  It ends on every exit, error or not, and a
+    collector that was disabled on entry stays disabled."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(document)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load(document: str) -> NetworkModel:
     comments: list[ET.Element] = []  # each comment, in document order, as it is inserted
     builder = ET.TreeBuilder(
         comment_factory=lambda text: comments.append(ET.Comment(text)) or comments[-1], insert_comments=True
@@ -410,7 +446,7 @@ def _load_template(
             if doc_id is None:
                 raise XmlLoadError("location without id")
             label = None
-            kind = LocationKind.NORMAL
+            kind = ""  # the tag that sets the kind, as ``_KINDS`` keys it
             invariants = []
             for child in node:
                 tag = child.tag
@@ -419,10 +455,8 @@ def _load_template(
                         invariants.append(child.text)
                 elif tag == "name" and label is None:
                     label = child
-                elif tag == "committed":
-                    kind = LocationKind.COMMITTED
-                elif tag == "urgent" and kind is LocationKind.NORMAL:
-                    kind = LocationKind.URGENT
+                elif tag == "committed" or (tag == "urgent" and not kind):
+                    kind = tag
                 elif tag in _SINGLE:
                     _children(node, ("label",))
             if len(invariants) > 1:
@@ -433,12 +467,13 @@ def _load_template(
             used_names.add(model_id)
             id_to_model[doc_id] = model_id
             key = (model_id, kind, *invariants)
-            if key not in known_locations:
+            location = known_locations.get(key)
+            if location is None:
                 invariant = _parse_atoms(invariants[0], clock_names) if invariants else ()
                 if any(not isinstance(a, ClockAtom) for a in invariant):
                     raise XmlLoadError("unsupported invariant")
-                known_locations[key] = Location(model_id, model_id, kind, invariant)
-            locations.append(known_locations[key])
+                location = known_locations[key] = Location(model_id, model_id, _KINDS[kind], invariant)
+            locations.append(location)
         except XmlLoadError as exc:
             where = "" if doc_id is None else f" at location {doc_id!r}"
             raise XmlLoadError(f"{exc}{where} in template {name!r}") from None
@@ -486,9 +521,10 @@ def _load_template(
             if src_id is None or tgt_id is None:
                 raise XmlLoadError("dangling location reference")
             key = (src_id, tgt_id, *texts)
-            if key not in known_edges:
-                known_edges[key] = Edge(src_id, tgt_id, guard, sync, updates or ())
-            edges.append(known_edges[key])
+            edge = known_edges.get(key)
+            if edge is None:
+                edge = known_edges[key] = Edge(src_id, tgt_id, guard, sync, updates or ())
+            edges.append(edge)
         except XmlLoadError as exc:
             raise XmlLoadError(f"{exc} in template {name!r}, transition {index}") from None
 
@@ -502,8 +538,13 @@ def _load_template(
 
 
 def save_file(net: NetworkModel, path: str) -> None:
+    """Write ``emit(net)`` to ``path`` a line at a time, so the whole
+    document is never held; a name ``emit`` refuses raises before the file
+    is opened."""
+    env_name = _checked_environment_name(net)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(emit(net))
+        for line in _lines(net, env_name):
+            handle.write(line + "\n")
 
 
 def load_file(path: str) -> NetworkModel:

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import sys
 from pathlib import Path
@@ -18,3 +19,16 @@ def workloads():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic garbage collector disabled for the test, then set back
+    to what it was."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import os
 import pickle
 import subprocess
@@ -25,8 +26,10 @@ from tockta.cspast import (
     validate_event_name,
     wrap,
 )
-from tockta.parser import parse
+from tockta.harness import generate_corpus
+from tockta.parser import parse, parse_file
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ADS = parse(
     "ADS = Controller [|{close}|] Lighting\n"
     "Controller = open -> tock -> close -> Controller\n"
@@ -48,6 +51,20 @@ def test_alphabet_applies_renaming():
 
 def test_alphabet_excludes_hidden_events():
     assert alphabet(parse("P = (a -> b -> STOP) \\ {b}")) == frozenset({"a"})
+
+
+def test_alphabet_follows_a_chain_of_references_longer_than_the_recursion_limit():
+    spec = parse("".join(f"C{i} = e{i} -> C{(i + 1) % 3000}\n" for i in range(3000)))
+    assert alphabet(spec) == {f"e{i}" for i in range(3000)}
+
+
+def test_alphabet_builds_no_reference_cycles(collector_off):
+    specs = [entry.spec for entry in generate_corpus()]
+    specs += [parse_file(str(path)) for path in sorted(FIXTURES.glob("*.tcsp"))]
+    gc.collect()
+    for spec in specs:
+        alphabet(spec)
+        assert gc.collect() == 0
 
 
 def test_alphabet_invariant_under_reassociation():

@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import os
 import random
@@ -32,7 +33,7 @@ from tockta.tamodel import (
     validate,
 )
 from tockta.translate import assemble
-from tockta.uppaalxml import XmlLoadError, emit, load
+from tockta.uppaalxml import XmlLoadError, emit, load, save_file
 
 ADS = parse(
     "ADS = Controller [|{close}|] Lighting\n"
@@ -165,11 +166,15 @@ def renamed(net, environment=None, channel=None):
     [("Env--x", None, "environment name 'Env--x'"), (None, "a--b", "channel name 'a--b'")],
     ids=["environment", "channel"],
 )
-def test_names_the_loader_cannot_read_back_are_refused(environment, channel, message):
+def test_names_the_loader_cannot_read_back_are_refused(tmp_path, environment, channel, message):
     net = renamed(assemble(parse("P = a -> STOP")), environment, channel)
     assert validate(net) == []
     with pytest.raises(ValueError, match=re.escape(message)):
         emit(net)
+    path = tmp_path / "net.xml"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_file(net, str(path))
+    assert not path.exists()
 
 
 def _first_automaton(net, **changes):
@@ -586,19 +591,20 @@ def test_comments_outside_the_root_element_are_ignored():
     assert load(emit(net).replace("<nta>", bad + "<nta>", 1) + bad + "\n") == net
 
 
+def traced_peak(call, *args):
+    """The ``tracemalloc`` peak, in bytes, of ``call(*args)``."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_holds_one_template_at_a_time(workloads):
     doc = emit(assemble(parse(workloads.family_text(32))))
     assert len(doc) > 800_000
-
-    def traced_peak(parse_document):
-        tracemalloc.start()
-        try:
-            parse_document(doc)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert traced_peak(load) < traced_peak(ET.fromstring) / 4
+    assert traced_peak(load, doc) < traced_peak(ET.fromstring, doc) / 4
 
 
 _LOAD_ON_THE_PYTHON_BUILDER = """
@@ -650,3 +656,58 @@ def test_kinds_recovered_from_names_without_metadata_comment():
     assert kinds["open"] is ChannelKind.USER_EVENT
     # environment found structurally: single location broadcasting tock
     assert loaded.environment_index == net.environment_index
+
+
+def test_save_file_writes_the_emitted_document_a_line_at_a_time(tmp_path, workloads):
+    nets = [assemble(parse_file(str(path))) for path in sorted(FIXTURES.glob("*.tcsp"))]
+    nets.append(assemble(parse(workloads.family_text(32))))
+    path = str(tmp_path / "net.xml")
+    for net in nets:
+        save_file(net, path)
+        with open(path, "rb") as handle:
+            assert handle.read() == emit(net).encode("utf-8")
+    assert traced_peak(save_file, nets[-1], path) < traced_peak(emit, nets[-1]) / 4
+
+
+def test_load_builds_no_reference_cycles(collector_off):
+    # Why load may pause the collector: what it builds, reference counting
+    # frees, so a collection right after each load finds nothing.
+    docs = pinned_documents()[0] + [emit(assemble(large_shape_specs()[0]))]
+    gc.collect()
+    for doc in docs:
+        load(doc)
+        assert gc.collect() == 0
+
+
+def test_load_runs_no_collection(workloads):
+    doc = emit(assemble(parse(workloads.family_text(32))))
+    collections = []
+    gc.callbacks.append(lambda phase, info: collections.append(info))
+    try:
+        load(doc)
+    finally:
+        gc.callbacks.pop()
+    assert collections == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda doc: doc, None),
+        (lambda doc: doc[:-20], "malformed XML"),
+        (lambda doc: doc.replace("<nta>", "<ntb>").replace("</nta>", "</ntb>"), "expected root element"),
+        (lambda doc: doc.replace("tock!", "nochan!", 1), "invalid network"),
+    ],
+    ids=["loads", "malformed", "wrong-root", "invalid-network"],
+)
+def test_load_leaves_the_collector_as_it_found_it(collector_off, enabled, edit, error):
+    doc = edit(emit(assemble(Stop())))
+    if enabled:
+        gc.enable()
+    if error is None:
+        load(doc)
+    else:
+        with pytest.raises(XmlLoadError, match=error):
+            load(doc)
+    assert gc.isenabled() is enabled
