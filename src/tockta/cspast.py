@@ -253,29 +253,34 @@ class CspSpec:
 
     def _check_guardedness(self) -> None:
         # A cycle of definitions is legal only if it passes through a prefix;
-        # otherwise bounded trace enumeration would not terminate.
-        nullable = _nullable_map(self.definitions)
-        edges = {
-            name: _unguarded_refs(body, nullable)
-            for name, body in self.definitions.items()
-        }
-        state: dict[str, int] = {}  # 0 = visiting, 1 = done
+        # otherwise bounded trace enumeration would not terminate.  Peel off
+        # the definitions whose references all end at a prefix: each one
+        # left reaches a cycle, found by following its first reference left.
+        self._nullable, refs = _starts(self.definitions)
+        users: dict[str, list[str]] = {name: [] for name in self.definitions}
+        for name, out in refs.items():
+            for ref in out:
+                users[ref].append(name)
+        unpeeled = {name: len(out) for name, out in refs.items()}
+        ready = [name for name, count in unpeeled.items() if not count]
+        while ready:
+            for user in users[ready.pop()]:
+                unpeeled[user] -= 1
+                if not unpeeled[user]:
+                    ready.append(user)
+        name = next((name for name in self.definitions if unpeeled[name]), None)
+        if name is not None:
+            path: dict[str, int] = {}  # each name followed, with its position
+            while name not in path:
+                path[name] = len(path)
+                name = min(ref for ref in refs[name] if unpeeled[ref])
+            cycle = list(path)[path[name]:] + [name]
+            raise SpecError(f"unguarded recursion: {' -> '.join(cycle)}")
 
-        def visit(name: str, stack: list[str]) -> None:
-            if state.get(name) == 1:
-                return
-            if state.get(name) == 0:
-                cycle = " -> ".join(stack[stack.index(name):] + [name])
-                raise SpecError(f"unguarded recursion: {cycle}")
-            state[name] = 0
-            stack.append(name)
-            for nxt in sorted(edges[name]):
-                visit(nxt, stack)
-            stack.pop()
-            state[name] = 1
-
-        for name in self.definitions:
-            visit(name, [])
+    def nullable(self, p: CspProcess) -> bool:
+        """Whether ``p``, a term of this spec, can terminate without any
+        visible event or tock."""
+        return _start(p, self._nullable)[0]
 
     def body(self) -> CspProcess:
         return self.definitions[self.main]
@@ -296,48 +301,46 @@ def _subterms(p: CspProcess):
             stack += (p.right, p.left)
 
 
-def _nullable_map(defs: dict[str, CspProcess]) -> dict[str, bool]:
-    """Which definitions can terminate without any visible event or tock."""
-    result = dict.fromkeys(defs, False)
-    while grown := [name for name, body in defs.items() if not result[name] and _nullable(body, result)]:
-        result.update(dict.fromkeys(grown, True))
-    return result
+def _starts(defs: dict[str, CspProcess]) -> tuple[dict[str, bool], dict[str, set[str]]]:
+    """Which definitions can terminate without any visible event or tock,
+    and the references each reaches before a prefix.  A definition is
+    checked again only when one it starts with turns out to be nullable."""
+    nullable = dict.fromkeys(defs, False)
+    refs: dict[str, set[str]] = {}
+    starters: dict[str, set[str]] = {name: set() for name in defs}  # the definitions that start with each
+    work = list(defs)
+    while work:
+        name = work.pop()
+        was = nullable[name]
+        nullable[name], refs[name] = _start(defs[name], nullable)
+        for ref in refs[name]:
+            starters[ref].add(name)
+        if nullable[name] and not was:
+            work += starters[name]
+    return nullable, refs
 
 
-def _nullable(p: CspProcess, defs_nullable: dict[str, bool]) -> bool:
-    if isinstance(p, Skip):
-        return True
-    if isinstance(p, (Stop, Prefix)):
-        return False
-    if isinstance(p, (ExtChoice, IntChoice)):
-        return _nullable(p.left, defs_nullable) or _nullable(p.right, defs_nullable)
-    if isinstance(p, (Seq, GenPar, Interleave)):
-        return _nullable(p.left, defs_nullable) and _nullable(p.right, defs_nullable)
-    if isinstance(p, Interrupt):
-        return _nullable(p.left, defs_nullable)
-    if isinstance(p, (Hide, Rename)):
-        return _nullable(p.body, defs_nullable)
+def _start(p: CspProcess, nullable: dict[str, bool]) -> tuple[bool, set[str]]:
+    """Whether ``p`` can terminate without any visible event or tock, given
+    which definitions can, and the references it reaches before a prefix."""
     if isinstance(p, Ref):
-        return defs_nullable.get(p.name, False)
-    raise TypeError(f"unknown process node {p!r}")
-
-
-def _unguarded_refs(p: CspProcess, nullable: dict[str, bool]) -> set[str]:
-    """References reachable without first passing through a prefix."""
-    if isinstance(p, Ref):
-        return {p.name}
+        return nullable[p.name], {p.name}
     if isinstance(p, (Stop, Skip, Prefix)):
-        return set()
-    if isinstance(p, Seq):
-        out = _unguarded_refs(p.left, nullable)
-        if _nullable(p.left, nullable):
-            out |= _unguarded_refs(p.right, nullable)
-        return out
+        return isinstance(p, Skip), set()
     if isinstance(p, (Hide, Rename)):
-        return _unguarded_refs(p.body, nullable)
-    if isinstance(p, _Binary):
-        return _unguarded_refs(p.left, nullable) | _unguarded_refs(p.right, nullable)
-    raise TypeError(f"unknown process node {p!r}")
+        return _start(p.body, nullable)
+    if not isinstance(p, _Binary):
+        raise TypeError(f"unknown process node {p!r}")
+    left, refs = _start(p.left, nullable)
+    if isinstance(p, Seq) and not left:
+        return False, refs
+    right, right_refs = _start(p.right, nullable)
+    refs |= right_refs
+    if isinstance(p, (ExtChoice, IntChoice)):
+        return left or right, refs
+    if isinstance(p, Interrupt):
+        return left, refs
+    return left and right, refs  # a sequence or a parallel composition
 
 
 # --- alphabet -------------------------------------------------------------

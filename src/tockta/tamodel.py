@@ -68,8 +68,8 @@ COORDINATING_KINDS = frozenset(
 def kind_from_name(name: str) -> ChannelKind:
     """Classify a channel by the reserved naming convention.
 
-    Fallback for models loaded from foreign files that carry no kind
-    metadata; generated models always carry explicit kinds.
+    The XML format carries a channel's kind only this way: ``uppaalxml``
+    refuses to write a channel whose name tells another kind.
     """
     if name == "tock":
         return ChannelKind.TOCK

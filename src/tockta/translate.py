@@ -46,8 +46,6 @@ from .cspast import (
     Skip,
     Stop,
     View,
-    _nullable,
-    _nullable_map,
     alphabet,
     plain_view,
     wrap,
@@ -226,7 +224,6 @@ class _Compiler:
         self.int_vars: dict[str, int] = {}
         self.active: dict[tuple, str] = {}
         self.labels = _Shared(SyncLabel)
-        self.nullable_defs = _nullable_map(spec.definitions)
         self._marker_seq = 0
 
     def loop_key(self, name: str, ctx: _Ctx) -> tuple:
@@ -495,7 +492,7 @@ class _Compiler:
         right = self.compile(p.right, ctx, handover)
         unit = _Unit()
         unit.absorb(left)
-        unit.absorb(right, opening=_nullable(p.left, self.nullable_defs))
+        unit.absorb(right, opening=self.spec.nullable(p.left))
         return unit
 
     def _compile_parallel(self, p: GenPar | Interleave, ctx: _Ctx, start: _StartInfo) -> _Unit:

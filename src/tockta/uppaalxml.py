@@ -1,17 +1,19 @@
 """UPPAAL 4.x flat-XML serialisation and loading.
 
 ``emit`` is deterministic: structurally equal networks produce
-byte-identical documents.  Channel kinds travel in a single XML comment
-(stock UPPAAL ignores it), so ``load(emit(net))`` recovers the network
-exactly; foreign documents are accepted as long as they stay within the
-expression grammar this model supports (conjunctions of comparisons
-against integer constants, constant assignments, plain synchronisation
-labels) and give each transition or location at most one label of each
-kind.  Locations get deterministic grid coordinates because the model
-itself carries no geometry.  ``load`` parses a chunk at a time and frees
-each template's elements once it has loaded them, with the cyclic
-garbage collector paused for the whole process (``load`` says why that
-is safe).  ``save_file`` writes the document a line at a time.
+byte-identical documents.  A channel's kind travels in its name
+(``tamodel.kind_from_name``) and the environment is the first automaton
+with one location that sends ``tock``; ``emit`` refuses a network that
+these rules would read back otherwise, so ``load(emit(net))`` recovers
+the network exactly.  Foreign documents are accepted as long as they stay
+within the expression grammar this model supports (conjunctions of
+comparisons against integer constants, constant assignments, plain
+synchronisation labels) and give each transition or location at most one
+label of each kind.  Locations get deterministic grid coordinates because
+the model itself carries no geometry.  ``load`` parses a chunk at a time
+and frees each template's elements once it has loaded them, with the
+cyclic garbage collector paused for the whole process (``load`` says why
+that is safe).  ``save_file`` writes the document a line at a time.
 
 Text is escaped by ``_escape``, not ``xml.sax.saxutils.escape``: that
 import loads the network stack (``urllib.request``, ``ssl``, ``socket``,
@@ -27,7 +29,6 @@ import xml.etree.ElementTree as ET
 from .tamodel import (
     Assignment,
     ChannelDecl,
-    ChannelKind,
     ClockAtom,
     Edge,
     GuardExpr,
@@ -48,7 +49,6 @@ _DOCTYPE = (
     "'http://www.it.uu.se/research/group/darts/uppaal/flat-1_1.dtd'>"
 )
 
-_KIND_COMMENT = "tockta-channel-kinds"
 # A channel, variable or clock name as the declaration grammar reads it.
 _WORD_RE = re.compile(r"\w+")
 
@@ -86,16 +86,17 @@ def _grid(index: int) -> tuple[int, int]:
 def emit(net: NetworkModel) -> str:
     """Serialise a validated network to UPPAAL flat XML text.
 
-    Raises ``ValueError`` for a name that ``load`` could not read back: a
-    channel, integer variable or clock name that is not a word, an
-    automaton name that is empty or has surrounding whitespace (``load``
-    strips it), or an environment name holding ``--``, which would end the
-    kinds comment early."""
-    return "\n".join(_lines(net, _checked_environment_name(net))) + "\n"
+    Raises ``ValueError`` for what ``load`` could not read back: a channel,
+    integer variable or clock name that is not a word, a channel whose name
+    tells another kind than it has, an automaton name that is empty or has
+    surrounding whitespace (``load`` strips it), or an environment other
+    than the one the shape rule finds (``_environment_index``)."""
+    _check_readable(net)
+    return "\n".join(_lines(net)) + "\n"
 
 
-def _checked_environment_name(net: NetworkModel) -> str:
-    """The environment's name, once every name ``emit`` writes is one that ``load`` reads back."""
+def _check_readable(net: NetworkModel) -> None:
+    """Raise ``ValueError`` unless ``load`` reads ``emit(net)`` back as ``net``."""
     words = [("channel", decl.name) for decl in net.channels]
     words += [("integer variable", name) for name, _ in net.int_vars]
     words += [("clock", name) for name in net.global_clocks]
@@ -103,23 +104,31 @@ def _checked_environment_name(net: NetworkModel) -> str:
     for what, name in words:
         if not _WORD_RE.fullmatch(name):
             raise ValueError(f"{what} name {name!r} is not a word (letters, digits, underscores)")
+    for decl in net.channels:
+        if (named := kind_from_name(decl.name)) is not decl.kind:
+            raise ValueError(f"channel {decl.name!r} is {decl.kind.value!r}, but its name says {named.value!r}")
     for ta in net.automata:
         if not ta.name or ta.name != ta.name.strip():
             raise ValueError(f"automaton name {ta.name!r} is empty or has surrounding whitespace")
-    env_name = net.automata[net.environment_index].name if 0 <= net.environment_index < len(net.automata) else ""
-    if "--" in env_name:
-        raise ValueError(f"environment name {env_name!r} holds '--', which an XML comment cannot")
-    return env_name
+    if (found := _environment_index(net.automata)) != net.environment_index:
+        raise ValueError(f"environment index {net.environment_index}, but the shape rule finds {found}")
 
 
-def _lines(net: NetworkModel, env_name: str):
+def _environment_index(automata) -> int:
+    """How ``load`` finds the environment: the index of the first automaton
+    with one location and an edge that sends ``tock``, or -1."""
+    for i, ta in enumerate(automata):
+        if len(ta.locations) == 1 and SyncLabel("tock", "send") in (e.sync for e in ta.edges):
+            return i
+    return -1
+
+
+def _lines(net: NetworkModel):
     """The document's lines, without their line ends, one at a time."""
     yield '<?xml version="1.0" encoding="utf-8"?>'
     yield _DOCTYPE
     yield "<nta>"
     yield "\t<declaration>" + _escape(_emit_declaration(net)) + "</declaration>"
-    kinds = ";".join(f"{c.name}={c.kind.value}" for c in net.channels)
-    yield f"\t<!-- {_KIND_COMMENT}: {kinds} | environment={env_name} -->"
     doc_id = 0
     for ta in net.automata:
         yield "\t<template>"
@@ -308,10 +317,8 @@ def load(document: str) -> NetworkModel:
 
 
 def _load(document: str) -> NetworkModel:
-    comments: list[ET.Element] = []  # each comment, in document order, as it is inserted
-    builder = ET.TreeBuilder(
-        comment_factory=lambda text: comments.append(ET.Comment(text)) or comments[-1], insert_comments=True
-    )
+    # Comments are inserted so that one inside a label ends the label's text.
+    builder = ET.TreeBuilder(insert_comments=True)
     holder = builder.start("", {})  # the document's root element becomes its child
     children = _complete_children(document, ET.XMLParser(target=builder), holder)
     # The document's synchronisations and assignments by text, and its
@@ -341,61 +348,22 @@ def _load(document: str) -> NetworkModel:
     if root.tag != "nta":
         raise XmlLoadError(f"expected root element 'nta', found {root.tag!r}")
 
-    kinds: dict[str, ChannelKind] = {}
-    env_name: str | None = None
-    for node in comments:
-        if _KIND_COMMENT in (node.text or "") and node not in holder:  # not outside the root
-            _, colon, body = node.text.partition(":")
-            if not colon:
-                raise XmlLoadError(f"{_KIND_COMMENT} comment without a colon")
-            mapping, _, envpart = body.partition("|")
-            for pair in mapping.split(";"):
-                pair = pair.strip()
-                if pair:
-                    name, _, value = pair.partition("=")
-                    try:
-                        kinds[name.strip()] = ChannelKind(value.strip())
-                    except ValueError:
-                        raise XmlLoadError(
-                            f"unknown channel kind {value.strip()!r} in {_KIND_COMMENT} comment"
-                        ) from None
-            if "environment=" in envpart:
-                env_name = envpart.split("environment=", 1)[1].strip() or None
-
     first, templates = _children(root, ("template",))
     decl_node = first.get("declaration")
     channels_raw, int_vars, global_clocks = loaded.get(decl_node) or _parse_declaration(
         decl_node.text or "" if decl_node is not None else ""
     )
-    channels = tuple(
-        ChannelDecl(name, mode, kinds[name] if name in kinds else kind_from_name(name))
-        for name, mode in channels_raw
-    )
+    channels = tuple(ChannelDecl(name, mode, kind_from_name(name)) for name, mode in channels_raw)
     automata = [loaded.get(t) or _load_template(t, global_clocks, syncs, assignments, per_clocks) for t in templates]
 
     if not automata:
         raise XmlLoadError("document contains no templates")
-    env_index = -1
-    if env_name is not None:
-        for i, ta in enumerate(automata):
-            if ta.name == env_name:
-                env_index = i
-    if env_index < 0:
-        # fall back: the single-location automaton broadcasting tock
-        for i, ta in enumerate(automata):
-            if len(ta.locations) == 1 and any(
-                e.sync is not None and e.sync.channel == "tock" and e.sync.direction == "send"
-                for e in ta.edges
-            ):
-                env_index = i
-                break
-
     net = NetworkModel(
         automata=tuple(automata),
         channels=channels,
         int_vars=tuple(int_vars),
         global_clocks=tuple(global_clocks),
-        environment_index=env_index,
+        environment_index=_environment_index(automata),
     )
     problems = validate(net)
     if problems:
@@ -541,9 +509,9 @@ def save_file(net: NetworkModel, path: str) -> None:
     """Write ``emit(net)`` to ``path`` a line at a time, so the whole
     document is never held; a name ``emit`` refuses raises before the file
     is opened."""
-    env_name = _checked_environment_name(net)
+    _check_readable(net)
     with open(path, "w", encoding="utf-8") as handle:
-        for line in _lines(net, env_name):
+        for line in _lines(net):
             handle.write(line + "\n")
 
 

@@ -139,17 +139,18 @@ def test_recursion_under_renaming_and_hiding_is_checked(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "old, new",
-    [("tock=tock;", "a=bogus;tock=tock;"), ("tockta-channel-kinds:", "tockta-channel-kinds")],
+    "comment",
+    ["tockta-channel-kinds: a=bogus;tock=tock; | environment=Env", "tockta-channel-kinds tock=tock;"],
     ids=["unknown-kind", "no-colon"],
 )
-def test_malformed_kind_comment_is_an_input_error(tmp_path, ads_file, capsys, old, new):
+def test_an_old_kind_comment_is_ignored(tmp_path, ads_file, capsys, comment):
+    # Earlier versions wrote channel kinds in a comment after the declaration.
     out = tmp_path / "ads.xml"
     assert main(["translate", str(ads_file), "-o", str(out)]) == 0
-    out.write_text(out.read_text().replace(old, new, 1))
-    assert main(["traces", "ta", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("tockta: error:") and "Traceback" not in err
+    out.write_text(out.read_text().replace("</declaration>\n", f"</declaration>\n\t<!-- {comment} -->\n", 1))
+    assert comment in out.read_text()
+    assert main(["traces", "ta", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,48 @@ def test_alphabet_follows_a_chain_of_references_longer_than_the_recursion_limit(
     assert alphabet(spec) == {f"e{i}" for i in range(3000)}
 
 
+def test_an_unguarded_chain_longer_than_the_recursion_limit_parses():
+    spec = parse("".join(f"C{i} = C{i + 1}\n" for i in range(20000)) + "C20000 = SKIP\n")
+    assert spec.nullable(spec.body())
+
+
+def test_an_unguarded_cycle_longer_than_the_recursion_limit_is_named():
+    with pytest.raises(SpecError) as err:
+        parse("".join(f"C{i} = a -> STOP [] C{(i + 1) % 3000}\n" for i in range(3000)))
+    cycle = " -> ".join(f"C{i}" for i in range(3000))
+    assert str(err.value) == f"unguarded recursion: {cycle} -> C0"
+
+
+@pytest.mark.parametrize(
+    "source, cycle",
+    [
+        ("P = Q\nQ = R [] P\nR = a -> R\n", "P -> Q -> P"),
+        ("M = a -> STOP ||| X\nX = SKIP ; (Z |~| Y)\nY = b -> M\nZ = X\n", "X -> Z -> X"),
+        ("M = N /\\ M\nN = STOP\n", "M -> M"),
+    ],
+    ids=["choice", "after-a-nullable-left", "interrupt"],
+)
+def test_the_first_unguarded_cycle_is_reported(source, cycle):
+    with pytest.raises(SpecError, match=f"^unguarded recursion: {cycle}$"):
+        parse(source)
+
+
+def test_nullable_terms():
+    spec = parse("P = Q ; (R /\\ STOP)\nQ = SKIP |~| a -> Q\nR = (Q ||| SKIP) \\ {b}\nS = b -> STOP ; Q\n")
+    assert [spec.nullable(spec.definitions[name]) for name in "PQRS"] == [True, True, True, False]
+    assert not spec.nullable(parse("P = STOP /\\ SKIP").body())
+
+
+def test_parse_builds_no_reference_cycles(collector_off):
+    texts = [f"P = {entry.text}\n" for entry in generate_corpus()]
+    texts += [path.read_text() for path in sorted(FIXTURES.glob("*.tcsp"))]
+    texts.append("".join(f"C{i} = e{i} -> C{(i + 1) % 300}\n" for i in range(300)))
+    gc.collect()
+    for text in texts:
+        parse(text)
+        assert gc.collect() == 0
+
+
 def test_alphabet_builds_no_reference_cycles(collector_off):
     specs = [entry.spec for entry in generate_corpus()]
     specs += [parse_file(str(path)) for path in sorted(FIXTURES.glob("*.tcsp"))]

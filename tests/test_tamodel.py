@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tockta
-from tockta.cspast import Stop
+from tockta.cspast import SpecError, Stop, validate_event_name
 from tockta.parser import parse
 from tockta.tamodel import (
     ChannelDecl,
@@ -119,6 +120,27 @@ def test_kind_metadata_agrees_with_reserved_name_patterns():
             assert (decl.name in erased) == (
                 inferred not in (ChannelKind.USER_EVENT, ChannelKind.TOCK)
             ), decl
+
+
+# Names built around every shape kind_from_name or validate_event_name
+# tests for, so that both accepted and reserved names are drawn often.
+event_like_names = st.builds(
+    lambda head, middle, tail: head + middle + tail,
+    st.sampled_from(["", "a", "Z", "tock", "tau", "itau", "itau_", "startID", "finishID", "extID", "intrpID", "excpID"]),
+    st.from_regex(r"[A-Za-z0-9_]{0,6}", fullmatch=True),
+    st.sampled_from(["", "1", "_", "___sync", "__sync", "_exch", "exch", "_intrpt", "intrpt"]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(event_like_names)
+def test_every_accepted_event_name_is_a_user_channel(name):
+    # The XML format carries a channel's kind only in its name.
+    try:
+        validate_event_name(name)
+    except SpecError:
+        return
+    assert kind_from_name(name) is ChannelKind.USER_EVENT
 
 
 def test_erasure_never_contains_user_events():

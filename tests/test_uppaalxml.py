@@ -30,6 +30,7 @@ from tockta.tamodel import (
     NetworkModel,
     SyncLabel,
     TimedAutomaton,
+    kind_from_name,
     validate,
 )
 from tockta.translate import assemble
@@ -80,8 +81,15 @@ def test_round_trip_carries_invariants_urgent_locations_and_global_clocks():
             Edge("s1", "s0", updates=(Assignment("x", 0), Assignment("v", 2))),
         ),
     )
-    env = TimedAutomaton("Env", (Location("e0", "e0"),), "e0", (), (Edge("e0", "e0", sync=SyncLabel("go", "receive")),))
-    net = NetworkModel((worker, env), (ChannelDecl("go", "binary", ChannelKind.USER_EVENT),), (("v", 0),), ("g",), 1)
+    env = TimedAutomaton(
+        "Env",
+        (Location("e0", "e0"),),
+        "e0",
+        (),
+        (Edge("e0", "e0", sync=SyncLabel("go", "receive")), Edge("e0", "e0", sync=SyncLabel("tock", "send"))),
+    )
+    channels = (ChannelDecl("go", "binary", ChannelKind.USER_EVENT), ChannelDecl("tock", "broadcast", ChannelKind.TOCK))
+    net = NetworkModel((worker, env), channels, (("v", 0),), ("g",), 1)
     assert validate(net) == []
     text = emit(net)
     for piece in ("clock g;", "<declaration>clock x;</declaration>", "x&gt;=1 &amp;&amp; x&lt;=3", "<urgent/>",
@@ -161,13 +169,31 @@ def renamed(net, environment=None, channel=None):
     return replace(net, automata=tuple(automata), channels=tuple(channels))
 
 
+def with_a_tock_sender_before_the_environment(net):
+    """``net`` with a second single-location automaton that sends ``tock``,
+    placed first, so the shape rule finds it instead of the environment."""
+    env = net.environment()
+    automata = (replace(env, name="Clock"), *net.automata)
+    return replace(net, automata=automata, environment_index=net.environment_index + 1)
+
+
+def with_the_kind_of(net, name, kind):
+    return replace(net, channels=tuple(replace(c, kind=kind) if c.name == name else c for c in net.channels))
+
+
 @pytest.mark.parametrize(
-    "environment, channel, message",
-    [("Env--x", None, "environment name 'Env--x'"), (None, "a--b", "channel name 'a--b'")],
-    ids=["environment", "channel"],
+    "edit, message",
+    [
+        (lambda net: renamed(net, channel="a--b"), "channel name 'a--b'"),
+        (lambda net: with_the_kind_of(net, "a", ChannelKind.FLOW), "channel 'a' is 'flow', but its name says 'user'"),
+        (with_a_tock_sender_before_the_environment, "environment index 3, but the shape rule finds 0"),
+    ],
+    ids=["channel", "kind", "environment"],
 )
-def test_names_the_loader_cannot_read_back_are_refused(tmp_path, environment, channel, message):
-    net = renamed(assemble(parse("P = a -> STOP")), environment, channel)
+def test_names_the_loader_cannot_read_back_are_refused(tmp_path, edit, message):
+    # A channel's kind is read back from its name, and the environment
+    # from its shape, so a network that says otherwise is refused.
+    net = edit(assemble(parse("P = a -> STOP")))
     assert validate(net) == []
     with pytest.raises(ValueError, match=re.escape(message)):
         emit(net)
@@ -212,7 +238,6 @@ def test_names_that_are_not_identifiers_but_round_trip_are_kept():
 
 
 def test_an_environment_name_ending_in_a_hyphen_round_trips():
-    # The kinds comment puts a space between the name and its closing -->.
     net = renamed(assemble(parse("P = a -> STOP")), environment="Env-")
     assert load(emit(net)) == net
 
@@ -426,18 +451,50 @@ def test_negative_clock_constant_is_a_load_error():
         load(doc)
 
 
+def old_kinds_comment(net):
+    """The comment in which earlier versions of ``emit`` wrote each
+    channel's kind and the environment's name, a line of its own."""
+    kinds = ";".join(f"{c.name}={c.kind.value}" for c in net.channels)
+    return f"\t<!-- tockta-channel-kinds: {kinds} | environment={net.environment().name} -->\n"
+
+
+def with_line_after_declaration(doc, line):
+    """``doc`` with ``line`` after its root declaration, where that comment stood."""
+    end = doc.index("</declaration>\n") + len("</declaration>\n")
+    return doc[:end] + line + doc[end:]
+
+
+def test_documents_with_the_old_kinds_comment_load_to_the_same_network():
+    for net in fixture_and_corpus_networks():
+        assert load(with_line_after_declaration(emit(net), old_kinds_comment(net))) == net
+
+
 @pytest.mark.parametrize(
-    "old, new, message",
-    [
-        ("tock=tock;", "a=bogus;tock=tock;", "unknown channel kind 'bogus'"),
-        ("tockta-channel-kinds:", "tockta-channel-kinds", "without a colon"),
-    ],
+    "old, new",
+    [("tock=tock;", "a=bogus;tock=tock;"), ("tockta-channel-kinds:", "tockta-channel-kinds")],
     ids=["unknown-kind", "no-colon"],
 )
-def test_malformed_kind_comment_is_rejected(old, new, message):
-    doc = emit(assemble(Stop())).replace(old, new, 1)
-    with pytest.raises(XmlLoadError, match=message):
-        load(doc)
+def test_an_old_kind_comment_is_ignored(old, new):
+    net = assemble(Stop())
+    comment = old_kinds_comment(net)
+    assert old in comment
+    assert load(with_line_after_declaration(emit(net), comment.replace(old, new, 1))) == net
+
+
+def test_channel_names_tell_their_kinds_and_the_shape_finds_the_environment(workloads):
+    # What lets the document carry no kinds: every translated network
+    # reads back the same from its names and shapes.
+    nets = fixture_and_corpus_networks() + [assemble(spec) for spec in large_shape_specs()]
+    nets += [assemble(parse(workloads.family_text(n))) for n in range(1, 5)]
+    for net in nets:
+        assert all(kind_from_name(c.name) is c.kind for c in net.channels)
+        assert uppaalxml._environment_index(net.automata) == net.environment_index >= 0
+
+
+@functools.cache
+def fixture_and_corpus_networks():
+    specs = [parse_file(str(path)) for path in sorted(FIXTURES.glob("*.tcsp"))]
+    return [assemble(spec) for spec in specs + [entry.spec for entry in generate_corpus()]]
 
 
 def fixture_documents():
@@ -524,7 +581,7 @@ def load_outcome(doc):
 # and large-shape documents, one line each.  It pins what the loader
 # accepts, what it builds and the text of each rejection: a rewrite of the
 # loader must leave it as it is.
-LOAD_OUTCOMES_DIGEST = "482c38fca480ecff4049d467e7f7677efae1ef3bba2d5a94a83bd85aec899f89"
+LOAD_OUTCOMES_DIGEST = "32da93b7add4777b40162f263ad739e6d34ed9797a365299de5354e4da07a22f"
 
 
 @functools.cache
@@ -575,9 +632,6 @@ def test_errors_keep_their_order_across_chunks(workloads):
         (failing_first_template(doc).replace("</nta>", "</ntb>"), "malformed XML"),
         (after_templates(failing_first_template(doc), "\t<declaration>chan zz;</declaration>\n"), "repeated <declaration>"),
     ]
-    comment = re.search(r"\t<!-- tockta-channel-kinds:.*-->\n", doc).group(0)
-    bad_comment = comment.replace(": ", ": a=bogus;", 1)
-    cases.append((after_templates(failing_first_template(doc).replace(comment, ""), bad_comment), "unknown channel kind 'bogus'"))
     for text, message in cases:
         with pytest.raises(XmlLoadError, match=message):
             load(text)
