@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 __all__ = [
     "TOCK",
@@ -35,7 +36,6 @@ __all__ = [
     "CspSpec",
     "alphabet",
     "View",
-    "plain_view",
     "wrap",
     "format_process",
     "format_spec",
@@ -285,6 +285,12 @@ class CspSpec:
     def body(self) -> CspProcess:
         return self.definitions[self.main]
 
+    @cached_property
+    def view(self) -> View:
+        """The view from outside every wrapper, built once: each event is
+        itself."""
+        return View((name, ("plain", name)) for name in sorted(event_universe(self.definitions)))
+
 
 def _subterms(p: CspProcess):
     """``p`` and every term inside it, in pre-order; references are not
@@ -375,11 +381,6 @@ class View(dict):
         self.key = tuple(self.values())
 
 
-def plain_view(definitions: dict[str, CspProcess]) -> View:
-    """The view from outside every wrapper: each event is itself."""
-    return View((name, ("plain", name)) for name in sorted(event_universe(definitions)))
-
-
 def wrap(view: View, wrapper) -> View:
     """The view inside ``wrapper`` (a ``Hide``, a ``Rename`` or a scope),
     given the ``view`` just outside it."""
@@ -400,7 +401,7 @@ def alphabet(spec: CspSpec) -> frozenset[str]:
     """
     out: set[str] = set()
     seen: set[tuple] = set()
-    stack = [(spec.body(), plain_view(spec.definitions))]
+    stack = [(spec.body(), spec.view)]
     while stack:
         p, view = stack.pop()
         if isinstance(p, Prefix):

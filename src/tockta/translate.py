@@ -47,7 +47,6 @@ from .cspast import (
     Stop,
     View,
     alphabet,
-    plain_view,
     wrap,
 )
 from .tamodel import (
@@ -748,6 +747,46 @@ def _environment(events: frozenset[str], start_action: str, start_var: str, labe
     return b
 
 
+def _movable(tas: list[_TaBuilder], env: _TaBuilder) -> list[_TaBuilder]:
+    """The automata of ``tas`` that may ever move in the network ``env``
+    closes, in order (a cone-of-influence reduction).  A worklist over
+    reached (automaton, location) pairs takes every silent or send edge from
+    a reached location, and a receive once some reached location sends on
+    its channel.  Guards are ignored, so every edge a run fires is taken:
+    the others stay in a normal initial location, which neither blocks time
+    nor commits, and dropping them maps reachable configurations one to one.
+    """
+    builders = [*tas, env]
+    edges_from: list[dict[str, list[Edge]]] = []  # per automaton, by source
+    for b in builders:
+        index: dict[str, list[Edge]] = {}
+        for edge in b.edges:
+            if edge.source in index:
+                index[edge.source].append(edge)
+            else:
+                index[edge.source] = [edge]
+        edges_from.append(index)
+    moves = [False] * len(builders)
+    sent: set[str] = set()
+    parked: dict[str, list[tuple[int, str]]] = {}  # receives awaiting a sender
+    todo = [(i, "s0") for i in range(len(builders))]
+    while todo:
+        i, loc = todo.pop()
+        for edge in edges_from[i].pop(loc, ()):  # taken on the first visit only
+            sync = edge.sync
+            if sync is not None and sync.channel not in sent:
+                if sync.direction == "receive":
+                    parked.setdefault(sync.channel, []).append((i, edge.target))
+                    continue
+                sent.add(sync.channel)
+                for j, target in parked.pop(sync.channel, ()):
+                    moves[j] = True
+                    todo.append((j, target))
+            moves[i] = True
+            todo.append((i, edge.target))
+    return [b for b, moved in zip(tas, moves) if moved or b.loc_kinds[0] is not LocationKind.NORMAL]
+
+
 def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
     """The closed network of a process or spec: its component automata,
     then the environment.
@@ -769,7 +808,7 @@ def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
     for event in sorted(events):
         compiler.ensure_channel(event, ChannelKind.USER_EVENT, "binary")
 
-    root = _Ctx("0", 0, registry.claim(_FINISH), plain_view(spec.definitions))
+    root = _Ctx("0", 0, registry.claim(_FINISH), spec.view)
     compiler.ensure_channel(_FINISH, ChannelKind.TERMINATING, "binary")
     if isinstance(process_or_spec, CspSpec):
         start = _StartInfo(registry.claim(f"startID{spec.main}"), root.branch, root.counter)
@@ -784,14 +823,15 @@ def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
     except RecursionError:
         raise TranslationError("input nests too deeply to translate") from None
 
-    # The claim order fixes the emitted names: components, the start
-    # variable, then Env.
+    env = _environment(events, start.channel, compiler.new_var("start"), compiler.labels)
+    kept = _movable(unit.tas, env)
+    # The claim order fixes the emitted names: the start variable, the
+    # components, then Env.
     locations = _Shared(lambda i, kind: Location(id=f"s{i}", display_name=f"s{i}", kind=kind))
     tas = [
         builder.freeze(registry.unique(f"TA{index:02d}"), locations)
-        for index, builder in enumerate(unit.tas)
+        for index, builder in enumerate(kept)
     ]
-    env = _environment(events, start.channel, compiler.new_var("start"), compiler.labels)
     tas.append(env.freeze(registry.unique("Env"), locations, clocks=(_CLOCK,)))
 
     net = NetworkModel(
@@ -799,7 +839,7 @@ def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
         channels=tuple(compiler.channels.values()),
         int_vars=tuple(compiler.int_vars.items()),
         global_clocks=(),
-        environment_index=len(unit.tas),
+        environment_index=len(kept),
     )
     problems = validate(net)
     if problems:

@@ -22,7 +22,6 @@ from tockta.cspast import (
     Stop,
     alphabet,
     event_universe,
-    plain_view,
     validate_event_name,
     wrap,
 )
@@ -160,7 +159,7 @@ class _Scope:
 
 
 def test_a_view_resolves_each_event_through_its_wrappers():
-    top = plain_view(parse("P = a -> b -> c -> STOP").definitions)
+    top = parse("P = a -> b -> c -> STOP").view
     outer, inner = _Scope("c"), _Scope("b")
     renamed = wrap(wrap(top, outer), Rename(Stop(), (("b", "c"),)))
     assert renamed["b"] == ("sync", outer, "c")

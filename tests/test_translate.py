@@ -1,13 +1,17 @@
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from tockta import taexec, translate
 from tockta.cspast import Prefix, Skip, Stop
 from tockta.harness import EQUAL_AT_STAGE1, check_spec, generate_corpus
+from tockta.lts import reachable
 from tockta.parser import parse, parse_file
 from tockta.semantics import csp_traces, traces_to_text
-from tockta.tamodel import ChannelKind, GuardExpr, IntAtom, LocationKind
+from tockta.tamodel import ChannelKind, GuardExpr, IntAtom, LocationKind, SyncLabel
+from tockta.taexec import network_traces
 from tockta.translate import TranslationError, assemble
 from tockta.uppaalxml import emit
 
@@ -185,6 +189,89 @@ def test_assemble_automaton_counts():
     assert len(assemble(Stop()).automata) == 2
 
 
+@pytest.mark.parametrize(
+    "source, automata",
+    [
+        # a continuation that can never start has no automata
+        ("STOP ; (b -> STOP)", 2),
+        ("(a -> STOP) ; (b -> SKIP)", 3),
+        # the controller never sends the handover: STOP never finishes
+        ("(STOP ||| SKIP) ; (b -> STOP)", 4),
+        ("((a -> STOP) [] STOP) ; (b -> STOP)", 5),
+        # the live control keeps every automaton
+        ("(a -> SKIP) ; (b -> STOP)", 5),
+    ],
+)
+def test_automata_that_can_never_move_are_dropped(source, automata):
+    spec = parse("P = " + source)
+    net = assemble(spec)
+    assert len(net.automata) == automata
+    assert net.environment_index == automata - 1
+    assert [ta.name for ta in net.automata] == [f"TA{i:02d}" for i in range(automata - 1)] + ["Env"]
+    assert check_spec(spec, 6, net=net).verdict == EQUAL_AT_STAGE1
+
+
+def _automaton(*edges):
+    """A builder with locations s0..sN and ``(source, target, channel,
+    direction)`` edges."""
+    b = translate._TaBuilder()
+    for _ in range(1 + max(int(loc[1:]) for edge in edges for loc in edge[:2])):
+        b.add_loc()
+    for source, target, channel, direction in edges:
+        b.add_edge(source, target, sync=SyncLabel(channel, direction))
+    return b
+
+
+def test_a_channel_once_sent_releases_every_receive_waiting_on_it():
+    # Both receivers on c are met before its sender is reached; each then
+    # sends what keeps one more automaton alive.
+    sender = _automaton(("s0", "s1", "go", "receive"), ("s1", "s0", "c", "send"))
+    first = _automaton(("s0", "s1", "c", "receive"), ("s1", "s0", "x", "send"))
+    second = _automaton(("s0", "s1", "c", "receive"), ("s1", "s0", "y", "send"))
+    on_x = _automaton(("s0", "s1", "x", "receive"))
+    on_y = _automaton(("s0", "s1", "y", "receive"))
+    never = _automaton(("s0", "s1", "z", "receive"), ("s1", "s0", "c", "send"))
+    env = _automaton(("s0", "s0", "go", "send"))
+    # an initial location that is not normal may stop time: it stays
+    committed = translate._TaBuilder()
+    committed.add_loc(LocationKind.COMMITTED)
+    tas = [sender, on_x, on_y, first, second, never, committed]
+    assert translate._movable(tas, env) == [sender, on_x, on_y, first, second, committed]
+
+
+def all_reachable_configurations(net):
+    rt = taexec._runtime(net)
+    every_channel = frozenset(c.name for c in net.channels)
+    found = reachable(taexec._start(rt), rt.successors, 0, hidden=every_channel, state_cap=100_000)
+    return [rt.configs[i] for i in found]
+
+
+def test_every_component_leaves_its_initial_location_in_some_run():
+    for spec in fixture_and_corpus_specs():
+        net = assemble(spec)
+        configurations = all_reachable_configurations(net)
+        for i, ta in enumerate(net.automata[: net.environment_index]):
+            assert any(cfg.locations[i] != ta.initial for cfg in configurations), (spec.main, ta.name)
+
+
+def test_deleting_any_visible_send_of_a_corpus_network_changes_its_traces():
+    mutants = 0
+    for entry in generate_corpus():
+        net = assemble(entry.spec)
+        expected = csp_traces(entry.spec, 5)
+        for i, ta in enumerate(net.automata[: net.environment_index]):
+            for j, edge in enumerate(ta.edges):
+                if edge.sync is None or edge.sync.direction != "send":
+                    continue
+                if net.channel(edge.sync.channel).kind is not ChannelKind.USER_EVENT:
+                    continue
+                mutant = replace(ta, edges=ta.edges[:j] + ta.edges[j + 1 :])
+                automata = net.automata[:i] + (mutant,) + net.automata[i + 1 :]
+                assert network_traces(replace(net, automata=automata), 5) != expected, (entry.id, ta.name, j)
+                mutants += 1
+    assert mutants == 150
+
+
 def test_assemble_declares_channel_kinds():
     net = assemble(ADS)
     modes = {c.name: c.mode for c in net.channels}
@@ -268,7 +355,7 @@ def test_a_deep_chain_without_recursion_is_not_called_recursion():
 # The SHA-256 of the XML emitted for the five fixtures followed by the 156
 # corpus processes.  It changes only with an intended change to the
 # translation; a refactoring of the translator must leave it as it is.
-XML_DIGEST = "1aba77fd956540a3f3b2cd77af92ed138a39f7bedab00e0c1cf921fa80267f1a"
+XML_DIGEST = "50a1b9f829db1ef3ee51e0988d13a6f3f75e4c9ad74529df5ddc16c75661ad56"
 
 
 def test_emitted_xml_is_pinned_on_fixtures_and_corpus():
