@@ -8,13 +8,15 @@ a committed location, only moves involving a committed automaton may
 fire, and time may not pass.  Time also may not pass while an urgent
 location is occupied or an urgent channel has a matched enabled pair.
 
-Unit delays are exact here because every constraint in scope compares a
-clock against an integer constant and the only time-sensitive action is
-the environment's tock broadcast, so no dense-time zone machinery is
-needed.  Each clock is capped at its own threshold, the least value from
-which on every atom on that clock holds alike, now and after any delay
-(the integer-clock case of LU-extrapolation).  A translated network's one
-clock ``ck`` is tested only by ``ck>=1``, so it takes the values 0 and 1.
+Unit delays give the untimed traces of dense time when every clock
+constraint is closed (no strict ``<`` or ``>`` on a clock): then integer
+time is exact (Henzinger, Manna & Pnueli, ICALP 1992).  Translated
+networks are in that class; a loaded document with a strict clock atom
+may be answered for integer time only (ROADMAP item 14).  Each clock is
+capped at its own threshold, the least value from which on every atom on
+that clock holds alike, now and after any delay (the integer-clock case
+of LU-extrapolation).  A translated network's one clock ``ck`` is tested
+only by ``ck>=1``, so it takes the values 0 and 1.
 
 Network traces record one entry (the channel name) per binary or
 broadcast move; silent edges and time ticks are unrecorded.  The
@@ -26,6 +28,44 @@ configuration met; only what the API returns maps them back.  Each edge
 is compiled once per runtime into its part of a move (automaton, edge,
 target, clock and integer updates); a move is ``(label, parts)``, and the
 searches fire its parts directly.
+
+Settling.  ``network_traces`` and ``timelock_witnesses`` search a reduced
+graph: after a move fires, each pending flow hand-off ``h`` that passes
+the test below fires at once, so configurations that wait for one are
+never interned.  ``h`` is a move on an urgent-binary FLOW channel ``c``
+from automaton A at ``la`` to B at ``lb``, with targets ``ta`` and ``tb``:
+
+(a) no automaton is in a committed location;
+(b) the send is ``la``'s one silent or send edge, without guard or
+    update; ``la`` is normal, without invariant, receives only broadcasts;
+(c) B alone receives ``c``, by one edge at ``lb`` without guard or update;
+    ``lb`` is normal, without invariant, silent or send edge, and receives
+    only broadcasts besides; ``ta`` and ``tb`` are normal;
+(d) no edge sending ``c`` can fire first;
+(e) each broadcast received at ``la``, ``lb``, ``ta`` or ``tb`` commutes
+    with ``h`` (its receives there are self-loops without updates), or
+    no edge sending it can fire first;
+(f) no automaton that has a committed location can move first.
+
+"First" is before A or B moves.  Until then the urgent pair keeps time
+from passing, so clocks and ints change only by assignment: an edge
+cannot fire first if a test of its guard is false that no assignment
+makes true, or if its automaton cannot move first, being at a location
+that is not committed, that no silent or send edge leaves, and where it
+receives only what no edge can send first (A and B cannot).  Why this is
+exact: until A or B moves, no automaton is committed and ``h`` stays
+enabled; every move fires alike after ``h``; and the first move of A or
+B is ``h``.  So a run from ``y`` with ``h`` first has the same labels and
+ends in the same configuration, or ``h`` short of it: ``y`` and ``h(y)``
+have the same erased traces at every depth and reach ticks, and
+configurations that reach none, alike.  The settled graph's timelock witnesses are thus some
+of the full graph's, and empty exactly when they are.  ``h`` is strongly
+confluent in the full graph (partial tau-confluence, Groote & van de
+Pol, MFCS 2000; a stubborn set of one move, Valmari 1990).  A move into
+a committed location settles nothing, by (a).  A settle loop that comes
+back to a configuration, as hand-offs in a cycle do, stops there and
+keeps it; each kept configuration is expanded in full.
+``raw_network_traces`` records every hand-off: it searches the full graph.
 """
 
 from __future__ import annotations
@@ -36,7 +76,7 @@ from typing import Callable, NamedTuple
 
 from .lts import BoundExceeded  # noqa: F401  (re-exported: every search here raises it)
 from .lts import TraceSet, cannot_reach, subset_graph
-from .tamodel import _RELATIONS, ClockAtom, LocationKind, NetworkModel, erasure_set
+from .tamodel import _RELATIONS, ChannelKind, ClockAtom, LocationKind, NetworkModel, erasure_set
 
 __all__ = [
     "Configuration",
@@ -58,7 +98,7 @@ class Configuration(NamedTuple):
     clocks: tuple[int, ...]
 
 
-_COMMITTED, _URGENT = LocationKind.COMMITTED, LocationKind.URGENT
+_NORMAL, _COMMITTED, _URGENT = LocationKind.NORMAL, LocationKind.COMMITTED, LocationKind.URGENT
 
 #: A resolved clock atom: (clock slot, comparison, constant).
 _ClockTest = tuple[int, Callable[[int, int], bool], int]
@@ -102,62 +142,82 @@ class _Runtime:
         # target's invariant on every clock the edge does not reset.
         self.locs: list[dict[str, tuple]] = []
         receivers: dict[str, set[int]] = {}
+        # For settling: writes[0 or 1, slot] = the values edges assign to a
+        # clock or an int; sending[c] = the edges that send c (silent ones
+        # under None); flow_at[ai][location] = the urgent flow channel sent
+        # there, if the location passes (b) of the module docstring.
+        self.writes: dict[tuple[int, int], set[int]] = {}
+        self.sending: dict[str | None, list] = {}
+        flows = {c.name for c in net.channels if c.kind is ChannelKind.FLOW and c.mode == "urgent-binary"}
+        self.flow_at: list[dict[str, str]] = []
         for ai, ta in enumerate(net.automata):
             clocks = self.clock_slots[ai]
-            invs = {loc.id: tuple(clock_test(clocks, atom) for atom in loc.invariant) for loc in ta.locations}
+            flow_at: dict[str, str] = {}
+            invs = {
+                loc.id: tuple([clock_test(clocks, atom) for atom in loc.invariant]) if loc.invariant else ()
+                for loc in ta.locations
+            }
             local: dict[str, list] = {loc.id: [] for loc in ta.locations}
             receive: dict[str, dict[str, list]] = {loc.id: {} for loc in ta.locations}
             for ei, edge in enumerate(ta.edges):
-                clock_tests = []
-                int_tests = []
-                for atom in edge.guard.atoms if edge.guard is not None else ():
-                    if isinstance(atom, ClockAtom):
-                        clock_tests.append(clock_test(clocks, atom))
-                    else:
-                        positions = tuple(self.var_pos[v] for v in atom.variables)
-                        int_tests.append((positions, _RELATIONS[atom.op], atom.const))
-                clock_updates: dict[int, int] = {}
-                int_updates = []
-                for upd in edge.updates:
-                    if upd.target in clocks:
-                        clock_updates[clocks[upd.target]] = upd.value
-                    else:
-                        int_updates.append((self.var_pos[upd.target], upd.value))
-                part = (ai, ei, edge.target, tuple(clock_updates.items()), tuple(int_updates))
-                # A test on a clock the edge resets is decided here, once.
-                fires = True
-                for slot, holds, const in invs[edge.target]:
-                    if slot not in clock_updates:
-                        clock_tests.append((slot, holds, const))
-                    elif not holds(clock_updates[slot], const):
-                        fires = False
-                if not fires:
-                    continue
                 channel = edge.sync.channel if edge.sync else None
-                entry = (tuple(clock_tests), tuple(int_tests), channel, part)
+                if edge.guard is None and not edge.updates and not invs[edge.target]:
+                    entry = ((), (), channel, (ai, ei, edge.target, (), ()))
+                else:
+                    clock_tests, int_tests, clock_updates, int_updates = [], [], {}, []
+                    for atom in edge.guard.atoms if edge.guard is not None else ():
+                        if isinstance(atom, ClockAtom):
+                            clock_tests.append(clock_test(clocks, atom))
+                        else:
+                            positions = tuple(self.var_pos[v] for v in atom.variables)
+                            int_tests.append((positions, _RELATIONS[atom.op], atom.const))
+                    for upd in edge.updates:
+                        key = (0, clocks[upd.target]) if upd.target in clocks else (1, self.var_pos[upd.target])
+                        if key[0] == 0:
+                            clock_updates[key[1]] = upd.value
+                        else:
+                            int_updates.append((key[1], upd.value))
+                        self.writes.setdefault(key, set()).add(upd.value)
+                    # A test on a clock the edge resets is decided here, once.
+                    if any(slot in clock_updates and not holds(clock_updates[slot], const)
+                           for slot, holds, const in invs[edge.target]):
+                        continue
+                    clock_tests += [test for test in invs[edge.target] if test[0] not in clock_updates]
+                    part = (ai, ei, edge.target, tuple(clock_updates.items()), tuple(int_updates))
+                    entry = (tuple(clock_tests), tuple(int_tests), channel, part)
                 if channel is not None and edge.sync.direction == "receive":
                     receive[edge.source].setdefault(channel, []).append(entry)
                     receivers.setdefault(channel, set()).add(ai)
                 else:
                     local[edge.source].append(entry)
-            self.locs.append(
-                {
-                    loc.id: (
-                        loc.kind,
-                        invs[loc.id],
-                        tuple(local[loc.id]),
-                        {channel: tuple(es) for channel, es in receive[loc.id].items()},
-                    )
-                    for loc in ta.locations
-                }
-            )
+                    self.sending.setdefault(channel, []).append(entry)
+                    if channel in flows:
+                        flow_at[edge.source] = channel
+            self.locs.append({loc.id: (loc.kind, invs[loc.id], local[loc.id], receive[loc.id]) for loc in ta.locations})
+            self.flow_at.append(flow_at and {
+                loc: c
+                for loc, c in flow_at.items()
+                if len(local[loc]) == 1 and local[loc][0][:2] == ((), ()) and local[loc][0][3][3:] == ((), ())
+                and self.locs[ai][loc][:2] == (_NORMAL, ())
+                and all(self.channel_mode.get(d) == "broadcast" for d in receive[loc])
+            })
         self.receivers = {channel: tuple(sorted(autos)) for channel, autos in receivers.items()}
+        # flows[c] = the one automaton that receives urgent flow channel c
+        self.flows = {c: autos[0] for c, autos in self.receivers.items() if c in flows and len(autos) == 1}
         self.clock_caps = tuple(caps)
-        # configs[i] is the configuration with id i; moves[i] its moves, or None.
+        # configs[i] is the configuration with id i; moves[i] its moves and
+        # settled_moves[i] its settled moves, or None.
         self.ids: dict[Configuration, int] = {}
         self.configs: list[Configuration] = []
         self.moves: list[tuple | None] = []
+        self.settled_moves: list[tuple | None] = []
         self.ticking: set[int] = set()
+        # memos of _pair and _sent, and a _sent entry without tests for
+        # each automaton that has a committed location
+        self.pairs: dict[tuple[int, str, str], tuple | None] = {}
+        self.sent: dict[str, list] = {}
+        self.committed: tuple | None = None
+        self.blockers: set[int] = set()
 
     def intern(self, cfg: Configuration) -> int:
         index = self.ids.get(cfg)
@@ -165,6 +225,7 @@ class _Runtime:
             index = self.ids[cfg] = len(self.configs)
             self.configs.append(cfg)
             self.moves.append(None)
+            self.settled_moves.append(None)
         return index
 
     def successors(self, state: int) -> tuple:
@@ -178,21 +239,135 @@ class _Runtime:
         place sees every call, and fires each compiled move directly.
         """
         out = self.moves[state]
-        if out is None:
-            cfg = self.configs[state]
-            moves, tick = enabled_steps(self.net, cfg)
-            # No guard or invariant tells apart a clock's values at or beyond
-            # its cap, now or after any delay, so capping each clock there
-            # loses nothing and keeps the configuration space finite.
-            caps = self.clock_caps
-            out = [(label, self.intern(_fire(cfg, parts, caps))) for label, parts in moves]
-            if tick:
-                self.ticking.add(state)
-                # every interned clock is at or below its cap already
-                clocks = tuple([v + 1 if v < cap else v for v, cap in zip(cfg.clocks, caps)])
-                out.append((None, self.intern(Configuration(cfg.locations, cfg.ints, clocks))))
-            out = self.moves[state] = tuple(out)
+        return self._expand(state, self.moves, None) if out is None else out
+
+    def settled(self, state: int) -> tuple:
+        """:meth:`successors`, each move followed by the hand-offs that
+        :meth:`_settle` fires; a memo of its own over the same ids."""
+        out = self.settled_moves[state]
+        return self._expand(state, self.settled_moves, self) if out is None else out
+
+    def _expand(self, state: int, memo: list, rt: _Runtime | None) -> tuple:
+        """The moves of ``state`` into ``memo``, each settled by ``rt`` if
+        given (see ``_fire``)."""
+        cfg = self.configs[state]
+        moves, tick = enabled_steps(self.net, cfg)
+        # No guard or invariant tells apart a clock's values at or beyond
+        # its cap, now or after any delay, so capping each clock there
+        # loses nothing and keeps the configuration space finite.
+        caps = self.clock_caps
+        out = [(label, self.intern(_fire(cfg, parts, caps, rt))) for label, parts in moves]
+        if tick:
+            self.ticking.add(state)
+            # every interned clock is at or below its cap already
+            clocks = tuple([v + 1 if v < cap else v for v, cap in zip(cfg.clocks, caps)])
+            out.append((None, self.intern(Configuration(cfg.locations, cfg.ints, clocks))))
+        out = memo[state] = tuple(out)
         return out
+
+    def _settle(self, locations: list, values: tuple, todo: list) -> list:
+        """``locations``, just reached by the move of the automata ``todo``,
+        after every hand-off that passes the test of the module docstring
+        has fired, those of the automata that moved first; ``values`` are
+        the clocks and ints.  A loop that comes back to locations it met
+        stops there."""
+        flow_at, seen = self.flow_at, {tuple(locations)}
+        while todo:
+            step = self._handoff(locations, values, a := todo.pop())
+            if step is not None:
+                b, ta, tb = step
+                locations[a], locations[b] = ta, tb
+                now = tuple(locations)
+                if now in seen:
+                    break
+                seen.add(now)
+                todo += [x for x in (a, b) if now[x] in flow_at[x]]
+        return locations
+
+    def _handoff(self, locations: list, values: tuple, a: int) -> tuple | None:
+        """(receiver, sender's target, receiver's target) of the hand-off
+        that automaton ``a`` sends from where it is, if one passes (b)-(f)."""
+        b = self.flows.get(self.flow_at[a].get(locations[a]))
+        if b is None:
+            return None
+        key = (a, locations[a], locations[b])
+        pair = self.pairs[key] if key in self.pairs else self._pair(*key)
+        if pair is None or not self._quiet(pair[2], locations, values, a, b):
+            return None
+        return b, pair[0], pair[1]
+
+    def _quiet(self, groups, locations: list, values: tuple, a: int, b: int) -> bool:
+        """Whether no edge of ``groups`` (each a sequence of ``_sent``
+        entries) can fire before time passes or automaton ``a`` or ``b``
+        moves: a test of the edge is false, or its automaton cannot move
+        first, since it is at a normal or urgent location that no silent or
+        send edge leaves and no edge can fire first that sends what it
+        receives there."""
+        still, stack = {a, b}, list(groups)
+        while stack:
+            for tests, y in stack.pop():
+                if y in still:
+                    continue
+                for kind, i, holds, const in tests:
+                    if not holds(values[kind][i], const):
+                        break
+                else:
+                    kind, _, local, receive = self.locs[y][locations[y]]
+                    if local or kind is _COMMITTED:
+                        return False
+                    still.add(y)
+                    stack += map(self._sent, receive)
+        return True
+
+    def _pair(self, a: int, la: str, lb: str) -> tuple | None:
+        """The static part of the test for the hand-off from automaton ``a``
+        at ``la`` to the receiver at ``lb``: None if it can never pass,
+        else both targets and the groups of ``_sent`` entries that must not
+        fire, for (d), (e) and (a) with (f)."""
+        c = self.flow_at[a][la]
+        b = self.flows[c]
+        out = self.pairs[a, la, lb] = None
+        kind, inv, local, receive = self.locs[b][lb]
+        takes = receive.get(c, ())
+        if kind is not _NORMAL or inv or local or len(takes) != 1 or takes[0][:2] != ((), ()):
+            return out
+        ta, tb = self.locs[a][la][2][0][3][2], takes[0][3][2]
+        mode = self.channel_mode
+        if takes[0][3][3:] != ((), ()) or any(mode.get(d) != "broadcast" for d in receive if d != c):
+            return out
+        if self.locs[a][ta][0] is not _NORMAL or self.locs[b][tb][0] is not _NORMAL:
+            return out
+        if self.committed is None:  # (a) and (f)
+            committed = [x for x, locs in enumerate(self.locs) if any(e[0] is _COMMITTED for e in locs.values())]
+            self.committed = tuple(((), x) for x in committed)
+            # those that are committed or can move wherever they are, which
+            # fails (f) unless they are A (never B, whose location is still)
+            self.blockers = {x for x in committed if all(e[0] is _COMMITTED or e[2] for e in self.locs[x].values())}
+            if any(not self.flow_at[x] for x in self.blockers):
+                self.flow_at = [{}] * len(self.locs)  # one is never A: nothing settles
+        if self.blockers - {a}:
+            return out
+        moving = set()  # (e): broadcasts that move A or B there
+        for x, loc in ((a, la), (b, lb), (a, ta), (b, tb)):
+            for d, entries in self.locs[x][loc][3].items():
+                for *_, part in entries if mode.get(d) == "broadcast" else ():
+                    if part[2:] != (loc, (), ()):
+                        moving.add(d)
+        out = self.pairs[a, la, lb] = (ta, tb, (self._sent(c), *map(self._sent, moving), self.committed))
+        return out
+
+    def _sent(self, d: str) -> list:
+        """``(tests, automaton)`` for each edge that sends ``d``, where the
+        tests are those of its guard that no assignment makes true, each
+        as (0 for a clock or 1 for an int, slot, relation, constant)."""
+        if d not in self.sent:
+            out = self.sent[d] = []
+            for clock_tests, int_tests, _, part in self.sending.get(d, ()):
+                tests = [(0, *test) for test in clock_tests] if clock_tests else []
+                tests += [(1, ps[0], holds, const) for ps, holds, const in int_tests if len(ps) == 1]
+                held = tuple(t for t in tests if not any(t[2](v, t[3]) for v in self.writes.get(t[:2], ())))
+                out.append((held, part[0]))
+        return self.sent[d]
 
 
 # Each runtime keeps every move explored on its network, so only a few
@@ -293,14 +468,18 @@ def apply_step(net: NetworkModel, cfg: Configuration, move) -> Configuration:
     return _fire(cfg, parts)
 
 
-def _fire(cfg: Configuration, parts, caps: tuple[int, ...] | None = None) -> Configuration:
+def _fire(cfg: Configuration, parts, caps: tuple[int, ...] | None = None, rt: _Runtime | None = None) -> Configuration:
     """``cfg`` after the edges of ``parts`` fire together, each clock they
-    assign capped at ``caps`` if given."""
+    assign capped at ``caps`` if given; settled by runtime ``rt`` if given
+    and an automaton of ``parts`` lands where a hand-off may start."""
     locations, ints, clocks = cfg
     locations = list(locations)
     new_ints = new_clocks = None
+    watch, pending = rt and rt.flow_at, []
     for ai, _, target, clock_updates, int_updates in parts:
         locations[ai] = target
+        if watch and target in watch[ai]:
+            pending.append(ai)
         if int_updates:
             new_ints = new_ints or list(ints)
             for slot, value in int_updates:
@@ -309,11 +488,11 @@ def _fire(cfg: Configuration, parts, caps: tuple[int, ...] | None = None) -> Con
             new_clocks = new_clocks or list(clocks)
             for slot, value in clock_updates:
                 new_clocks[slot] = value if caps is None else min(value, caps[slot])
-    return Configuration(
-        tuple(locations),
-        ints if new_ints is None else tuple(new_ints),
-        clocks if new_clocks is None else tuple(new_clocks),
-    )
+    ints = ints if new_ints is None else tuple(new_ints)
+    clocks = clocks if new_clocks is None else tuple(new_clocks)
+    if pending:
+        locations = rt._settle(locations, (clocks, ints), pending)
+    return Configuration(tuple(locations), ints, clocks)
 
 
 def _start(rt: _Runtime) -> int:
@@ -338,7 +517,7 @@ def network_traces(
     a silent truncation.
     """
     rt = _runtime(net)
-    return subset_graph(_start(rt), rt.successors, depth, hidden=erasure_set(net), state_cap=state_cap)
+    return subset_graph(_start(rt), rt.settled, depth, hidden=erasure_set(net), state_cap=state_cap)
 
 
 def timelock_witnesses(
@@ -350,7 +529,7 @@ def timelock_witnesses(
     rt = _runtime(net)
     stuck = cannot_reach(
         _start(rt),
-        rt.successors,
+        rt.settled,
         observable_depth,
         rt.ticking.__contains__,
         hidden=erasure_set(net),

@@ -8,9 +8,9 @@ carries a :class:`ChannelKind` distinguishing user events, the tock
 broadcast, and the generated coordination channels; the coordination
 kinds (plus hidden events) form the erasure set removed from traces
 before comparison with the source process.  Clocks take non-negative
-integer values: time only advances in unit ticks, which is exact for the
-constraints this model ever contains (comparisons against integer
-constants).
+integer values: time only advances in unit ticks, which is exact for
+closed clock constraints (no strict ``<`` or ``>`` on a clock), the only
+kind a translated network contains; see :mod:`taexec`.
 """
 
 from __future__ import annotations

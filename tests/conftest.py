@@ -24,11 +24,18 @@ def workloads():
 @pytest.fixture
 def collector_off():
     """The cyclic garbage collector disabled for the test, then set back
-    to what it was."""
+    to what it was.  What exists before the test is collected and then
+    frozen, so a ``gc.collect()`` in the test scans only what the test
+    made."""
     enabled = gc.isenabled()
     gc.disable()
-    yield
-    if enabled:
-        gc.enable()
-    else:
-        gc.disable()
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()

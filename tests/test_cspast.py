@@ -89,6 +89,13 @@ def test_nullable_terms():
     assert not spec.nullable(parse("P = STOP /\\ SKIP").body())
 
 
+def test_the_collector_off_fixture_still_finds_a_new_cycle(collector_off):
+    cycle = []
+    cycle.append(cycle)
+    del cycle
+    assert gc.collect() == 1
+
+
 def test_parse_builds_no_reference_cycles(collector_off):
     texts = [f"P = {entry.text}\n" for entry in generate_corpus()]
     texts += [path.read_text() for path in sorted(FIXTURES.glob("*.tcsp"))]

@@ -12,7 +12,7 @@ import pytest
 from tockta import taexec
 from tockta.cspast import Skip, Stop
 from tockta.harness import generate_corpus
-from tockta.lts import reachable
+from tockta.lts import reachable, subset_graph
 from tockta.parser import parse, parse_file
 from tockta.semantics import BoundExceeded, csp_traces
 from tockta.tamodel import (
@@ -746,15 +746,23 @@ def test_per_clock_caps_keep_the_reachable_configurations_down(name, count):
     assert len(every_reachable_configuration(assemble(named_spec(name)))) == count
 
 
+#: (spec, depth, configurations the full search expands, those the settled
+#: search of network_traces expands)
+_PINNED_EXPANSIONS = [
+    ("ads", 10, 73, 73), ("pe", 10, 20, 16), ("pi", 10, 22, 18), ("rail_crossing", 10, 119, 119),
+    ("thermostat", 10, 73, 73), ("cycles2", 10, 69, 40), ("cycles3", 8, 361, 148), ("cycles4", 6, 1329, 556),
+    ("cycles3", 9, 361, 148),
+]
+
+
 @pytest.mark.parametrize(
-    "name, depth, count",
-    [("ads", 10, 73), ("pe", 10, 20), ("pi", 10, 22), ("rail_crossing", 10, 119),
-     ("thermostat", 10, 73), ("cycles2", 10, 69), ("cycles3", 8, 361), ("cycles4", 6, 1329),
-     ("cycles3", 9, 361)],
+    "name, depth, full, settled", _PINNED_EXPANSIONS, ids=[f"{n}-{d}-{full}" for n, d, full, _ in _PINNED_EXPANSIONS]
 )
-def test_network_traces_expand_a_pinned_number_of_configurations(monkeypatch, name, depth, count):
-    # A faster executor must make each step cheaper, not change the search:
-    # the configurations whose moves a fresh trace search computes stay put.
+def test_network_traces_expand_a_pinned_number_of_configurations(monkeypatch, name, depth, full, settled):
+    # A faster step must not change either search: the configurations whose
+    # moves a fresh trace search computes stay put, both in the settled
+    # search of network_traces and in the full one over _Runtime.successors.
+    # Only a change to what settles may move the first count.
     expanded = []
     uncounted = taexec.enabled_steps
 
@@ -766,4 +774,9 @@ def test_network_traces_expand_a_pinned_number_of_configurations(monkeypatch, na
     monkeypatch.setattr(taexec, "enabled_steps", counting)
     taexec._runtime.cache_clear()
     network_traces(net, depth)
-    assert len(expanded) == len(set(expanded)) == count
+    assert len(expanded) == len(set(expanded)) == settled
+    expanded.clear()
+    taexec._runtime.cache_clear()
+    rt = taexec._runtime(net)
+    subset_graph(taexec._start(rt), rt.successors, depth, hidden=erasure_set(net), state_cap=500_000)
+    assert len(expanded) == len(set(expanded)) == full

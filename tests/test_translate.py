@@ -374,3 +374,10 @@ CSP_TRACES_DIGEST = "e8255ef10bc9a86148016774534bbad14a46004a53e6d24add267df4827
 def test_csp_traces_are_pinned_on_fixtures_and_corpus():
     document = "".join(traces_to_text(csp_traces(spec, 8)) for spec in fixture_and_corpus_specs())
     assert hashlib.sha256(document.encode("utf-8")).hexdigest() == CSP_TRACES_DIGEST
+
+
+def test_network_traces_are_pinned_on_fixtures_and_corpus():
+    # the network engine must give the process engine's traces, so the same
+    # digest pins it, settling included
+    document = "".join(traces_to_text(network_traces(assemble(spec), 8)) for spec in fixture_and_corpus_specs())
+    assert hashlib.sha256(document.encode("utf-8")).hexdigest() == CSP_TRACES_DIGEST
