@@ -6,16 +6,17 @@ an enabled sender alone and takes every automaton whose matching receive
 edge is enabled at that moment (possibly none).  If any automaton sits in
 a committed location, only moves involving a committed automaton may
 fire, and time may not pass.  Time also may not pass while an urgent
-location is occupied or an urgent channel has a matched enabled pair.
+channel has a matched enabled pair.
 
 Unit delays give the untimed traces of dense time when every clock
 constraint is closed (no strict ``<`` or ``>`` on a clock): then integer
-time is exact (Henzinger, Manna & Pnueli, ICALP 1992).  Translated
-networks are in that class; a loaded document with a strict clock atom
-may be answered for integer time only (ROADMAP item 14).  Each clock is
-capped at its own threshold, the least value from which on every atom on
-that clock holds alike, now and after any delay (the integer-clock case
-of LU-extrapolation).  A translated network's one clock ``ck`` is tested
+time is exact (Henzinger, Manna & Pnueli, ICALP 1992), also with
+committed locations, urgent channels and broadcasts (Bošnački, FMICS
+1999).  The model admits closed clock atoms only, and no invariants,
+urgent locations or global clocks, so every network here is in that
+class (see :mod:`tamodel`).  Each clock is capped at its own threshold,
+the least value from which on every atom on that clock holds alike, now
+and after any delay (the integer-clock case of LU-extrapolation).  A translated network's one clock ``ck`` is tested
 only by ``ck>=1``, so it takes the values 0 and 1.
 
 Network traces record one entry (the channel name) per binary or
@@ -37,10 +38,10 @@ from automaton A at ``la`` to B at ``lb``, with targets ``ta`` and ``tb``:
 
 (a) no automaton is in a committed location;
 (b) the send is ``la``'s one silent or send edge, without guard or
-    update; ``la`` is normal, without invariant, receives only broadcasts;
+    update; ``la`` is normal and receives only broadcasts;
 (c) B alone receives ``c``, by one edge at ``lb`` without guard or update;
-    ``lb`` is normal, without invariant, silent or send edge, and receives
-    only broadcasts besides; ``ta`` and ``tb`` are normal;
+    ``lb`` is normal, has no silent or send edge, and receives only
+    broadcasts besides; ``ta`` and ``tb`` are normal;
 (d) no edge sending ``c`` can fire first;
 (e) each broadcast received at ``la``, ``lb``, ``ta`` or ``tb`` commutes
     with ``h`` (its receives there are self-loops without updates), or
@@ -72,7 +73,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .lts import BoundExceeded  # noqa: F401  (re-exported: every search here raises it)
 from .lts import TraceSet, cannot_reach, subset_graph
@@ -98,15 +99,12 @@ class Configuration(NamedTuple):
     clocks: tuple[int, ...]
 
 
-_NORMAL, _COMMITTED, _URGENT = LocationKind.NORMAL, LocationKind.COMMITTED, LocationKind.URGENT
-
-#: A resolved clock atom: (clock slot, comparison, constant).
-_ClockTest = tuple[int, Callable[[int, int], bool], int]
+_NORMAL, _COMMITTED = LocationKind.NORMAL, LocationKind.COMMITTED
 
 #: Added to an atom's constant, the least clock value from which on the atom
-#: holds alike for every larger value: ``>= c`` and ``< c`` from ``c``;
-#: ``> c``, ``<= c`` and ``== c`` from ``c + 1``.
-_PAST = {">=": 0, "<": 0, ">": 1, "<=": 1, "==": 1}
+#: holds alike for every larger value: ``>= c`` from ``c``; ``<= c`` and
+#: ``== c`` from ``c + 1``.
+_PAST = {">=": 0, "<=": 1, "==": 1}
 
 
 class _Runtime:
@@ -117,29 +115,20 @@ class _Runtime:
         self.net = net
         self.var_pos = {name: i for i, (name, _) in enumerate(net.int_vars)}
         self.init_ints = tuple(value for _, value in net.int_vars)
-        # clock_slots[ai] = {clock name: slot} as automaton ai sees its
-        # clocks: a local clock hides a global one of the same name.
-        shared = {name: slot for slot, name in enumerate(net.global_clocks)}
+        # clock_slots[ai] = {clock name: slot} for automaton ai's clocks
         self.clock_slots: list[dict[str, int]] = []
-        self.n_clocks = len(net.global_clocks)
+        self.n_clocks = 0
         for ta in net.automata:
-            self.clock_slots.append({**shared, **{name: self.n_clocks + i for i, name in enumerate(ta.clocks)}})
+            self.clock_slots.append({name: self.n_clocks + i for i, name in enumerate(ta.clocks)})
             self.n_clocks += len(ta.clocks)
         self.channel_mode = {c.name: c.mode for c in net.channels}
 
         # caps[slot] = the largest threshold of an atom on that clock, 0 if none.
         caps = [0] * self.n_clocks
 
-        def clock_test(clocks: dict[str, int], atom: ClockAtom) -> _ClockTest:
-            """``atom`` as a test on its slot in ``clocks``; raises that slot's cap."""
-            slot = clocks[atom.clock]
-            caps[slot] = max(caps[slot], atom.const + _PAST[atom.op])
-            return slot, _RELATIONS[atom.op], atom.const
-
-        # locs[ai][location] = (kind, invariant, silent and send edges,
-        # channel -> receive edges).  Each edge there is (clock tests, int
-        # tests, channel or None, part).  The clock tests include the
-        # target's invariant on every clock the edge does not reset.
+        # locs[ai][location] = (kind, silent and send edges, channel ->
+        # receive edges).  Each edge there is (clock tests, int tests,
+        # channel or None, part).
         self.locs: list[dict[str, tuple]] = []
         receivers: dict[str, set[int]] = {}
         # For settling: writes[0 or 1, slot] = the values edges assign to a
@@ -153,21 +142,19 @@ class _Runtime:
         for ai, ta in enumerate(net.automata):
             clocks = self.clock_slots[ai]
             flow_at: dict[str, str] = {}
-            invs = {
-                loc.id: tuple([clock_test(clocks, atom) for atom in loc.invariant]) if loc.invariant else ()
-                for loc in ta.locations
-            }
             local: dict[str, list] = {loc.id: [] for loc in ta.locations}
             receive: dict[str, dict[str, list]] = {loc.id: {} for loc in ta.locations}
             for ei, edge in enumerate(ta.edges):
                 channel = edge.sync.channel if edge.sync else None
-                if edge.guard is None and not edge.updates and not invs[edge.target]:
+                if edge.guard is None and not edge.updates:
                     entry = ((), (), channel, (ai, ei, edge.target, (), ()))
                 else:
                     clock_tests, int_tests, clock_updates, int_updates = [], [], {}, []
                     for atom in edge.guard.atoms if edge.guard is not None else ():
                         if isinstance(atom, ClockAtom):
-                            clock_tests.append(clock_test(clocks, atom))
+                            slot = clocks[atom.clock]
+                            caps[slot] = max(caps[slot], atom.const + _PAST[atom.op])
+                            clock_tests.append((slot, _RELATIONS[atom.op], atom.const))
                         else:
                             positions = tuple(self.var_pos[v] for v in atom.variables)
                             int_tests.append((positions, _RELATIONS[atom.op], atom.const))
@@ -178,11 +165,6 @@ class _Runtime:
                         else:
                             int_updates.append((key[1], upd.value))
                         self.writes.setdefault(key, set()).add(upd.value)
-                    # A test on a clock the edge resets is decided here, once.
-                    if any(slot in clock_updates and not holds(clock_updates[slot], const)
-                           for slot, holds, const in invs[edge.target]):
-                        continue
-                    clock_tests += [test for test in invs[edge.target] if test[0] not in clock_updates]
                     part = (ai, ei, edge.target, tuple(clock_updates.items()), tuple(int_updates))
                     entry = (tuple(clock_tests), tuple(int_tests), channel, part)
                 if channel is not None and edge.sync.direction == "receive":
@@ -193,12 +175,12 @@ class _Runtime:
                     self.sending.setdefault(channel, []).append(entry)
                     if channel in flows:
                         flow_at[edge.source] = channel
-            self.locs.append({loc.id: (loc.kind, invs[loc.id], local[loc.id], receive[loc.id]) for loc in ta.locations})
+            self.locs.append({loc.id: (loc.kind, local[loc.id], receive[loc.id]) for loc in ta.locations})
             self.flow_at.append(flow_at and {
                 loc: c
                 for loc, c in flow_at.items()
                 if len(local[loc]) == 1 and local[loc][0][:2] == ((), ()) and local[loc][0][3][3:] == ((), ())
-                and self.locs[ai][loc][:2] == (_NORMAL, ())
+                and self.locs[ai][loc][0] is _NORMAL
                 and all(self.channel_mode.get(d) == "broadcast" for d in receive[loc])
             })
         self.receivers = {channel: tuple(sorted(autos)) for channel, autos in receivers.items()}
@@ -252,9 +234,9 @@ class _Runtime:
         given (see ``_fire``)."""
         cfg = self.configs[state]
         moves, tick = enabled_steps(self.net, cfg)
-        # No guard or invariant tells apart a clock's values at or beyond
-        # its cap, now or after any delay, so capping each clock there
-        # loses nothing and keeps the configuration space finite.
+        # No guard tells apart a clock's values at or beyond its cap, now
+        # or after any delay, so capping each clock there loses nothing and
+        # keeps the configuration space finite.
         caps = self.clock_caps
         out = [(label, self.intern(_fire(cfg, parts, caps, rt))) for label, parts in moves]
         if tick:
@@ -300,9 +282,9 @@ class _Runtime:
         """Whether no edge of ``groups`` (each a sequence of ``_sent``
         entries) can fire before time passes or automaton ``a`` or ``b``
         moves: a test of the edge is false, or its automaton cannot move
-        first, since it is at a normal or urgent location that no silent or
-        send edge leaves and no edge can fire first that sends what it
-        receives there."""
+        first, since it is at a normal location that no silent or send
+        edge leaves and no edge can fire first that sends what it receives
+        there."""
         still, stack = {a, b}, list(groups)
         while stack:
             for tests, y in stack.pop():
@@ -312,7 +294,7 @@ class _Runtime:
                     if not holds(values[kind][i], const):
                         break
                 else:
-                    kind, _, local, receive = self.locs[y][locations[y]]
+                    kind, local, receive = self.locs[y][locations[y]]
                     if local or kind is _COMMITTED:
                         return False
                     still.add(y)
@@ -327,11 +309,11 @@ class _Runtime:
         c = self.flow_at[a][la]
         b = self.flows[c]
         out = self.pairs[a, la, lb] = None
-        kind, inv, local, receive = self.locs[b][lb]
+        kind, local, receive = self.locs[b][lb]
         takes = receive.get(c, ())
-        if kind is not _NORMAL or inv or local or len(takes) != 1 or takes[0][:2] != ((), ()):
+        if kind is not _NORMAL or local or len(takes) != 1 or takes[0][:2] != ((), ()):
             return out
-        ta, tb = self.locs[a][la][2][0][3][2], takes[0][3][2]
+        ta, tb = self.locs[a][la][1][0][3][2], takes[0][3][2]
         mode = self.channel_mode
         if takes[0][3][3:] != ((), ()) or any(mode.get(d) != "broadcast" for d in receive if d != c):
             return out
@@ -342,14 +324,14 @@ class _Runtime:
             self.committed = tuple(((), x) for x in committed)
             # those that are committed or can move wherever they are, which
             # fails (f) unless they are A (never B, whose location is still)
-            self.blockers = {x for x in committed if all(e[0] is _COMMITTED or e[2] for e in self.locs[x].values())}
+            self.blockers = {x for x in committed if all(e[0] is _COMMITTED or e[1] for e in self.locs[x].values())}
             if any(not self.flow_at[x] for x in self.blockers):
                 self.flow_at = [{}] * len(self.locs)  # one is never A: nothing settles
         if self.blockers - {a}:
             return out
         moving = set()  # (e): broadcasts that move A or B there
         for x, loc in ((a, la), (b, lb), (a, ta), (b, tb)):
-            for d, entries in self.locs[x][loc][3].items():
+            for d, entries in self.locs[x][loc][2].items():
                 for *_, part in entries if mode.get(d) == "broadcast" else ():
                     if part[2:] != (loc, (), ()):
                         moving.add(d)
@@ -407,18 +389,12 @@ def enabled_steps(net: NetworkModel, cfg: Configuration) -> tuple[list, bool]:
     rt = _runtime(net)
     locations, ints, clocks = cfg
     committed = set()
-    urgent_loc = False
-    invariants: list[_ClockTest] = []
     moves: list = []
     senders: dict[str, list[tuple]] = {}
     for ai, loc in enumerate(locations):
-        kind, inv, local, _ = rt.locs[ai][loc]
+        kind, local, _ = rt.locs[ai][loc]
         if kind is _COMMITTED:
             committed.add(ai)
-        elif kind is _URGENT:
-            urgent_loc = True
-        if inv:
-            invariants.extend(inv)
         for clock_tests, int_tests, channel, part in local:
             if (clock_tests or int_tests) and not _guard_holds(clock_tests, int_tests, clocks, ints):
                 continue
@@ -433,7 +409,7 @@ def enabled_steps(net: NetworkModel, cfg: Configuration) -> tuple[list, bool]:
         receives = [
             part
             for rj in rt.receivers.get(channel, ())
-            for clock_tests, int_tests, _, part in rt.locs[rj][locations[rj]][3].get(channel, ())
+            for clock_tests, int_tests, _, part in rt.locs[rj][locations[rj]][2].get(channel, ())
             if not (clock_tests or int_tests) or _guard_holds(clock_tests, int_tests, clocks, ints)
         ]
         mode = rt.channel_mode.get(channel, "binary")
@@ -450,10 +426,7 @@ def enabled_steps(net: NetworkModel, cfg: Configuration) -> tuple[list, bool]:
 
     if committed:
         moves = [move for move in moves if any(part[0] in committed for part in move[1])]
-    tick = not (committed or urgent_loc or urgent_pair) and all(
-        holds(clocks[slot] + 1, const) for slot, holds, const in invariants
-    )
-    return moves, tick
+    return moves, not (committed or urgent_pair)
 
 
 def apply_step(net: NetworkModel, cfg: Configuration, move) -> Configuration:

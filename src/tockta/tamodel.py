@@ -7,10 +7,19 @@ through ``object.__setattr__``, about four times dearer.  Every channel
 carries a :class:`ChannelKind` distinguishing user events, the tock
 broadcast, and the generated coordination channels; the coordination
 kinds (plus hidden events) form the erasure set removed from traces
-before comparison with the source process.  Clocks take non-negative
-integer values: time only advances in unit ticks, which is exact for
-closed clock constraints (no strict ``<`` or ``>`` on a clock), the only
-kind a translated network contains; see :mod:`taexec`.
+before comparison with the source process.
+
+The model holds what the translator emits, plus local clocks and closed
+clock guards: committed and normal locations, binary, urgent and
+broadcast channels, integer variables, and clocks local to an automaton,
+compared only by ``<=``, ``==`` and ``>=``.  Clocks take non-negative
+integer values and time advances in unit ticks.  For closed constraints
+(no strict ``<`` or ``>`` on a clock) integer time gives the untimed
+traces of dense time (Henzinger, Manna & Pnueli, ICALP 1992), with
+committed locations, urgent channels and broadcasts too (Bošnački, FMICS
+1999), so :class:`ClockAtom` refuses a strict relation.  Invariants,
+urgent locations and global clocks are not in the model; see
+:mod:`taexec`.
 """
 
 from __future__ import annotations
@@ -90,26 +99,26 @@ def kind_from_name(name: str) -> ChannelKind:
     return ChannelKind.USER_EVENT
 
 
-#: The relations a guard or invariant atom may use, each with its
-#: comparison function.
+#: The relations a guard atom may use, each with its comparison function.
 _RELATIONS = {"<": lt, "<=": le, "==": eq, ">=": ge, ">": gt}
 
 
 class LocationKind(Enum):
     NORMAL = "normal"
-    URGENT = "urgent"
     COMMITTED = "committed"
 
 
 @dataclass(unsafe_hash=True, slots=True)
 class ClockAtom:
     clock: str
-    op: str  # one of < <= == >= >
+    op: str  # one of <= == >=
     const: int
 
     def __post_init__(self) -> None:
         if self.op not in _RELATIONS:
             raise ValueError(f"bad relation {self.op!r}")
+        if self.op in ("<", ">"):
+            raise ValueError(f"strict clock atom {self.render()!r}: integer time is exact only for closed ones")
         if self.const < 0:
             raise ValueError("clock constants must be >= 0")
 
@@ -146,9 +155,7 @@ class GuardExpr:
 @dataclass(unsafe_hash=True, slots=True)
 class Location:
     id: str
-    display_name: str = ""
     kind: LocationKind = LocationKind.NORMAL
-    invariant: tuple[ClockAtom, ...] = ()
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -215,7 +222,6 @@ class NetworkModel:
     automata: tuple[TimedAutomaton, ...]
     channels: tuple[ChannelDecl, ...]
     int_vars: tuple[tuple[str, int], ...]
-    global_clocks: tuple[str, ...] = ()
     environment_index: int = -1
     # The executor looks its per-network index up by this hash on every
     # step, so it is computed once.  String hashes are salted per process,
@@ -223,7 +229,7 @@ class NetworkModel:
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def _key(self) -> tuple:
-        return (self.automata, self.channels, self.int_vars, self.global_clocks, self.environment_index)
+        return (self.automata, self.channels, self.int_vars, self.environment_index)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -257,7 +263,7 @@ class Diagnostic:
 
 
 def validate(net: NetworkModel) -> list[Diagnostic]:
-    """All invariant violations of the network; empty means well-formed."""
+    """Every way the network is malformed; empty means well-formed."""
     out: list[Diagnostic] = []
     channel_names = [c.name for c in net.channels]
     seen_channels: set[str] = set()
@@ -287,9 +293,6 @@ def validate(net: NetworkModel) -> list[Diagnostic]:
             if loc.id in loc_ids:
                 out.append(Diagnostic(f"duplicate location {loc.id!r}", ta.name))
             loc_ids.add(loc.id)
-            for atom in loc.invariant:
-                if atom.clock not in ta.clocks and atom.clock not in net.global_clocks:
-                    out.append(Diagnostic(f"invariant uses undeclared clock {atom.clock!r}", ta.name))
         if ta.initial not in loc_ids:
             out.append(Diagnostic("missing initial location", ta.name))
         for idx, edge in enumerate(ta.edges):
@@ -300,14 +303,14 @@ def validate(net: NetworkModel) -> list[Diagnostic]:
             if edge.guard is not None:
                 for atom in edge.guard.atoms:
                     if isinstance(atom, ClockAtom):
-                        if atom.clock not in ta.clocks and atom.clock not in net.global_clocks:
+                        if atom.clock not in ta.clocks:
                             out.append(Diagnostic(f"guard uses undeclared clock {atom.clock!r}", ta.name, idx))
                     else:
                         for var in atom.variables:
                             if var not in var_names:
                                 out.append(Diagnostic(f"guard uses undeclared variable {var!r}", ta.name, idx))
             for upd in edge.updates:
-                is_clock = upd.target in ta.clocks or upd.target in net.global_clocks
+                is_clock = upd.target in ta.clocks
                 if not is_clock and upd.target not in var_names:
                     out.append(Diagnostic(f"update of undeclared name {upd.target!r}", ta.name, idx))
                 if is_clock and upd.value != 0:

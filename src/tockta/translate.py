@@ -827,7 +827,7 @@ def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
     kept = _movable(unit.tas, env)
     # The claim order fixes the emitted names: the start variable, the
     # components, then Env.
-    locations = _Shared(lambda i, kind: Location(id=f"s{i}", display_name=f"s{i}", kind=kind))
+    locations = _Shared(lambda i, kind: Location(id=f"s{i}", kind=kind))
     tas = [
         builder.freeze(registry.unique(f"TA{index:02d}"), locations)
         for index, builder in enumerate(kept)
@@ -838,7 +838,6 @@ def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
         automata=tuple(tas),
         channels=tuple(compiler.channels.values()),
         int_vars=tuple(compiler.int_vars.items()),
-        global_clocks=(),
         environment_index=len(kept),
     )
     problems = validate(net)

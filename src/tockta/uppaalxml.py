@@ -8,12 +8,15 @@ these rules would read back otherwise, so ``load(emit(net))`` recovers
 the network exactly.  Foreign documents are accepted as long as they stay
 within the expression grammar this model supports (conjunctions of
 comparisons against integer constants, constant assignments, plain
-synchronisation labels) and give each transition or location at most one
-label of each kind.  Locations get deterministic grid coordinates because
-the model itself carries no geometry.  ``load`` parses a chunk at a time
-and frees each template's elements once it has loaded them, with the
-cyclic garbage collector paused for the whole process (``load`` says why
-that is safe).  ``save_file`` writes the document a line at a time.
+synchronisation labels) and give each transition at most one label of
+each kind.  What the model leaves out is refused, each with an error that
+names it and where it is: a clock in the top-level declaration, an
+``<urgent/>`` location, a non-blank invariant label, and a strict (``<``
+or ``>``) clock atom, on which integer time is not exact.  Locations get
+deterministic grid coordinates because the model itself carries no
+geometry.  ``load`` parses a chunk at a time and frees each template's
+elements once it has loaded them, with the cyclic garbage collector
+paused for the whole process (``load`` says why that is safe).  ``save_file`` writes the document a line at a time.
 
 Text is escaped by ``_escape``, not ``xml.sax.saxutils.escape``: that
 import loads the network stack (``urllib.request``, ``ssl``, ``socket``,
@@ -74,8 +77,6 @@ def _emit_declaration(net: NetworkModel) -> str:
             lines.append(f"chan {decl.name};")
     for name, value in net.int_vars:
         lines.append(f"int {name} = {value};")
-    for clock in net.global_clocks:
-        lines.append(f"clock {clock};")
     return "\n".join(lines)
 
 
@@ -99,7 +100,6 @@ def _check_readable(net: NetworkModel) -> None:
     """Raise ``ValueError`` unless ``load`` reads ``emit(net)`` back as ``net``."""
     words = [("channel", decl.name) for decl in net.channels]
     words += [("integer variable", name) for name, _ in net.int_vars]
-    words += [("clock", name) for name in net.global_clocks]
     words += [("clock", name) for ta in net.automata for name in ta.clocks]
     for what, name in words:
         if not _WORD_RE.fullmatch(name):
@@ -142,14 +142,9 @@ def _lines(net: NetworkModel):
             doc_id += 1
             x, y = _grid(index)
             pieces = [f'\t\t<location id="{ids[loc.id]}" x="{x}" y="{y}">']
-            pieces.append(f"<name>{_escape(loc.display_name or loc.id)}</name>")
-            if loc.invariant:
-                inv = " && ".join(a.render() for a in loc.invariant)
-                pieces.append(f'<label kind="invariant">{_escape(inv)}</label>')
+            pieces.append(f"<name>{_escape(loc.id)}</name>")
             if loc.kind is LocationKind.COMMITTED:
                 pieces.append("<committed/>")
-            elif loc.kind is LocationKind.URGENT:
-                pieces.append("<urgent/>")
             pieces.append("</location>")
             yield "".join(pieces)
         yield f'\t\t<init ref="{ids[ta.initial]}"/>'
@@ -187,7 +182,7 @@ _SYNC_RE = re.compile(r"^([A-Za-z_]\w*)\s*([!?])\s*$")
 # The label parsers' errors name no place: the caller adds where they are.
 
 
-def _parse_atoms(text: str, clocks: set[str]) -> tuple:
+def _parse_atoms(text: str, clocks: frozenset[str]) -> tuple:
     """The atoms of a non-blank conjunction; each conjunct must be one."""
     atoms = []
     for part in text.split("&&"):
@@ -202,6 +197,8 @@ def _parse_atoms(text: str, clocks: set[str]) -> tuple:
         if len(names) == 1 and names[0] in clocks:
             if const < 0:
                 raise XmlLoadError(f"negative clock constant in {part!r}")
+            if op in ("<", ">"):
+                raise XmlLoadError(f"unsupported strict clock atom {part!r}")
             atoms.append(ClockAtom(names[0], op, const))
         else:
             atoms.append(IntAtom(tuple(names), op, const))
@@ -250,11 +247,19 @@ def _parse_declaration(text: str):
     return channels, int_vars, clocks
 
 
+def _root_declaration(text: str):
+    """The channels and integer variables of the top-level declaration."""
+    channels, int_vars, clocks = _parse_declaration(text)
+    if clocks:
+        raise XmlLoadError(f"unsupported global clock {clocks[0]!r} in the top-level declaration")
+    return channels, int_vars
+
+
 # Tags of which an element may have one child at most.
 _SINGLE = frozenset({"name", "init", "source", "target", "declaration"})
 # A location's kind by the tag that sets it.  Location keys hold the tag:
 # a ``str`` hashes in C, an ``Enum`` member through ``Enum.__hash__``.
-_KINDS = {"": LocationKind.NORMAL, "committed": LocationKind.COMMITTED, "urgent": LocationKind.URGENT}
+_KINDS = {"": LocationKind.NORMAL, "committed": LocationKind.COMMITTED}
 
 
 def _children(node: ET.Element, listed: tuple[str, ...]) -> tuple[dict, list]:
@@ -329,14 +334,12 @@ def _load(document: str) -> NetworkModel:
     per_clocks: dict[frozenset, tuple[dict, dict, dict]] = {}
     loaded: dict[ET.Element, tuple | TimedAutomaton] = {}  # a declaration's parts or an automaton
     try:
-        clocks = None
         for node in children:
             try:
-                if node.tag == "declaration" and clocks is None:
-                    loaded[node] = _parse_declaration(node.text or "")
-                    clocks = loaded[node][2]
-                elif node.tag == "template" and clocks is not None:
-                    loaded[node] = _load_template(node, clocks, syncs, assignments, per_clocks)
+                if node.tag == "declaration":
+                    loaded[node] = _root_declaration(node.text or "")
+                elif node.tag == "template":
+                    loaded[node] = _load_template(node, syncs, assignments, per_clocks)
                     node.clear()
             except XmlLoadError:
                 break  # the failing element is read again, in order, below
@@ -350,11 +353,11 @@ def _load(document: str) -> NetworkModel:
 
     first, templates = _children(root, ("template",))
     decl_node = first.get("declaration")
-    channels_raw, int_vars, global_clocks = loaded.get(decl_node) or _parse_declaration(
+    channels_raw, int_vars = loaded.get(decl_node) or _root_declaration(
         decl_node.text or "" if decl_node is not None else ""
     )
     channels = tuple(ChannelDecl(name, mode, kind_from_name(name)) for name, mode in channels_raw)
-    automata = [loaded.get(t) or _load_template(t, global_clocks, syncs, assignments, per_clocks) for t in templates]
+    automata = [loaded.get(t) or _load_template(t, syncs, assignments, per_clocks) for t in templates]
 
     if not automata:
         raise XmlLoadError("document contains no templates")
@@ -362,7 +365,6 @@ def _load(document: str) -> NetworkModel:
         automata=tuple(automata),
         channels=channels,
         int_vars=tuple(int_vars),
-        global_clocks=tuple(global_clocks),
         environment_index=_environment_index(automata),
     )
     problems = validate(net)
@@ -371,9 +373,7 @@ def _load(document: str) -> NetworkModel:
     return net
 
 
-def _load_template(
-    template: ET.Element, global_clocks: list[str], syncs: dict, assignments: dict, per_clocks: dict
-) -> TimedAutomaton:
+def _load_template(template: ET.Element, syncs: dict, assignments: dict, per_clocks: dict) -> TimedAutomaton:
     try:
         first, nodes = _children(template, ("location", "transition"))
     except XmlLoadError as exc:
@@ -392,15 +392,15 @@ def _load_template(
             raise XmlLoadError(
                 f"unsupported declaration: template {name!r} declares non-clock state"
             )
-    clock_names = set(local_clocks) | set(global_clocks)
-    clock_key = frozenset(local_clocks)
-    guards, known_locations, known_edges = per_clocks.setdefault(clock_key, ({}, {}, {}))
+    clock_names = frozenset(local_clocks)
+    guards, known_locations, known_edges = per_clocks.setdefault(clock_names, ({}, {}, {}))
 
     # One loop reads each element's children.  Anything but a first
     # <name>, <source> or <target> among the ``_SINGLE`` tags, or a
     # <select>, is rare: ``_children`` then checks the element, so errors
     # keep their order (a repeated ``_SINGLE`` child, then the element's
-    # own checks, then its labels in document order).
+    # own checks, then its labels in document order).  A location's own
+    # check is that it has none of the constructs the model leaves out.
     id_to_model: dict[str, str] = {}
     locations = []
     transitions = []
@@ -415,32 +415,31 @@ def _load_template(
                 raise XmlLoadError("location without id")
             label = None
             kind = ""  # the tag that sets the kind, as ``_KINDS`` keys it
-            invariants = []
+            refused = None  # the first construct the model leaves out
             for child in node:
                 tag = child.tag
                 if tag == "label":
-                    if child.get("kind") == "invariant" and (child.text or "").strip():
-                        invariants.append(child.text)
+                    if child.get("kind") == "invariant" and refused is None and (text := (child.text or "").strip()):
+                        refused = f"invariant {text!r}"
                 elif tag == "name" and label is None:
                     label = child
-                elif tag == "committed" or (tag == "urgent" and not kind):
+                elif tag == "committed":
                     kind = tag
+                elif tag == "urgent" and refused is None:
+                    refused = "<urgent/>"
                 elif tag in _SINGLE:
                     _children(node, ("label",))
-            if len(invariants) > 1:
-                raise XmlLoadError("repeated invariant label")
+            if refused is not None:
+                raise XmlLoadError(f"unsupported {refused}")
             model_id = (label.text or "").strip() if label is not None else ""
             if not model_id or model_id in used_names:
                 model_id = doc_id
             used_names.add(model_id)
             id_to_model[doc_id] = model_id
-            key = (model_id, kind, *invariants)
+            key = (model_id, kind)
             location = known_locations.get(key)
             if location is None:
-                invariant = _parse_atoms(invariants[0], clock_names) if invariants else ()
-                if any(not isinstance(a, ClockAtom) for a in invariant):
-                    raise XmlLoadError("unsupported invariant")
-                location = known_locations[key] = Location(model_id, model_id, _KINDS[kind], invariant)
+                location = known_locations[key] = Location(model_id, _KINDS[kind])
             locations.append(location)
         except XmlLoadError as exc:
             where = "" if doc_id is None else f" at location {doc_id!r}"

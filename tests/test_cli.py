@@ -9,6 +9,8 @@ from tockta.harness import generate_corpus
 from tockta.parser import parse
 from tockta.translate import assemble
 
+from test_uppaalxml import clock_guarded_document
+
 ADS = (
     "ADS = Controller [|{close}|] Lighting\n"
     "Controller = open -> tock -> close -> Controller\n"
@@ -221,3 +223,13 @@ def test_a_choice_operand_looping_back_is_an_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("tockta: error:") and "external-choice operand" in err
     assert not (tmp_path / "loop.xml").exists()
+
+
+def test_a_strict_clock_guard_is_an_input_error(tmp_path, capsys):
+    # Integer time would answer this document differently from dense time.
+    path = tmp_path / "strict.xml"
+    path.write_text(clock_guarded_document("x>0 && x<1"))
+    assert main(["traces", "ta", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == "tockta: error: unsupported strict clock atom 'x>0' in template 'TA00', transition 2\n"

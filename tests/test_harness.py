@@ -262,7 +262,6 @@ def test_prove_stop_base_catches_a_removed_tock_loop():
         (mutated,) + net.automata[1:],
         net.channels,
         net.int_vars,
-        net.global_clocks,
         net.environment_index,
     )
     report = prove_stop_base(3, net=broken)

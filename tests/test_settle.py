@@ -164,7 +164,7 @@ def test_every_settled_hand_off_is_globally_confluent(spec):
 def _ta(name, edges, initial="s0", committed=()):
     ids = sorted({e.source for e in edges} | {e.target for e in edges} | {initial})
     kinds = {i: LocationKind.COMMITTED if i in committed else LocationKind.NORMAL for i in ids}
-    return TimedAutomaton(name, tuple(Location(i, i, kinds[i]) for i in ids), initial, (), tuple(edges))
+    return TimedAutomaton(name, tuple(Location(i, kinds[i]) for i in ids), initial, (), tuple(edges))
 
 
 def _edge(source, target, channel=None, direction="send", guard=None, updates=()):
@@ -190,7 +190,7 @@ def _network(a=A, b=B, *extra, broadcasts=(), flows=("h",), unheard=(), ints=())
     channels = [ChannelDecl(c, "binary", ChannelKind.USER_EVENT) for c in [*visible, *unheard]]
     channels += [ChannelDecl(c, "broadcast", ChannelKind.USER_EVENT) for c in broadcasts]
     channels += [ChannelDecl(c, "urgent-binary", ChannelKind.FLOW) for c in flows]
-    return NetworkModel(tuple(automata), tuple(channels), tuple(ints), (), environment_index=len(automata) - 1)
+    return NetworkModel(tuple(automata), tuple(channels), tuple(ints), environment_index=len(automata) - 1)
 
 
 def test_a_plain_hand_off_settles():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -39,6 +40,9 @@ from tockta.taexec import (
     timelock_witnesses,
 )
 from tockta.translate import assemble
+from tockta.uppaalxml import XmlLoadError, load
+
+from test_uppaalxml import clock_guarded_document
 
 ADS = parse(
     "ADS = Controller [|{close}|] Lighting\n"
@@ -99,15 +103,15 @@ def test_tock_broadcast_enabled_after_start_and_one_tick():
 def test_committed_location_blocks_unrelated_steps():
     committed_ta = TimedAutomaton(
         "C",
-        (Location("s0", "s0"), Location("s1", "s1", LocationKind.COMMITTED)),
+        (Location("s0"), Location("s1", LocationKind.COMMITTED)),
         "s1",
         (),
         (Edge("s1", "s0"),),
     )
     idle_ta = TimedAutomaton(
-        "I", (Location("s0", "s0"), Location("s1", "s1")), "s0", (), (Edge("s0", "s1"),)
+        "I", (Location("s0"), Location("s1")), "s0", (), (Edge("s0", "s1"),)
     )
-    net = NetworkModel((committed_ta, idle_ta), (), (), (), environment_index=0)
+    net = NetworkModel((committed_ta, idle_ta), (), (), environment_index=0)
     assert spelled_steps(net, initial_configuration(net)) == ([(None, ((0, 0),))], False)
 
 
@@ -174,7 +178,7 @@ def test_sync_broadcast_moves_both_participants_and_resets_readiness():
 def test_broadcast_fires_with_zero_receivers():
     sender = TimedAutomaton(
         "S",
-        (Location("s0", "s0"), Location("s1", "s1")),
+        (Location("s0"), Location("s1")),
         "s0",
         (),
         (Edge("s0", "s1", sync=SyncLabel("shout", "send")),),
@@ -182,7 +186,6 @@ def test_broadcast_fires_with_zero_receivers():
     net = NetworkModel(
         (sender,),
         (ChannelDecl("shout", "broadcast", ChannelKind.USER_EVENT),),
-        (),
         (),
         environment_index=0,
     )
@@ -295,10 +298,10 @@ def _silent_chain(kinds, final):
     """One automaton walking silently through locations of the given kinds
     into a last location of kind ``final``, which has no outgoing edge."""
     kinds = list(kinds) + [final]
-    locations = tuple(Location(f"s{i}", f"s{i}", kind) for i, kind in enumerate(kinds))
+    locations = tuple(Location(f"s{i}", kind) for i, kind in enumerate(kinds))
     edges = tuple(Edge(f"s{i}", f"s{i + 1}") for i in range(len(kinds) - 1))
     ta = TimedAutomaton("T", locations, "s0", (), edges)
-    return NetworkModel((ta,), (), (), (), environment_index=0)
+    return NetworkModel((ta,), (), (), environment_index=0)
 
 
 def test_timelock_reports_a_dead_committed_location():
@@ -385,13 +388,13 @@ _RELATION = {"<": lt, "<=": le, "==": eq, ">=": ge, ">": gt}
 def reference_slots(net):
     """The clock slot of an automaton's clock name (None for an integer
     variable), and each integer variable's position."""
-    slots = {(None, name): i for i, name in enumerate(net.global_clocks)}
+    slots = {}
     for ai, ta in enumerate(net.automata):
         slots.update({(ai, name): len(slots) + i for i, name in enumerate(ta.clocks)})
     var_pos = {name: i for i, (name, _) in enumerate(net.int_vars)}
 
     def slot(ai, name):
-        return slots[(ai, name)] if (ai, name) in slots else slots.get((None, name))
+        return slots.get((ai, name))
 
     return slot, var_pos
 
@@ -402,33 +405,22 @@ def reference_enabled_steps(net, cfg):
     every enabled receiver on its channel."""
     slot, var_pos = reference_slots(net)
 
-    def all_hold(ai, atoms, clocks):
+    def all_hold(ai, atoms):
         for atom in atoms:
             if isinstance(atom, ClockAtom):
-                value = clocks[slot(ai, atom.clock)]
+                value = cfg.clocks[slot(ai, atom.clock)]
             else:
                 value = sum(cfg.ints[var_pos[v]] for v in atom.variables)
             if not _RELATION[atom.op](value, atom.const):
                 return False
         return True
 
-    def enabled(ai, ta, edge):
-        if edge.guard is not None and not all_hold(ai, edge.guard.atoms, cfg.clocks):
-            return False
-        clocks = list(cfg.clocks)
-        for upd in edge.updates:
-            if slot(ai, upd.target) is not None:
-                clocks[slot(ai, upd.target)] = upd.value
-        return all_hold(ai, ta.location(edge.target).invariant, clocks)
-
     moves, sends, receives, committed, urgent = [], {}, {}, set(), False
     for ai, ta in enumerate(net.automata):
-        kind = ta.location(cfg.locations[ai]).kind
-        if kind is LocationKind.COMMITTED:
+        if ta.location(cfg.locations[ai]).kind is LocationKind.COMMITTED:
             committed.add(ai)
-        urgent = urgent or kind is LocationKind.URGENT
         for ei, edge in enumerate(ta.edges):
-            if edge.source == cfg.locations[ai] and enabled(ai, ta, edge):
+            if edge.source == cfg.locations[ai] and (edge.guard is None or all_hold(ai, edge.guard.atoms)):
                 if edge.sync is None:
                     moves.append((None, ((ai, ei),)))
                 else:
@@ -448,11 +440,7 @@ def reference_enabled_steps(net, cfg):
 
     if committed:
         return [m for m in moves if any(a in committed for a, _ in m[1])], False
-    ticked = [v + 1 for v in cfg.clocks]
-    return moves, not urgent and all(
-        all_hold(ai, ta.location(cfg.locations[ai]).invariant, ticked)
-        for ai, ta in enumerate(net.automata)
-    )
+    return moves, not urgent
 
 
 def reference_apply_step(net, cfg, move):
@@ -476,12 +464,11 @@ def reference_apply_step(net, cfg, move):
 
 
 def _mixed_network(y_guard=ClockAtom("y", ">=", 1), g_guard=ClockAtom("g", ">=", 2)):
-    """What no translated network has: invariants (some decided by a clock
-    reset, one never satisfiable), an urgent location and channel, a
-    global clock, a sum guard, and a broadcast receiver with a choice.
-    ``y_guard`` guards the receiver's silent way back from ``r1``, whose
-    invariant bounds ``y``; ``g_guard`` guards a sender edge on the global
-    clock ``g``, which nothing resets."""
+    """A committed location and a sum guard, with what no translated
+    network has: an urgent channel for a user event, clocks besides the
+    environment's, and a broadcast receiver with a choice.  ``y_guard``
+    guards the receiver's silent way back from ``r1``; ``g_guard`` guards
+    a sender edge on its clock ``g``, which nothing resets."""
     def guard(*atoms):
         return GuardExpr(atoms)
 
@@ -492,13 +479,13 @@ def _mixed_network(y_guard=ClockAtom("y", ">=", 1), g_guard=ClockAtom("g", ">=",
     sender = TimedAutomaton(
         "S",
         (
-            Location("s0", "s0", invariant=(ClockAtom("x", "<=", 2),)),
-            Location("s1", "s1", LocationKind.URGENT),
-            Location("s2", "s2", LocationKind.COMMITTED),
-            Location("s3", "s3", invariant=(ClockAtom("x", ">=", 1),)),
+            Location("s0"),
+            Location("s1"),
+            Location("s2", LocationKind.COMMITTED),
+            Location("s3"),
         ),
         "s0",
-        ("x",),
+        ("x", "g"),
         (
             Edge("s0", "s0", guard(ClockAtom("x", ">=", 1)), updates=reset_x),
             Edge("s0", "s3", updates=reset_x),
@@ -511,7 +498,7 @@ def _mixed_network(y_guard=ClockAtom("y", ">=", 1), g_guard=ClockAtom("g", ">=",
     )
     receiver = TimedAutomaton(
         "R",
-        (Location("r0", "r0"), Location("r1", "r1", invariant=(ClockAtom("y", "<=", 1),))),
+        (Location("r0"), Location("r1")),
         "r0",
         ("y",),
         (
@@ -526,7 +513,7 @@ def _mixed_network(y_guard=ClockAtom("y", ">=", 1), g_guard=ClockAtom("g", ">=",
     )
     bystander = TimedAutomaton(
         "Q",
-        (Location("q0", "q0"),),
+        (Location("q0"),),
         "q0",
         (),
         (
@@ -539,7 +526,7 @@ def _mixed_network(y_guard=ClockAtom("y", ">=", 1), g_guard=ClockAtom("g", ">=",
         ChannelDecl("urg", "urgent-binary", ChannelKind.USER_EVENT),
         ChannelDecl("bc", "broadcast", ChannelKind.USER_EVENT),
     )
-    return NetworkModel((sender, receiver, bystander), channels, (("a", 0), ("b", 1)), ("g",), 0)
+    return NetworkModel((sender, receiver, bystander), channels, (("a", 0), ("b", 1)), 0)
 
 
 def every_reachable_configuration(net, *, state_cap=2_500, max_depth=20):
@@ -583,7 +570,7 @@ def _over_assigning_network():
     """A clock assigned 3 where no atom tells apart values from 1 on."""
     ta = TimedAutomaton(
         "A",
-        (Location("s0", "s0"), Location("s1", "s1")),
+        (Location("s0"), Location("s1")),
         "s0",
         ("x",),
         (
@@ -591,7 +578,7 @@ def _over_assigning_network():
             Edge("s1", "s0", GuardExpr((ClockAtom("x", ">=", 1),))),
         ),
     )
-    return NetworkModel((ta,), (), (), (), 0)
+    return NetworkModel((ta,), (), (), 0)
 
 
 def test_compiled_moves_equal_the_reference_steps_applied_and_capped():
@@ -682,17 +669,30 @@ def test_timelock_after_a_warm_up_search_still_finds_the_dead_location():
     assert stuck.locations == ("s1",)
 
 
-#: Each relation against each constant 0-3, on ``y`` and on ``g``.
-_CLOCK_GUARDS = [ClockAtom(c, op, const) for c in "yg" for op in _RELATION for const in range(4)]
+#: Each closed relation against each constant 0-3, on ``y`` and on ``g``.
+_CLOCK_GUARDS = [ClockAtom(c, op, const) for c in "yg" for op in ("<=", "==", ">=") for const in range(4)]
+
+#: The same with each strict relation, which integer time does not answer
+#: as dense time does.
+_STRICT_CLOCK_GUARDS = [f"{c}{op}{const}" for c in "yg" for op in "<>" for const in range(4)]
+
+
+@pytest.mark.parametrize("text", _STRICT_CLOCK_GUARDS)
+def test_strict_clock_atoms_are_refused(text):
+    clock, op, const = text[0], text[1], int(text[2:])
+    with pytest.raises(ValueError, match=re.escape(f"strict clock atom {text!r}")):
+        ClockAtom(clock, op, const)
+    with pytest.raises(XmlLoadError, match=re.escape(f"unsupported strict clock atom {text!r}")):
+        load(clock_guarded_document(text, clock))
 
 
 def _capped(configurations, caps):
     return {c._replace(clocks=tuple(map(min, c.clocks, caps))) for c in configurations}
 
 
-#: About twice the most states one search of the test below expands (1,134
-#: with every clock capped at 10), so an executor that stops capping clocks
-#: fails it in seconds instead of exploring up to the default 500,000.
+#: About three times the most states one search of the test below expands
+#: (830, under the reference caps of 5), so an executor that stops capping
+#: clocks fails it in seconds instead of exploring up to the default 500,000.
 _MIXED_STATE_CAP = 2_500
 
 
@@ -709,8 +709,7 @@ def test_per_clock_caps_are_exact(guard):
         ]
         return traces, timelock_witnesses(net, **cap), reachable_configurations(net, 5, **cap)
 
-    atoms = [a for ta in net.automata for loc in ta.locations for a in loc.invariant]
-    atoms += [a for ta in net.automata for e in ta.edges if e.guard is not None for a in e.guard.atoms]
+    atoms = [a for ta in net.automata for e in ta.edges if e.guard is not None for a in e.guard.atoms]
     max_const = max(a.const for a in atoms if isinstance(a, ClockAtom))
     taexec._runtime.cache_clear()
     try:
@@ -721,10 +720,9 @@ def test_per_clock_caps_are_exact(guard):
         traces, stuck, reached = explore()
     finally:
         taexec._runtime.cache_clear()
-    # the guard's own threshold, but y's invariant <=1 at r1 needs 2
-    slot = reference.clock_slots[1][guard.clock]
-    threshold = guard.const + (guard.op in (">", "<=", "=="))
-    assert caps[slot] == max(threshold, 2 if guard.clock == "y" else 0)
+    # the guard's own threshold: no other atom tests its clock
+    slot = reference.clock_slots[{"g": 0, "y": 1}[guard.clock]][guard.clock]
+    assert caps[slot] == guard.const + (guard.op != ">=")
     assert explore() == (traces, sorted(_capped(stuck, caps)), _capped(reached, caps))
 
 

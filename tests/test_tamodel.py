@@ -37,7 +37,7 @@ ADS = parse(ADS_SOURCE)
 
 
 def tiny_ta(name="T", edges=(), locations=None):
-    locations = locations or (Location("s0", "s0"),)
+    locations = locations or (Location("s0"),)
     return TimedAutomaton(name, locations, "s0", (), tuple(edges))
 
 
@@ -47,7 +47,7 @@ def test_translated_ads_validates_cleanly():
 
 def test_unresolved_channel_is_reported():
     ta = tiny_ta(edges=[Edge("s0", "s0", sync=SyncLabel("ghost", "send"))])
-    net = NetworkModel((ta,), (), (), (), environment_index=0)
+    net = NetworkModel((ta,), (), (), environment_index=0)
     messages = [str(d) for d in validate(net)]
     assert any("unresolved channel" in m for m in messages)
 
@@ -57,20 +57,27 @@ def test_duplicate_channel_is_reported():
         ChannelDecl("close___sync", "broadcast", ChannelKind.SYNCHRONISATION),
         ChannelDecl("close___sync", "broadcast", ChannelKind.SYNCHRONISATION),
     )
-    net = NetworkModel((tiny_ta(),), chans, (), (), environment_index=0)
+    net = NetworkModel((tiny_ta(),), chans, (), environment_index=0)
     messages = [str(d) for d in validate(net)]
     assert any("duplicate channel" in m for m in messages)
 
 
 @pytest.mark.parametrize(
-    "atom",
-    [ClockAtom, lambda _, op, const: IntAtom(("x",), op, const)],
+    "atom, relations",
+    [
+        (ClockAtom, ("<=", "==", ">=")),
+        (lambda _, op, const: IntAtom(("x",), op, const), ("<", "<=", "==", ">=", ">")),
+    ],
     ids=["ClockAtom", "IntAtom"],
 )
-def test_atoms_accept_exactly_the_five_relations(atom):
-    # The XML loader and the executor know only these relations.
-    for op in ("<", "<=", "==", ">=", ">"):
+def test_atoms_accept_exactly_their_relations(atom, relations):
+    # The XML loader and the executor know only these relations; a clock
+    # atom takes the closed ones, on which integer time is exact.
+    for op in relations:
         assert atom("x", op, 0).op == op
+    for op in {"<", ">"} - set(relations):
+        with pytest.raises(ValueError, match="strict clock atom"):
+            atom("x", op, 0)
     for op in ("!=", "=", "=>", ""):
         with pytest.raises(ValueError, match="bad relation"):
             atom("x", op, 0)
@@ -105,7 +112,7 @@ def test_erasure_set_empty_without_coordination():
         ChannelDecl("tock", "broadcast", ChannelKind.TOCK),
         ChannelDecl("open", "binary", ChannelKind.USER_EVENT),
     )
-    net = NetworkModel((tiny_ta(),), chans, (), (), environment_index=0)
+    net = NetworkModel((tiny_ta(),), chans, (), environment_index=0)
     assert erasure_set(net) == frozenset()
 
 

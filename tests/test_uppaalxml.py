@@ -26,13 +26,13 @@ from tockta.tamodel import (
     GuardExpr,
     IntAtom,
     Location,
-    LocationKind,
     NetworkModel,
     SyncLabel,
     TimedAutomaton,
     kind_from_name,
     validate,
 )
+from tockta.taexec import network_traces
 from tockta.translate import assemble
 from tockta.uppaalxml import XmlLoadError, emit, load, save_file
 
@@ -66,36 +66,63 @@ def test_round_trip_identity_on_showcase_networks():
     assert '<label kind="guard">(v1 + v2 + v3)==3</label>' in emit(nets[-1])
 
 
-def test_round_trip_carries_invariants_urgent_locations_and_global_clocks():
-    # no translated network has any of these, but the format carries them
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("<declaration>chan go;", "<declaration>clock g;\nchan go;",
+         "unsupported global clock 'g' in the top-level declaration"),
+        ("<name>s1</name>", "<name>s1</name><urgent/>", "unsupported <urgent/> at location 'id1' in template 'A'"),
+        ("<name>s0</name>", '<name>s0</name><label kind="invariant">x&gt;=1 &amp;&amp; x&lt;=3</label>',
+         "unsupported invariant 'x>=1 && x<=3' at location 'id0' in template 'A'"),
+    ],
+    ids=["global-clock", "urgent-location", "invariant"],
+)
+def test_global_clocks_urgent_locations_and_invariants_are_refused(old, new, message):
+    # The model has none of these, so a document with one would load as
+    # another network; the worker's own labels load as they are.
     worker = TimedAutomaton(
         "A",
-        (
-            Location("s0", "s0", invariant=(ClockAtom("x", ">=", 1), ClockAtom("x", "<=", 3))),
-            Location("s1", "s1", LocationKind.URGENT),
-        ),
+        (Location("s0"), Location("s1")),
         "s0",
         ("x",),
         (
-            Edge("s0", "s1", GuardExpr((ClockAtom("g", ">", 2), IntAtom(("v",), "==", 0))), SyncLabel("go", "send")),
+            Edge("s0", "s1", GuardExpr((ClockAtom("x", ">=", 2), IntAtom(("v",), "==", 0))), SyncLabel("go", "send")),
             Edge("s1", "s0", updates=(Assignment("x", 0), Assignment("v", 2))),
         ),
     )
     env = TimedAutomaton(
         "Env",
-        (Location("e0", "e0"),),
+        (Location("e0"),),
         "e0",
         (),
         (Edge("e0", "e0", sync=SyncLabel("go", "receive")), Edge("e0", "e0", sync=SyncLabel("tock", "send"))),
     )
     channels = (ChannelDecl("go", "binary", ChannelKind.USER_EVENT), ChannelDecl("tock", "broadcast", ChannelKind.TOCK))
-    net = NetworkModel((worker, env), channels, (("v", 0),), ("g",), 1)
+    net = NetworkModel((worker, env), channels, (("v", 0),), 1)
     assert validate(net) == []
     text = emit(net)
-    for piece in ("clock g;", "<declaration>clock x;</declaration>", "x&gt;=1 &amp;&amp; x&lt;=3", "<urgent/>",
-                  "g&gt;2 &amp;&amp; v==0", "x:=0, v:=2"):
+    for piece in ("<declaration>clock x;</declaration>", "x&gt;=2 &amp;&amp; v==0", "x:=0, v:=2", old):
         assert piece in text
     assert load(text) == net
+    with pytest.raises(XmlLoadError, match=re.escape(message)):
+        load(text.replace(old, new, 1))
+
+
+def clock_guarded_document(guard, clock="x"):
+    """``P = a -> STOP`` translated, with a clock ``clock`` local to its
+    first automaton, ``TA00``, and ``guard`` on the edge that sends ``a``."""
+    doc = emit(assemble(parse("P = a -> STOP")))
+    doc = doc.replace("<name>TA00</name>", f"<name>TA00</name><declaration>clock {clock};</declaration>", 1)
+    label = '<label kind="synchronisation">a!</label>'
+    return doc.replace(label, f'<label kind="guard">{uppaalxml._escape(guard)}</label>{label}', 1)
+
+
+def test_a_strict_clock_guard_is_refused_and_its_closed_variant_answered():
+    # Under dense time ``a`` fires at x = 0.5, before any tock; unit
+    # delays would never see it, so the document is refused, not answered.
+    with pytest.raises(XmlLoadError, match=re.escape("unsupported strict clock atom 'x>0' in template 'TA00'")):
+        load(clock_guarded_document("x>0 && x<1"))
+    assert ("a",) in network_traces(load(clock_guarded_document("x>=0 && x<=1")), 3).traces
 
 
 def large_shape_specs():
@@ -136,7 +163,7 @@ def test_markup_characters_in_names_are_escaped_and_round_trip():
     ta = replace(
         ta,
         name="A&B<C>\"D'",
-        locations=tuple(replace(loc, id=rename[loc.id], display_name=rename[loc.id]) for loc in ta.locations),
+        locations=tuple(replace(loc, id=rename[loc.id]) for loc in ta.locations),
         initial=rename[ta.initial],
         edges=tuple(replace(e, source=rename[e.source], target=rename[e.target]) for e in ta.edges),
     )
@@ -211,12 +238,11 @@ def _first_automaton(net, **changes):
     "edit, message",
     [
         (lambda net: replace(net, int_vars=(*net.int_vars, ("x-y", 0))), "integer variable name 'x-y'"),
-        (lambda net: replace(net, global_clocks=("g-h",)), "clock name 'g-h'"),
         (lambda net: _first_automaton(net, clocks=("c-d",)), "clock name 'c-d'"),
         (lambda net: _first_automaton(net, name=" TA "), "automaton name ' TA '"),
         (lambda net: _first_automaton(net, name=""), "automaton name ''"),
     ],
-    ids=["int-variable", "global-clock", "local-clock", "padded-automaton", "empty-automaton"],
+    ids=["int-variable", "local-clock", "padded-automaton", "empty-automaton"],
 )
 def test_declared_names_the_loader_cannot_read_back_are_refused(edit, message):
     # Written out, each of these is rejected by load, or (the padded name)
@@ -342,7 +368,7 @@ def test_arbitrary_arithmetic_is_unsupported():
             '<location id="id2" x="0" y="0"><name>s0</name>',
             '<location id="id2" x="0" y="0"><name>s0</name>'
             '<label kind="invariant">ck&lt;=1</label><label kind="invariant">ck&lt;=2</label>',
-            "repeated invariant label at location 'id2' in template 'Env'",
+            "unsupported invariant 'ck<=1' at location 'id2' in template 'Env'",
         ),
     ],
     ids=["guard", "synchronisation", "assignment", "invariant"],
@@ -395,13 +421,14 @@ def test_repeated_single_elements_are_rejected(old, new, message):
         load(doc.replace(old, new, 1))
 
 
-def test_one_invariant_label_loads():
-    doc = emit(assemble(Stop())).replace(
-        '<location id="id2" x="0" y="0"><name>s0</name>',
-        '<location id="id2" x="0" y="0"><name>s0</name><label kind="invariant">ck&lt;=1</label>',
-    )
-    (location,) = load(doc).environment().locations
-    assert [a.render() for a in location.invariant] == ["ck<=1"]
+def test_one_invariant_label_is_refused_and_a_blank_one_ignored():
+    net = assemble(Stop())
+    location = '<location id="id2" x="0" y="0"><name>s0</name>'
+    doc = emit(net).replace(location, location + '<label kind="invariant">ck&lt;=1</label>')
+    message = "unsupported invariant 'ck<=1' at location 'id2' in template 'Env'"
+    with pytest.raises(XmlLoadError, match=re.escape(message)):
+        load(doc)
+    assert load(emit(net).replace(location, location + '<label kind="invariant"> </label>')) == net
 
 
 @pytest.mark.parametrize(
@@ -581,7 +608,7 @@ def load_outcome(doc):
 # and large-shape documents, one line each.  It pins what the loader
 # accepts, what it builds and the text of each rejection: a rewrite of the
 # loader must leave it as it is.
-LOAD_OUTCOMES_DIGEST = "96d1284793d506a4628132ad2e946cd69962a42837878af33d827ae194cbd72f"
+LOAD_OUTCOMES_DIGEST = "0d93dde7a4d0b15e0540bbef70bbe80146a6dc86590edcb80c35ca9dce004f96"
 
 
 @functools.cache
