@@ -16,8 +16,9 @@ committed locations, urgent channels and broadcasts (Bošnački, FMICS
 urgent locations or global clocks, so every network here is in that
 class (see :mod:`tamodel`).  Each clock is capped at its own threshold,
 the least value from which on every atom on that clock holds alike, now
-and after any delay (the integer-clock case of LU-extrapolation).  A translated network's one clock ``ck`` is tested
-only by ``ck>=1``, so it takes the values 0 and 1.
+and after any delay (the integer-clock case of LU-extrapolation).  A
+translated network's one clock ``ck`` is tested only by ``ck>=1``, so it
+takes the values 0 and 1.
 
 Network traces record one entry (the channel name) per binary or
 broadcast move; silent edges and time ticks are unrecorded.  The
@@ -59,13 +60,17 @@ enabled; every move fires alike after ``h``; and the first move of A or
 B is ``h``.  So a run from ``y`` with ``h`` first has the same labels and
 ends in the same configuration, or ``h`` short of it: ``y`` and ``h(y)``
 have the same erased traces at every depth and reach ticks, and
-configurations that reach none, alike.  The settled graph's timelock witnesses are thus some
-of the full graph's, and empty exactly when they are.  ``h`` is strongly
-confluent in the full graph (partial tau-confluence, Groote & van de
-Pol, MFCS 2000; a stubborn set of one move, Valmari 1990).  A move into
-a committed location settles nothing, by (a).  A settle loop that comes
-back to a configuration, as hand-offs in a cycle do, stops there and
-keeps it; each kept configuration is expanded in full.
+configurations that reach none, alike.  The settled graph's timelock
+witnesses are thus some of the full graph's, and empty exactly when they
+are.  ``h`` is strongly confluent in the full graph (partial
+tau-confluence, Groote & van de Pol, MFCS 2000; a stubborn set of one
+move, Valmari 1990).  A move into a committed location settles nothing,
+by (a).  A settle loop that comes back to a configuration, as hand-offs
+in a cycle do, stops there and keeps it; each kept configuration is
+expanded in full.  The test is compiled on first use: per ``(A, la,
+lb)``, (b), (c) and one tuple of the edges that (a) and (d)-(f) watch,
+less A's and B's; per automaton and location, None if it can move by
+itself there, else the edges it waits for; a check then tests guards only.
 ``raw_network_traces`` records every hand-off: it searches the full graph.
 """
 
@@ -139,6 +144,10 @@ class _Runtime:
         self.sending: dict[str | None, list] = {}
         flows = {c.name for c in net.channels if c.kind is ChannelKind.FLOW and c.mode == "urgent-binary"}
         self.flow_at: list[dict[str, str]] = []
+        # For (a) and (f): a _sent entry without tests per automaton with a
+        # committed location; blockers, those committed or able to move
+        # wherever they are, which fails (f) unless they are A (never B).
+        self.committed, self.blockers = [], set()
         for ai, ta in enumerate(net.automata):
             clocks = self.clock_slots[ai]
             flow_at: dict[str, str] = {}
@@ -183,6 +192,12 @@ class _Runtime:
                 and self.locs[ai][loc][0] is _NORMAL
                 and all(self.channel_mode.get(d) == "broadcast" for d in receive[loc])
             })
+            if _COMMITTED in [loc.kind for loc in ta.locations]:
+                self.committed.append(((), ai))
+                if all(loc.kind is _COMMITTED or local[loc.id] for loc in ta.locations):
+                    self.blockers.add(ai)
+        if any(not self.flow_at[x] for x in self.blockers):
+            self.flow_at = [{}] * len(self.locs)  # one is never A: nothing settles
         self.receivers = {channel: tuple(sorted(autos)) for channel, autos in receivers.items()}
         # flows[c] = the one automaton that receives urgent flow channel c
         self.flows = {c: autos[0] for c, autos in self.receivers.items() if c in flows and len(autos) == 1}
@@ -194,12 +209,10 @@ class _Runtime:
         self.moves: list[tuple | None] = []
         self.settled_moves: list[tuple | None] = []
         self.ticking: set[int] = set()
-        # memos of _pair and _sent, and a _sent entry without tests for
-        # each automaton that has a committed location
+        # memos of _pair, _wait and _sent, filled as hand-offs are checked
         self.pairs: dict[tuple[int, str, str], tuple | None] = {}
+        self.waits: dict[tuple[int, str], tuple | None] = {}
         self.sent: dict[str, list] = {}
-        self.committed: tuple | None = None
-        self.blockers: set[int] = set()
 
     def intern(self, cfg: Configuration) -> int:
         index = self.ids.get(cfg)
@@ -278,14 +291,13 @@ class _Runtime:
             return None
         return b, pair[0], pair[1]
 
-    def _quiet(self, groups, locations: list, values: tuple, a: int, b: int) -> bool:
-        """Whether no edge of ``groups`` (each a sequence of ``_sent``
-        entries) can fire before time passes or automaton ``a`` or ``b``
-        moves: a test of the edge is false, or its automaton cannot move
-        first, since it is at a normal location that no silent or send
-        edge leaves and no edge can fire first that sends what it receives
-        there."""
-        still, stack = {a, b}, list(groups)
+    def _quiet(self, entries: tuple, locations: list, values: tuple, a: int, b: int) -> bool:
+        """Whether no edge of ``entries`` (``_sent`` entries of automata
+        other than ``a`` and ``b``) can fire before time passes or ``a`` or
+        ``b`` moves: a test of the edge is false, or its automaton cannot
+        move first, since it waits (see ``_wait``) only for edges that
+        cannot fire first."""
+        still, stack, waits = {a, b}, [entries], self.waits
         while stack:
             for tests, y in stack.pop():
                 if y in still:
@@ -294,18 +306,18 @@ class _Runtime:
                     if not holds(values[kind][i], const):
                         break
                 else:
-                    kind, local, receive = self.locs[y][locations[y]]
-                    if local or kind is _COMMITTED:
+                    wait = waits[key] if (key := (y, locations[y])) in waits else self._wait(*key)
+                    if wait is None:
                         return False
                     still.add(y)
-                    stack += map(self._sent, receive)
+                    stack.append(wait)
         return True
 
     def _pair(self, a: int, la: str, lb: str) -> tuple | None:
         """The static part of the test for the hand-off from automaton ``a``
         at ``la`` to the receiver at ``lb``: None if it can never pass,
-        else both targets and the groups of ``_sent`` entries that must not
-        fire, for (d), (e) and (a) with (f)."""
+        else both targets and the ``_sent`` entries, of automata other
+        than A and B, that must not fire, for (d), (e) and (a) with (f)."""
         c = self.flow_at[a][la]
         b = self.flows[c]
         out = self.pairs[a, la, lb] = None
@@ -319,14 +331,6 @@ class _Runtime:
             return out
         if self.locs[a][ta][0] is not _NORMAL or self.locs[b][tb][0] is not _NORMAL:
             return out
-        if self.committed is None:  # (a) and (f)
-            committed = [x for x, locs in enumerate(self.locs) if any(e[0] is _COMMITTED for e in locs.values())]
-            self.committed = tuple(((), x) for x in committed)
-            # those that are committed or can move wherever they are, which
-            # fails (f) unless they are A (never B, whose location is still)
-            self.blockers = {x for x in committed if all(e[0] is _COMMITTED or e[1] for e in self.locs[x].values())}
-            if any(not self.flow_at[x] for x in self.blockers):
-                self.flow_at = [{}] * len(self.locs)  # one is never A: nothing settles
         if self.blockers - {a}:
             return out
         moving = set()  # (e): broadcasts that move A or B there
@@ -335,8 +339,19 @@ class _Runtime:
                 for *_, part in entries if mode.get(d) == "broadcast" else ():
                     if part[2:] != (loc, (), ()):
                         moving.add(d)
-        out = self.pairs[a, la, lb] = (ta, tb, (self._sent(c), *map(self._sent, moving), self.committed))
+        groups = self._sent(c), *map(self._sent, moving), self.committed
+        out = self.pairs[a, la, lb] = (ta, tb, tuple(dict.fromkeys(e for g in groups for e in g if e[1] not in (a, b))))
         return out
+
+    def _wait(self, y: int, loc: str) -> tuple | None:
+        """What automaton ``y`` at ``loc`` waits for, kept in ``waits``: None
+        if it can move by itself there (a silent or send edge, or a
+        committed location), else the ``_sent`` entries of everything it
+        receives there."""
+        kind, local, receive = self.locs[y][loc]
+        wait = None if local or kind is _COMMITTED else tuple(dict.fromkeys(e for d in receive for e in self._sent(d)))
+        self.waits[y, loc] = wait
+        return wait
 
     def _sent(self, d: str) -> list:
         """``(tests, automaton)`` for each edge that sends ``d``, where the

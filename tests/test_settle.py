@@ -313,3 +313,139 @@ def test_a_cycle_of_hand_offs_stops_and_keeps_a_configuration():
     b = _ta("B", [_edge("b0", "b1", "h1", "receive"), _edge("b1", "b0", "h2")], initial="b0")
     steps, stuck = assert_settling_is_exact(_network(a, b, flows=("h1", "h2")), 3)
     assert steps and stuck  # time never passes the urgent pairs again
+
+
+# The hand-off test as first written, kept as a reference for the compiled
+# one: ``_pair``'s groups of ``_sent`` entries, A's and B's included, with
+# the committed-automaton scan, walked with each waiting automaton's
+# receives looked up at every step.
+
+def reference_groups(rt, a, la, lb):
+    """Both targets and the groups of ``_sent`` entries that must not fire
+    for the hand-off from ``a`` at ``la`` to the receiver at ``lb``, or
+    None if it can never pass."""
+    normal, committed_kind = LocationKind.NORMAL, LocationKind.COMMITTED
+    c = rt.flow_at[a][la]
+    b = rt.flows[c]
+    kind, local, receive = rt.locs[b][lb]
+    takes = receive.get(c, ())
+    if kind is not normal or local or len(takes) != 1 or takes[0][:2] != ((), ()):
+        return None
+    ta, tb = rt.locs[a][la][1][0][3][2], takes[0][3][2]
+    mode = rt.channel_mode
+    if takes[0][3][3:] != ((), ()) or any(mode.get(d) != "broadcast" for d in receive if d != c):
+        return None
+    if rt.locs[a][ta][0] is not normal or rt.locs[b][tb][0] is not normal:
+        return None
+    committed = [x for x, locs in enumerate(rt.locs) if any(e[0] is committed_kind for e in locs.values())]
+    blockers = {x for x in committed if all(e[0] is committed_kind or e[1] for e in rt.locs[x].values())}
+    if blockers - {a}:
+        return None
+    moving = set()
+    for x, loc in ((a, la), (b, lb), (a, ta), (b, tb)):
+        for d, entries in rt.locs[x][loc][2].items():
+            for *_, part in entries if mode.get(d) == "broadcast" else ():
+                if part[2:] != (loc, (), ()):
+                    moving.add(d)
+    return ta, tb, (rt._sent(c), *map(rt._sent, moving), tuple(((), x) for x in committed))
+
+
+def reference_walk(rt, groups, locations, values, a, b, reached=None):
+    """Whether no entry of ``groups`` can fire first.  If ``reached`` is a
+    set, the walk does not stop at the first automaton that can move: it
+    adds every (automaton, location) whose wait any walk order could read."""
+    still, stack = {a, b}, list(groups)
+    quiet = True
+    while stack:
+        for tests, y in stack.pop():
+            if y in still or not all(holds(values[kind][i], const) for kind, i, holds, const in tests):
+                continue
+            kind, local, receive = rt.locs[y][locations[y]]
+            if reached is not None:
+                reached.add((y, locations[y]))
+            if local or kind is LocationKind.COMMITTED:
+                quiet = False
+                if reached is None:
+                    return False
+                continue
+            still.add(y)
+            stack += map(rt._sent, receive)
+    return quiet
+
+
+def reference_handoff(rt, locations, values, a, reached=None):
+    b = rt.flows.get(rt.flow_at[a].get(locations[a]))
+    if b is None:
+        return None
+    pair = reference_groups(rt, a, locations[a], locations[b])
+    if pair is None or not reference_walk(rt, pair[2], locations, values, a, b, reached):
+        return None
+    return b, pair[0], pair[1]
+
+
+def compared_checks(net, depth):
+    """Search ``net`` as ``network_traces`` and ``timelock_witnesses`` do,
+    on a fresh runtime, asserting at each hand-off check that the compiled
+    test gives the reference's verdict; the runtime, the verdicts in order,
+    and every (automaton, location) a walk of the reference could read."""
+    taexec._runtime.cache_clear()
+    rt = taexec._runtime(net)
+    assert (rt.pairs, rt.waits, rt.sent) == ({}, {}, {})
+    verdicts, reached, handoff = [], set(), rt._handoff
+
+    def comparing(locations, values, a):
+        step = handoff(locations, values, a)
+        assert step == reference_handoff(rt, locations, values, a), (locations, values, a)
+        reference_handoff(rt, locations, values, a, reached)
+        verdicts.append(step is not None)
+        return step
+
+    rt._handoff = comparing
+    try:
+        network_traces(net, depth)
+        timelock_witnesses(net)
+    finally:
+        del rt._handoff
+    return rt, verdicts, reached
+
+
+def test_the_compiled_hand_off_test_agrees_with_the_reference(workloads):
+    verdicts = []
+    families = [(family(n), d) for n, d in ((1, 10), (2, 10), (3, 8), (4, 6))]
+    for spec, depth in [(spec, 10) for spec in fixture_specs()] + families:
+        verdicts += compared_checks(assemble(spec), depth)[1]
+    # hand-built: a committed automaton that waits, and one that can move
+    committed_now = _network(
+        _ta("A", [_edge("s0", "s1", "go", "receive"), _edge("s1", "s2", "h")]),
+        B,
+        _ta("C", [_edge("s0", "c1", "go", "receive"), _edge("c1", "s0", "never", "receive")], committed=("c1",)),
+        _ta("S", [_edge("s0", "s1", "go")]),
+        broadcasts=("go",),
+        unheard=("never",),
+    )
+    for net in (_network(), committed_now, _network(A_GO_K, B, C_GO_K, broadcasts=("go",), unheard=("k",))):
+        verdicts += compared_checks(net, 5)[1]
+    mutants = 0
+    for entry in generate_corpus():
+        variants = workloads.mutants(entry.spec.definitions["P"])
+        mutants += len(variants)
+        for spec in [entry.spec] + [CspSpec(definitions={"P": m}, main="P") for m in variants]:
+            verdicts += compared_checks(assemble(spec), workloads.CORPUS_DEPTH)[1]
+    assert mutants == 1384
+    # both verdicts are well exercised; the settled graph fixes how often
+    assert (verdicts.count(True), verdicts.count(False)) == (5207, 1410)
+
+
+def test_the_wait_table_holds_only_what_the_searches_checked():
+    net = assemble(family(4))
+    rt, verdicts, reached = compared_checks(net, 6)
+    assert len(verdicts) == 1280
+    locations = {(y, loc.id) for y, ta in enumerate(net.automata) for loc in ta.locations}
+    assert rt.waits and set(rt.waits) <= reached < locations
+
+
+def test_a_network_that_never_settles_builds_no_wait_entries():
+    # ads has a parallel-synchronisation controller, which blocks (f)
+    rt, verdicts, _ = compared_checks(assemble(parse_file(str(FIXTURES / "ads.tcsp"))), 10)
+    assert rt.blockers and not any(rt.flow_at)
+    assert verdicts == [] and rt.pairs == {} and rt.waits == {}
