@@ -9,8 +9,7 @@ Bounded traces are a subset graph, and a :class:`TraceSet` is one:
 :func:`subset_graph` closes each state set that a trace shorter than the
 bound reaches, once, and keeps its visible moves.  A trace set compares
 by a walk over pairs of state sets, counts its traces path by path, and
-unfolds them (its ``traces``) only when they are read.  An explicit set
-of traces becomes one through :func:`trie_graph`.
+unfolds them (its ``traces``) only when they are read.
 
 Each search memoises successors per state and raises
 :class:`BoundExceeded` once it has expanded more than ``state_cap``
@@ -23,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable
 from functools import cached_property
 
-__all__ = ["BoundExceeded", "TraceSet", "subset_graph", "trie_graph", "reachable", "cannot_reach"]
+__all__ = ["BoundExceeded", "TraceSet", "subset_graph", "reachable", "cannot_reach"]
 
 Successors = Callable[[Hashable], Iterable[tuple[str | None, Hashable]]]
 
@@ -162,24 +161,6 @@ def subset_graph(
             moves[states] = graph.close(states, hidden)[1]
         level = {t for states in level for t in moves[states].values()} - moves.keys()
     return TraceSet(root, moves, depth)
-
-
-def trie_graph(traces: Iterable[tuple[str, ...]], depth: int) -> TraceSet:
-    """The trace set of an explicit set of traces, in which each trace is
-    its own state.  The set must hold ``()``, be prefix-closed and hold no
-    trace longer than ``depth``."""
-    traces = frozenset(map(tuple, traces))
-    if () not in traces:
-        raise ValueError("a trace set must hold the empty trace")
-    children: dict[tuple, list] = {}
-    for trace in traces:
-        if len(trace) > depth:
-            raise ValueError(f"trace {trace} is longer than depth {depth}")
-        if trace:
-            if trace[:-1] not in traces:
-                raise ValueError(f"trace {trace} lacks its prefix {trace[:-1]}")
-            children.setdefault(trace[:-1], []).append((trace[-1], trace))
-    return subset_graph((), lambda t: children.get(t, ()), depth, state_cap=len(traces))
 
 
 def reachable(

@@ -32,10 +32,18 @@ target, clock and integer updates); a move is ``(label, parts)``, and the
 searches fire its parts directly.
 
 Settling.  ``network_traces`` and ``timelock_witnesses`` search a reduced
-graph: after a move fires, each pending flow hand-off ``h`` that passes
-the test below fires at once, so configurations that wait for one are
-never interned.  ``h`` is a move on an urgent-binary FLOW channel ``c``
-from automaton A at ``la`` to B at ``lb``, with targets ``ta`` and ``tb``:
+graph: after a move fires, the moves below fire at once, so
+configurations that wait for one are never interned.  First, while one
+automaton alone is committed, its only move fires if its location is
+committed, has no receive edge and one edge, without guard or update,
+that is silent or sends on a coordinating channel, and, for a send,
+exactly one receive edge on that channel, without guard or update, is
+where its automaton is.  That move is then the configuration's only
+move, which time cannot pass, so the two configurations have the same
+erased traces and reach ticks alike.  Then each pending flow hand-off
+``h`` that passes the test below fires.  ``h`` is a move on an
+urgent-binary FLOW channel ``c`` from automaton A at ``la`` to B at
+``lb``, with targets ``ta`` and ``tb``:
 
 (a) no automaton is in a committed location;
 (b) the send is ``la``'s one silent or send edge, without guard or
@@ -47,30 +55,38 @@ from automaton A at ``la`` to B at ``lb``, with targets ``ta`` and ``tb``:
 (e) each broadcast received at ``la``, ``lb``, ``ta`` or ``tb`` commutes
     with ``h`` (its receives there are self-loops without updates), or
     no edge sending it can fire first;
-(f) no automaton that has a committed location can move first.
+(f) no edge from a normal location into a committed one can fire first.
 
 "First" is before A or B moves.  Until then the urgent pair keeps time
-from passing, so clocks and ints change only by assignment: an edge
-cannot fire first if a test of its guard is false that no assignment
-makes true, or if its automaton cannot move first, being at a location
-that is not committed, that no silent or send edge leaves, and where it
-receives only what no edge can send first (A and B cannot).  Why this is
-exact: until A or B moves, no automaton is committed and ``h`` stays
-enabled; every move fires alike after ``h``; and the first move of A or
-B is ``h``.  So a run from ``y`` with ``h`` first has the same labels and
-ends in the same configuration, or ``h`` short of it: ``y`` and ``h(y)``
-have the same erased traces at every depth and reach ticks, and
-configurations that reach none, alike.  The settled graph's timelock
-witnesses are thus some of the full graph's, and empty exactly when they
-are.  ``h`` is strongly confluent in the full graph (partial
-tau-confluence, Groote & van de Pol, MFCS 2000; a stubborn set of one
-move, Valmari 1990).  A move into a committed location settles nothing,
-by (a).  A settle loop that comes back to a configuration, as hand-offs
-in a cycle do, stops there and keeps it; each kept configuration is
-expanded in full.  The test is compiled on first use: per ``(A, la,
-lb)``, (b), (c) and one tuple of the edges that (a) and (d)-(f) watch,
-less A's and B's; per automaton and location, None if it can move by
-itself there, else the edges it waits for; a check then tests guards only.
+from passing, so clocks and ints change only by assignment, and by (a)
+and (f) no edge from a committed location fires.  Any other edge cannot
+fire first if a test of its guard is false that no assignment makes
+true, if no edge sending what it receives can fire first, or if its
+automaton is still: it cannot move first, being at a location that is
+not committed, that no silent or send edge leaves, and where it
+receives only what no edge can send first (A and B are still).  A sum
+of ints in a guard of (f), such as a synchronisation controller's
+``(g_close00_3 + g_close01_2)==2``, is read by value range: an int whose
+writers are all still keeps its value, any other may hold its initial
+value or one written to it, and the edge cannot fire first if the sum
+cannot hold.  Where one int's value alone would keep the sum from
+holding, its writers are tried as still.  Why this is exact: until A or
+B moves, no automaton is committed and ``h`` stays enabled; every move
+fires alike after ``h``; and the first move of A or B is ``h``.  So a
+run from ``y`` with ``h`` first has the same labels and ends in the same
+configuration, or ``h`` short of it: ``y`` and ``h(y)`` have the same
+erased traces at every depth and reach ticks, and configurations that
+reach none, alike.  The settled graph's timelock witnesses are thus some
+of the full graph's, and empty exactly when they are.  ``h`` is strongly
+confluent in the full graph (partial tau-confluence, Groote & van de
+Pol, MFCS 2000; a stubborn set of one move, Valmari 1990).  A settle loop
+that comes back to a configuration, as hand-offs in a cycle do, stops
+there and keeps it; each kept configuration is expanded in full.  The
+test is compiled on first use: per ``(A, la, lb)``, (b), (c), one tuple
+of the edges that (d)-(f) watch and, apart, the sent or silent ones of
+(f), less A's and B's; per automaton and location, None if it can move by
+itself there, else the edges it waits for; a check then tests guards
+only.  (a) is a scan of the automata that have a committed location.
 ``raw_network_traces`` records every hand-off: it searches the full graph.
 """
 
@@ -137,22 +153,32 @@ class _Runtime:
         self.locs: list[dict[str, tuple]] = []
         receivers: dict[str, set[int]] = {}
         # For settling: writes[0 or 1, slot] = the values edges assign to a
-        # clock or an int; sending[c] = the edges that send c (silent ones
-        # under None); flow_at[ai][location] = the urgent flow channel sent
-        # there, if the location passes (b) of the module docstring.
+        # clock or an int, writers[slot] = the automata that assign int slot;
+        # sending[c] = the edges from a normal location that send c (silent
+        # ones under None);
+        # flow_at[ai][location] = the urgent flow channel sent there, if the
+        # location passes (b) of the module docstring; only_at[ai][location]
+        # = the channel and target of a committed location's one edge, if
+        # it may fire alone; watch[ai] = the locations of both.
         self.writes: dict[tuple[int, int], set[int]] = {}
+        self.writers: dict[int, set[int]] = {}
         self.sending: dict[str | None, list] = {}
         flows = {c.name for c in net.channels if c.kind is ChannelKind.FLOW and c.mode == "urgent-binary"}
+        hidden = erasure_set(net) | {None}
         self.flow_at: list[dict[str, str]] = []
-        # For (a) and (f): a _sent entry without tests per automaton with a
-        # committed location; blockers, those committed or able to move
-        # wherever they are, which fails (f) unless they are A (never B).
-        self.committed, self.blockers = [], set()
+        self.only_at: list[dict[str, tuple]] = []
+        self.watch: list[dict[str, str | tuple]] = []
+        # For (a): (automaton, its committed locations); for (f): the edges
+        # from a normal location into a committed one, as sending entries and
+        # as the channels they receive.
+        self.committed: list[tuple[int, set[str]]] = []
+        self.entering: tuple[list, list] = ([], [])
         for ai, ta in enumerate(net.automata):
             clocks = self.clock_slots[ai]
             flow_at: dict[str, str] = {}
             local: dict[str, list] = {loc.id: [] for loc in ta.locations}
             receive: dict[str, dict[str, list]] = {loc.id: {} for loc in ta.locations}
+            committed = {loc.id for loc in ta.locations if loc.kind is _COMMITTED}
             for ei, edge in enumerate(ta.edges):
                 channel = edge.sync.channel if edge.sync else None
                 if edge.guard is None and not edge.updates:
@@ -173,31 +199,41 @@ class _Runtime:
                             clock_updates[key[1]] = upd.value
                         else:
                             int_updates.append((key[1], upd.value))
+                            self.writers.setdefault(key[1], set()).add(ai)
                         self.writes.setdefault(key, set()).add(upd.value)
                     part = (ai, ei, edge.target, tuple(clock_updates.items()), tuple(int_updates))
                     entry = (tuple(clock_tests), tuple(int_tests), channel, part)
-                if channel is not None and edge.sync.direction == "receive":
+                receives = channel is not None and edge.sync.direction == "receive"
+                if committed and edge.target in committed and edge.source not in committed:
+                    self.entering[receives].append(channel if receives else entry)
+                if receives:
                     receive[edge.source].setdefault(channel, []).append(entry)
                     receivers.setdefault(channel, set()).add(ai)
                 else:
                     local[edge.source].append(entry)
-                    self.sending.setdefault(channel, []).append(entry)
+                    if edge.source not in committed:  # by (a) and (f), never first
+                        self.sending.setdefault(channel, []).append(entry)
                     if channel in flows:
                         flow_at[edge.source] = channel
             self.locs.append({loc.id: (loc.kind, local[loc.id], receive[loc.id]) for loc in ta.locations})
-            self.flow_at.append(flow_at and {
+            flow_at = flow_at and {
                 loc: c
                 for loc, c in flow_at.items()
                 if len(local[loc]) == 1 and local[loc][0][:2] == ((), ()) and local[loc][0][3][3:] == ((), ())
                 and self.locs[ai][loc][0] is _NORMAL
                 and all(self.channel_mode.get(d) == "broadcast" for d in receive[loc])
-            })
-            if _COMMITTED in [loc.kind for loc in ta.locations]:
-                self.committed.append(((), ai))
-                if all(loc.kind is _COMMITTED or local[loc.id] for loc in ta.locations):
-                    self.blockers.add(ai)
-        if any(not self.flow_at[x] for x in self.blockers):
-            self.flow_at = [{}] * len(self.locs)  # one is never A: nothing settles
+            }
+            only_at = {
+                loc: (local[loc][0][2], local[loc][0][3][2])
+                for loc in committed
+                if len(local[loc]) == 1 and not receive[loc] and local[loc][0][:2] == ((), ())
+                and local[loc][0][3][3:] == ((), ()) and local[loc][0][2] in hidden
+            }
+            self.flow_at.append(flow_at)
+            self.only_at.append(only_at)
+            self.watch.append({**flow_at, **only_at} if only_at else flow_at)
+            if committed:
+                self.committed.append((ai, committed))
         self.receivers = {channel: tuple(sorted(autos)) for channel, autos in receivers.items()}
         # flows[c] = the one automaton that receives urgent flow channel c
         self.flows = {c: autos[0] for c, autos in self.receivers.items() if c in flows and len(autos) == 1}
@@ -209,10 +245,12 @@ class _Runtime:
         self.moves: list[tuple | None] = []
         self.settled_moves: list[tuple | None] = []
         self.ticking: set[int] = set()
-        # memos of _pair, _wait and _sent, filled as hand-offs are checked
+        # memos of _pair, _wait, _sent and _entered, filled as hand-offs are
+        # checked
         self.pairs: dict[tuple[int, str, str], tuple | None] = {}
         self.waits: dict[tuple[int, str], tuple | None] = {}
         self.sent: dict[str, list] = {}
+        self.entered: tuple | None = None
 
     def intern(self, cfg: Configuration) -> int:
         index = self.ids.get(cfg)
@@ -237,7 +275,7 @@ class _Runtime:
         return self._expand(state, self.moves, None) if out is None else out
 
     def settled(self, state: int) -> tuple:
-        """:meth:`successors`, each move followed by the hand-offs that
+        """:meth:`successors`, each move followed by the moves that
         :meth:`_settle` fires; a memo of its own over the same ids."""
         out = self.settled_moves[state]
         return self._expand(state, self.settled_moves, self) if out is None else out
@@ -262,11 +300,30 @@ class _Runtime:
 
     def _settle(self, locations: list, values: tuple, todo: list) -> list:
         """``locations``, just reached by the move of the automata ``todo``,
-        after every hand-off that passes the test of the module docstring
-        has fired, those of the automata that moved first; ``values`` are
-        the clocks and ints.  A loop that comes back to locations it met
-        stops there."""
-        flow_at, seen = self.flow_at, {tuple(locations)}
+        after every move that settles has fired: while one automaton is
+        committed, its only move, and once none is, each hand-off that
+        passes the test of the module docstring, those of the automata that
+        moved first; ``values`` are the clocks and ints.  A loop that comes
+        back to locations it met stops there."""
+        flow_at, seen, committed = self.flow_at, {tuple(locations)}, []
+        for x, locs in self.committed:
+            if locations[x] in locs:
+                committed.append(x)
+        if committed:  # those of todo have no hand-off to check where they are
+            todo = [x for x in todo if x not in committed]
+        while committed:
+            step = len(committed) == 1 and self._only_move(locations, a := committed[0])
+            if not step:
+                return locations
+            b, ta, tb = step
+            locations[a], locations[b] = ta, tb
+            now = tuple(locations)
+            if now in seen:
+                return locations
+            seen.add(now)
+            moved = (a,) if a == b else (a, b)
+            committed = [x for x in moved if self.locs[x][now[x]][0] is _COMMITTED]
+            todo += [x for x in moved if now[x] in flow_at[x]]
         while todo:
             step = self._handoff(locations, values, a := todo.pop())
             if step is not None:
@@ -279,25 +336,48 @@ class _Runtime:
                 todo += [x for x in (a, b) if now[x] in flow_at[x]]
         return locations
 
+    def _only_move(self, locations: list, a: int) -> tuple | None:
+        """(receiver, ``a``'s target, receiver's target) of the move of the
+        only committed automaton ``a``, if it is at a location of
+        ``only_at`` and, for a send, exactly one receive edge, without guard
+        or update, is where its automaton is; for a silent edge the
+        receiver is ``a`` and both targets are its one.  That move is then
+        the only one of the configuration."""
+        move = self.only_at[a].get(locations[a])
+        if move is None:
+            return None
+        channel, ta = move
+        if channel is None:
+            return a, ta, ta
+        found = None
+        for b in self.receivers.get(channel, ()):
+            for clock_tests, int_tests, _, part in self.locs[b][locations[b]][2].get(channel, ()):
+                if found or clock_tests or int_tests or part[3:] != ((), ()):
+                    return None
+                found = part
+        return found and (found[0], ta, found[2])
+
     def _handoff(self, locations: list, values: tuple, a: int) -> tuple | None:
         """(receiver, sender's target, receiver's target) of the hand-off
-        that automaton ``a`` sends from where it is, if one passes (b)-(f)."""
+        that automaton ``a`` sends from where it is, if one passes (b)-(f),
+        where no automaton is committed."""
         b = self.flows.get(self.flow_at[a].get(locations[a]))
         if b is None:
             return None
         key = (a, locations[a], locations[b])
         pair = self.pairs[key] if key in self.pairs else self._pair(*key)
-        if pair is None or not self._quiet(pair[2], locations, values, a, b):
+        if pair is None or not self._quiet(pair[2], locations, values, {a, b}, pair[3]):
             return None
         return b, pair[0], pair[1]
 
-    def _quiet(self, entries: tuple, locations: list, values: tuple, a: int, b: int) -> bool:
-        """Whether no edge of ``entries`` (``_sent`` entries of automata
-        other than ``a`` and ``b``) can fire before time passes or ``a`` or
-        ``b`` moves: a test of the edge is false, or its automaton cannot
-        move first, since it waits (see ``_wait``) only for edges that
-        cannot fire first."""
-        still, stack, waits = {a, b}, [entries], self.waits
+    def _quiet(self, entries: tuple, locations: list, values: tuple, still: set, sums: tuple = ()) -> bool:
+        """Whether no edge of ``entries`` (``_sent`` entries) or ``sums``
+        (see ``_summed``) can fire before time passes or an automaton of
+        ``still`` (A, B and those shown to wait) moves: a test of the edge
+        is false, or its automaton cannot move first, since it waits (see
+        ``_wait``) only for edges that cannot fire first.  Those automata
+        are added to ``still``."""
+        stack, waits = [entries], self.waits
         while stack:
             for tests, y in stack.pop():
                 if y in still:
@@ -311,13 +391,34 @@ class _Runtime:
                         return False
                     still.add(y)
                     stack.append(wait)
+        return not sums or self._summed(sums, locations, values, still)
+
+    def _summed(self, sums: tuple, locations: list, values: tuple, still: set) -> bool:
+        """Whether no edge of ``sums``, the sent or silent edges of (f), can
+        fire first: a test of its guard other than a sum is false, an int of
+        a sum keeps a value with which the sum cannot hold (see
+        ``_entered``), its writers being still, or else its automaton is
+        still.  The writers of each such int are tried in turn, by a walk of
+        their own that ``still`` keeps only if it passes."""
+        ints = values[1]
+        for tests, y, pins in sums:
+            if y in still or not all(holds(values[kind][i], const) for kind, i, holds, const in tests):
+                continue
+            for p, allowed, writers in pins:
+                if ints[p] not in allowed and self._quiet(writers, locations, values, trial := set(still)):
+                    still |= trial
+                    break
+            else:
+                if not self._quiet((((), y),), locations, values, still):
+                    return False
         return True
 
     def _pair(self, a: int, la: str, lb: str) -> tuple | None:
         """The static part of the test for the hand-off from automaton ``a``
         at ``la`` to the receiver at ``lb``: None if it can never pass,
-        else both targets and the ``_sent`` entries, of automata other
-        than A and B, that must not fire, for (d), (e) and (a) with (f)."""
+        else both targets, the ``_sent`` entries, of automata other than A
+        and B, that must not fire, for (d), (e) and (f), and the sent or
+        silent edges of (f) (see ``_entered``)."""
         c = self.flow_at[a][la]
         b = self.flows[c]
         out = self.pairs[a, la, lb] = None
@@ -331,16 +432,16 @@ class _Runtime:
             return out
         if self.locs[a][ta][0] is not _NORMAL or self.locs[b][tb][0] is not _NORMAL:
             return out
-        if self.blockers - {a}:
-            return out
         moving = set()  # (e): broadcasts that move A or B there
         for x, loc in ((a, la), (b, lb), (a, ta), (b, tb)):
             for d, entries in self.locs[x][loc][2].items():
                 for *_, part in entries if mode.get(d) == "broadcast" else ():
                     if part[2:] != (loc, (), ()):
                         moving.add(d)
-        groups = self._sent(c), *map(self._sent, moving), self.committed
-        out = self.pairs[a, la, lb] = (ta, tb, tuple(dict.fromkeys(e for g in groups for e in g if e[1] not in (a, b))))
+        taken, sums = self._entered()
+        groups = self._sent(c), *map(self._sent, moving), taken
+        entries = tuple(dict.fromkeys(e for g in groups for e in g if e[1] not in (a, b)))
+        out = self.pairs[a, la, lb] = (ta, tb, entries, tuple(e for e in sums if e[1] not in (a, b)))
         return out
 
     def _wait(self, y: int, loc: str) -> tuple | None:
@@ -353,18 +454,50 @@ class _Runtime:
         self.waits[y, loc] = wait
         return wait
 
+    def _entered(self) -> tuple:
+        """For (f), the edges that enter a committed location: the ``_sent``
+        entries of what those received take, and each sent or silent one as
+        ``(tests, automaton, pins)`` with its ``_held`` tests; kept in
+        ``entered``.
+
+        A pin ``(slot, allowed, writers)`` reads one int of a sum in the
+        guard: the sum can hold only if the int holds a value of
+        ``allowed``, every other int ranging over its initial value and the
+        values written to it.  An edge whose sum can never hold is left
+        out."""
+        if self.entered is None:
+            sends, channels = self.entering
+            ranges = [{v, *self.writes.get((1, p), ())} for p, v in enumerate(self.init_ints)]
+            sums = []
+            for entry in sends:
+                pins = []
+                for ps, holds, const in entry[1]:
+                    for i, p in enumerate(ps) if len(ps) > 1 else ():
+                        others = {0}
+                        for q in ps[:i] + ps[i + 1:]:
+                            others = {s + v for s in others for v in ranges[q]}
+                        allowed = frozenset(v for v in ranges[p] if any(holds(v + s, const) for s in others))
+                        pins.append((p, allowed, tuple(((), w) for w in self.writers.get(p, ()))))
+                if all(allowed for _, allowed, _ in pins):
+                    sums.append((*self._held(entry), tuple(pins)))
+            self.entered = [e for d in channels for e in self._sent(d)], sums
+        return self.entered
+
     def _sent(self, d: str) -> list:
-        """``(tests, automaton)`` for each edge that sends ``d``, where the
-        tests are those of its guard that no assignment makes true, each
-        as (0 for a clock or 1 for an int, slot, relation, constant)."""
+        """The ``_held`` entry of each edge that sends ``d``."""
         if d not in self.sent:
-            out = self.sent[d] = []
-            for clock_tests, int_tests, _, part in self.sending.get(d, ()):
-                tests = [(0, *test) for test in clock_tests] if clock_tests else []
-                tests += [(1, ps[0], holds, const) for ps, holds, const in int_tests if len(ps) == 1]
-                held = tuple(t for t in tests if not any(t[2](v, t[3]) for v in self.writes.get(t[:2], ())))
-                out.append((held, part[0]))
+            self.sent[d] = list(map(self._held, self.sending.get(d, ())))
         return self.sent[d]
+
+    def _held(self, entry: tuple) -> tuple:
+        """``(tests, automaton)`` for a silent or send edge, where the tests
+        are those of its guard on one clock or int that no assignment makes
+        true, each as (0 for a clock or 1 for an int, slot, relation,
+        constant)."""
+        clock_tests, int_tests, _, part = entry
+        tests = [(0, *test) for test in clock_tests] if clock_tests else []
+        tests += [(1, ps[0], holds, const) for ps, holds, const in int_tests if len(ps) == 1]
+        return tuple(t for t in tests if not any(t[2](v, t[3]) for v in self.writes.get(t[:2], ()))), part[0]
 
 
 # Each runtime keeps every move explored on its network, so only a few
@@ -463,7 +596,7 @@ def _fire(cfg: Configuration, parts, caps: tuple[int, ...] | None = None, rt: _R
     locations, ints, clocks = cfg
     locations = list(locations)
     new_ints = new_clocks = None
-    watch, pending = rt and rt.flow_at, []
+    watch, pending = rt and rt.watch, []
     for ai, _, target, clock_updates, int_updates in parts:
         locations[ai] = target
         if watch and target in watch[ai]:

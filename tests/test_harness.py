@@ -26,12 +26,14 @@ from tockta.harness import (
     generate_corpus,
     prove_stop_base,
 )
-from tockta.lts import TraceSet, trie_graph
+from tockta.lts import TraceSet
 from tockta.parser import parse, parse_file
 from tockta.semantics import csp_traces
 from tockta.taexec import network_traces
 from tockta.tamodel import NetworkModel, TimedAutomaton
 from tockta.translate import TranslationError, assemble
+
+from test_semantics import trie_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ADS = parse(

@@ -28,7 +28,7 @@ from tockta.semantics import (
     step,
     traces_to_text,
 )
-from tockta.lts import subset_graph, trie_graph
+from tockta.lts import TraceSet, subset_graph
 from tockta.parser import parse, parse_file
 from tockta.taexec import network_traces
 from tockta.translate import assemble
@@ -224,6 +224,24 @@ def test_traces_text_is_sorted_from_the_empty_trace():
     text = traces_to_text(ts)
     assert text.splitlines()[0] == "<>"
     assert text == "".join(sorted(text.splitlines(keepends=True)))
+
+
+def trie_graph(traces, depth: int) -> TraceSet:
+    """The trace set of an explicit set of traces, in which each trace is
+    its own state.  The set must hold ``()``, be prefix-closed and hold no
+    trace longer than ``depth``."""
+    traces = frozenset(map(tuple, traces))
+    if () not in traces:
+        raise ValueError("a trace set must hold the empty trace")
+    children: dict[tuple, list] = {}
+    for trace in traces:
+        if len(trace) > depth:
+            raise ValueError(f"trace {trace} is longer than depth {depth}")
+        if trace:
+            if trace[:-1] not in traces:
+                raise ValueError(f"trace {trace} lacks its prefix {trace[:-1]}")
+            children.setdefault(trace[:-1], []).append((trace[-1], trace))
+    return subset_graph((), lambda t: children.get(t, ()), depth, state_cap=len(traces))
 
 
 @pytest.mark.parametrize(

@@ -747,9 +747,9 @@ def test_per_clock_caps_keep_the_reachable_configurations_down(name, count):
 #: (spec, depth, configurations the full search expands, those the settled
 #: search of network_traces expands)
 _PINNED_EXPANSIONS = [
-    ("ads", 10, 73, 73), ("pe", 10, 20, 16), ("pi", 10, 22, 18), ("rail_crossing", 10, 119, 119),
-    ("thermostat", 10, 73, 73), ("cycles2", 10, 69, 40), ("cycles3", 8, 361, 148), ("cycles4", 6, 1329, 556),
-    ("cycles3", 9, 361, 148),
+    ("ads", 10, 73, 36), ("pe", 10, 20, 12), ("pi", 10, 22, 14), ("rail_crossing", 10, 119, 56),
+    ("thermostat", 10, 73, 36), ("cycles2", 10, 69, 36), ("cycles3", 8, 361, 146), ("cycles4", 6, 1329, 554),
+    ("cycles3", 9, 361, 146),
 ]
 
 
