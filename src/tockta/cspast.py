@@ -15,6 +15,8 @@ import re
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
+from .tamodel import ChannelKind, kind_from_name
+
 __all__ = [
     "TOCK",
     "SpecError",
@@ -45,18 +47,15 @@ TOCK = "tock"
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
-# Name shapes the translator reserves for generated coordination channels.
-_RESERVED_PREFIXES = ("itau_", "startID", "finishID", "extID", "intrpID", "excpID")
-_RESERVED_SUFFIXES = ("___sync", "_exch", "_intrpt")
-
 
 class SpecError(ValueError):
     """A structurally invalid process or specification."""
 
 
 def is_reserved_action_name(name: str) -> bool:
-    """True for names the translator may generate for coordination channels."""
-    return name in ("tau", "itau") or name.startswith(_RESERVED_PREFIXES) or name.endswith(_RESERVED_SUFFIXES)
+    """True for ``tau`` and for names the translator may generate for
+    coordination channels: those whose shape tells a coordinating kind."""
+    return name == "tau" or kind_from_name(name) not in (ChannelKind.USER_EVENT, ChannelKind.TOCK)
 
 
 def validate_event_name(name: str, *, allow_tock: bool = False) -> str:

@@ -231,7 +231,9 @@ class _Parser:
 
 def _split_definitions(source: str) -> list[tuple[str, str, int, int]]:
     """Split into (name, body-text, line, col) chunks, one per definition;
-    the body starts at ``line:col`` and keeps one line per source line."""
+    the body starts at ``line:col`` and keeps one line per source line,
+    each without its comment or trailing blanks, so that end of input is
+    reported just after the last token on every line."""
     defs: list[tuple[str, str, int, int]] = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
         text = raw.split("--", 1)[0]
@@ -246,7 +248,7 @@ def _split_definitions(source: str) -> list[tuple[str, str, int, int]]:
         elif defs:
             name, body, line, col = defs[-1]
             gap = "\n" * (lineno - line - body.count("\n"))
-            defs[-1] = (name, body + gap + text, line, col)
+            defs[-1] = (name, body + gap + text.rstrip(), line, col)
         else:
             raise CspSyntaxError("expected 'Name = process'", lineno, 1)
     return defs

@@ -3,11 +3,13 @@
 Automata are hashable value objects, immutable by contract (the tests
 enforce it) rather than frozen: the translator and the XML loader build
 them by the hundred thousand, and a frozen dataclass stores each field
-through ``object.__setattr__``, about four times dearer.  Every channel
-carries a :class:`ChannelKind` distinguishing user events, the tock
-broadcast, and the generated coordination channels; the coordination
-kinds (plus hidden events) form the erasure set removed from traces
-before comparison with the source process.
+through ``object.__setattr__``, about four times dearer.  Two fields are
+derived, never passed in: a channel's :class:`ChannelKind` follows from
+its name (:func:`kind_from_name`), and a network's environment is the
+first automaton with one location and a ``tock!`` edge
+(:func:`find_environment`).  The coordination kinds (plus hidden events)
+form the erasure set removed from traces before comparison with the
+source process.
 
 The model holds what the translator emits, plus local clocks and closed
 clock guards: committed and normal locations, binary, urgent and
@@ -44,6 +46,7 @@ __all__ = [
     "validate",
     "erasure_set",
     "kind_from_name",
+    "find_environment",
     "COORDINATING_KINDS",
 ]
 
@@ -77,8 +80,8 @@ COORDINATING_KINDS = frozenset(
 def kind_from_name(name: str) -> ChannelKind:
     """Classify a channel by the reserved naming convention.
 
-    The XML format carries a channel's kind only this way: ``uppaalxml``
-    refuses to write a channel whose name tells another kind.
+    This is the only home of a channel's kind: :class:`ChannelDecl` derives
+    it from the name, so the XML format carries it only this way.
     """
     if name == "tock":
         return ChannelKind.TOCK
@@ -199,22 +202,29 @@ class TimedAutomaton:
     clocks: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    def location(self, loc_id: str) -> Location:
-        for loc in self.locations:
-            if loc.id == loc_id:
-                return loc
-        raise KeyError(loc_id)
+
+_TOCK_SEND = SyncLabel("tock", "send")
+
+
+def find_environment(automata: tuple[TimedAutomaton, ...]) -> int:
+    """The shape rule: the index of the first automaton with one location
+    and an edge that sends ``tock``, or -1."""
+    for i, ta in enumerate(automata):
+        if len(ta.locations) == 1 and _TOCK_SEND in (e.sync for e in ta.edges):
+            return i
+    return -1
 
 
 @dataclass(unsafe_hash=True, slots=True)
 class ChannelDecl:
     name: str
     mode: str  # "binary", "broadcast" or "urgent-binary"
-    kind: ChannelKind
+    kind: ChannelKind = field(init=False, compare=False)  # ``kind_from_name(name)``
 
     def __post_init__(self) -> None:
         if self.mode not in ("binary", "broadcast", "urgent-binary"):
             raise ValueError(f"bad channel mode {self.mode!r}")
+        self.kind = kind_from_name(self.name)
 
 
 @dataclass(slots=True)
@@ -222,14 +232,17 @@ class NetworkModel:
     automata: tuple[TimedAutomaton, ...]
     channels: tuple[ChannelDecl, ...]
     int_vars: tuple[tuple[str, int], ...]
-    environment_index: int = -1
+    environment_index: int = field(init=False, compare=False)  # ``find_environment(automata)``
     # The executor looks its per-network index up by this hash on every
     # step, so it is computed once.  String hashes are salted per process,
     # so ``__reduce__`` rebuilds from the compared fields, without the memo.
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        self.environment_index = find_environment(self.automata)
+
     def _key(self) -> tuple:
-        return (self.automata, self.channels, self.int_vars, self.environment_index)
+        return (self.automata, self.channels, self.int_vars)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -238,12 +251,6 @@ class NetworkModel:
 
     def __reduce__(self):
         return (NetworkModel, self._key())
-
-    def channel(self, name: str) -> ChannelDecl | None:
-        for decl in self.channels:
-            if decl.name == name:
-                return decl
-        return None
 
     def environment(self) -> TimedAutomaton:
         return self.automata[self.environment_index]

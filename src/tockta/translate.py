@@ -12,6 +12,8 @@ channels wire the automata into a network that replays the process:
 * ``<event>_intrpt`` handshakes let the interrupting process retire every
   automaton of the interrupted one.
 
+A channel's kind follows from its name (``tamodel.kind_from_name``).
+
 An occurrence is wired as its context's event view resolves it: plain,
 hidden, or a participant of the innermost scope synchronising on it; a
 group that can fire joins an enclosing such scope as one participant.
@@ -52,7 +54,6 @@ from .cspast import (
 from .tamodel import (
     Assignment,
     ChannelDecl,
-    ChannelKind,
     ClockAtom,
     Edge,
     GuardExpr,
@@ -72,9 +73,9 @@ _MAX_EXPANSION_DEPTH = 64
 _FINISH = "finishID0"
 # The environment's clock, which times every tock.
 _CLOCK = "ck"
-# The channel suffix and mode of each kind of gate: a choice's handshake
+# The mode of each kind of gate by its channel suffix: a choice's handshake
 # knocks back one automaton, an interrupt's kill retires them all at once.
-_GATES = {ChannelKind.EXT_CHOICE: ("_exch", "binary"), ChannelKind.INTERRUPT: ("_intrpt", "broadcast")}
+_GATES = {"_exch": "binary", "_intrpt": "broadcast"}
 
 
 class TranslationError(Exception):
@@ -230,25 +231,22 @@ class _Compiler:
 
     # -- channel bookkeeping ------------------------------------------------
 
-    def ensure_channel(self, name: str, kind: ChannelKind, mode: str) -> str:
-        decl = self.channels.get(name)
-        if decl is None:
-            self.channels[name] = ChannelDecl(name, mode, kind)
-        elif decl.kind is not kind:
-            raise TranslationError(f"channel {name!r} used with conflicting kinds")
+    def ensure_channel(self, name: str, mode: str) -> str:
+        if name not in self.channels:
+            self.channels[name] = ChannelDecl(name, mode)
         return name
 
-    def alloc_numbered(self, prefix: str, branch: str, ctx: _Ctx, kind: ChannelKind) -> _StartInfo:
+    def alloc_numbered(self, prefix: str, branch: str, ctx: _Ctx) -> _StartInfo:
         # Flow channels are urgent: wiring a successor automaton in must
         # never wait on the clock, only on the partner being ready.
-        mode = "urgent-binary" if kind is ChannelKind.FLOW else "binary"
+        mode = "urgent-binary" if prefix == "startID" else "binary"
         while True:
             counter = ctx.counter
             ctx.counter += 1
             name = f"{prefix}{branch}_{counter}"
             if name not in self.registry.used:
                 self.registry.claim(name)
-                self.ensure_channel(name, kind, mode)
+                self.ensure_channel(name, mode)
                 return _StartInfo(name, branch, counter)
 
     def new_var(self, name: str, init: int = 0) -> str:
@@ -260,11 +258,11 @@ class _Compiler:
         """The channel of a plain occurrence, or the itau broadcast of a
         hidden one."""
         if kind == "plain":
-            return self.ensure_channel(name, ChannelKind.USER_EVENT, "binary")
+            return self.ensure_channel(name, "binary")
         chan = f"itau_{name}"
         if chan not in self.channels:
             self.registry.used.add(chan)
-        return self.ensure_channel(chan, ChannelKind.HIDDEN_ITAU, "broadcast")
+        return self.ensure_channel(chan, "broadcast")
 
     def register_participant(self, scope: _SyncScope, name: str, var: str | None) -> str:
         """Join ``scope``'s group for ``name`` on its current side with a readiness
@@ -272,7 +270,7 @@ class _Compiler:
         group = scope.groups.setdefault(name, {"channel": None, "vars": [], "sides": []})
         if var is not None and group["channel"] is None:
             group["channel"] = self.registry.unique(name, "___sync")
-            self.ensure_channel(group["channel"], ChannelKind.SYNCHRONISATION, "broadcast")
+            self.ensure_channel(group["channel"], "broadcast")
         group["vars"].append(var)
         group["sides"].append(scope.side)
         return group["channel"]
@@ -289,8 +287,7 @@ class _Compiler:
         re-enter the construct mid-flight (anything still running belongs
         to an abandoned round).
         """
-        decl = self.channels[start.channel]
-        self.channels[start.channel] = ChannelDecl(start.channel, "broadcast", decl.kind)
+        self.channels[start.channel] = ChannelDecl(start.channel, "broadcast")
         _knock_back(left.waiting() + right.waiting(), self.labels[start.channel, "receive"])
         unit = _Unit(tas=[b])
         unit.absorb(left)
@@ -298,14 +295,15 @@ class _Compiler:
         unit.absorb(right)
         return unit
 
-    def _gate(self, kind: ChannelKind, slots: list[_Slot], var: str, value: int, knock: list) -> None:
-        """Gate each slot's first event on a fresh handshake of ``kind``,
-        which claims ``var`` for ``value`` and knocks every automaton at one
-        of the ``knock`` locations back to its inert initial location."""
-        suffix, mode = _GATES[kind]
+    def _gate(self, suffix: str, slots: list[_Slot], var: str, value: int, knock: list) -> None:
+        """Gate each slot's first event on a fresh handshake named with
+        ``suffix``, which claims ``var`` for ``value`` and knocks every
+        automaton at one of the ``knock`` locations back to its inert
+        initial location."""
+        mode = _GATES[suffix]
         for slot in slots:
             channel = self.registry.unique(slot.event, suffix)
-            self.ensure_channel(channel, kind, mode)
+            self.ensure_channel(channel, mode)
             _gate_slot(slot, self.labels[channel, "send"], var, value)
             _knock_back(knock, self.labels[channel, "receive"])
 
@@ -372,7 +370,7 @@ class _Compiler:
         looped = self._loop_target(p, ctx)
         if looped is not None:
             return looped, _Unit()
-        info = self.alloc_numbered("startID", ctx.branch, ctx, ChannelKind.FLOW)
+        info = self.alloc_numbered("startID", ctx.branch, ctx)
         return info.channel, self.compile(p, ctx, info)
 
     def _then(self, unit: _Unit, p: Prefix, ctx: _Ctx, start: _StartInfo) -> _Unit:
@@ -408,11 +406,11 @@ class _Compiler:
         ):
             child = _Ctx(ctx.branch + digit, 0, finish, view, markers)
             looped = finish and self._loop_target(q, child)
-            info = None if looped else self.alloc_numbered("startID", child.branch, ctx, ChannelKind.FLOW)
+            info = None if looped else self.alloc_numbered("startID", child.branch, ctx)
             child.counter = info.counter + 1 if info else 0
             sides.append((q, child, info, looped or info.channel))
         fresh = [
-            None if child.finish else self.alloc_numbered("finishID", child.branch, ctx, ChannelKind.TERMINATING)
+            None if child.finish else self.alloc_numbered("finishID", child.branch, ctx)
             for _, child, _, _ in sides
         ]
         out = []
@@ -484,7 +482,7 @@ class _Compiler:
         looped = self._loop_target(p.right, ctx)
         if looped is not None:
             return self.compile(p.left, _Ctx(ctx.branch, ctx.counter, looped, ctx.view, ctx.markers), start)
-        handover = self.alloc_numbered("finishID", ctx.branch, ctx, ChannelKind.TERMINATING)
+        handover = self.alloc_numbered("finishID", ctx.branch, ctx)
         left_ctx = _Ctx(ctx.branch, ctx.counter, handover.channel, ctx.view, ctx.markers)
         left = self.compile(p.left, left_ctx, start)
         ctx.counter = left_ctx.counter
@@ -574,8 +572,8 @@ class _Compiler:
         # The first event of one branch blocks the other: its handshake
         # knocks one automaton of the losing branch back to its inert
         # initial location and records the winner in ``picked``.
-        self._gate(ChannelKind.EXT_CHOICE, left.slots, picked, 1, right.blockable)
-        self._gate(ChannelKind.EXT_CHOICE, right.slots, picked, 2, left.blockable)
+        self._gate("_exch", left.slots, picked, 1, right.blockable)
+        self._gate("_exch", right.slots, picked, 2, left.blockable)
         # termination of a side resolves the choice too: the first branch
         # to signal the shared finish claims it, silencing the other
         _claim_finish_edges(left.tas, ctx.finish, picked, 1)
@@ -638,7 +636,7 @@ class _Compiler:
             builder.edges[i] = replace(edge, updates=edge.updates + (Assignment(state, 2),))
         # the kill is a broadcast: every automaton of the interrupted side
         # that is waiting retires at once
-        self._gate(ChannelKind.INTERRUPT, right.slots, state, 1, left.waiting())
+        self._gate("_intrpt", right.slots, state, 1, left.waiting())
         return unit
 
 
@@ -804,18 +802,18 @@ def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
         registry.claim(event)
 
     compiler = _Compiler(spec, registry)
-    compiler.ensure_channel(TOCK, ChannelKind.TOCK, "broadcast")
+    compiler.ensure_channel(TOCK, "broadcast")
     for event in sorted(events):
-        compiler.ensure_channel(event, ChannelKind.USER_EVENT, "binary")
+        compiler.ensure_channel(event, "binary")
 
     root = _Ctx("0", 0, registry.claim(_FINISH), spec.view)
-    compiler.ensure_channel(_FINISH, ChannelKind.TERMINATING, "binary")
+    compiler.ensure_channel(_FINISH, "binary")
     if isinstance(process_or_spec, CspSpec):
         start = _StartInfo(registry.claim(f"startID{spec.main}"), root.branch, root.counter)
-        compiler.ensure_channel(start.channel, ChannelKind.FLOW, "urgent-binary")
+        compiler.ensure_channel(start.channel, "urgent-binary")
         root.counter += 1
     else:
-        start = compiler.alloc_numbered("startID", root.branch, root, ChannelKind.FLOW)
+        start = compiler.alloc_numbered("startID", root.branch, root)
 
     try:
         # Entering via the reference registers main for loop-backs.
@@ -838,7 +836,6 @@ def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
         automata=tuple(tas),
         channels=tuple(compiler.channels.values()),
         int_vars=tuple(compiler.int_vars.items()),
-        environment_index=len(kept),
     )
     problems = validate(net)
     if problems:

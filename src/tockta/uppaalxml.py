@@ -1,15 +1,14 @@
 """UPPAAL 4.x flat-XML serialisation and loading.
 
 ``emit`` is deterministic: structurally equal networks produce
-byte-identical documents.  A channel's kind travels in its name
-(``tamodel.kind_from_name``) and the environment is the first automaton
-with one location that sends ``tock``; ``emit`` refuses a network that
-these rules would read back otherwise, so ``load(emit(net))`` recovers
-the network exactly.  Foreign documents are accepted as long as they stay
-within the expression grammar this model supports (conjunctions of
-comparisons against integer constants, constant assignments, plain
-synchronisation labels) and give each transition at most one label of
-each kind.  What the model leaves out is refused, each with an error that
+byte-identical documents, and ``load(emit(net))`` recovers the network
+exactly.  The document declares no channel kinds and no environment: the
+model derives both, from the names (``tamodel.kind_from_name``) and the
+shapes (``tamodel.find_environment``).  Foreign documents are accepted as
+long as they stay within the expression grammar this model supports
+(conjunctions of comparisons against integer constants, constant
+assignments, plain synchronisation labels) and give each transition at
+most one label of each kind.  What the model leaves out is refused, each with an error that
 names it and where it is: a clock in the top-level declaration, an
 ``<urgent/>`` location, a non-blank invariant label, and a strict (``<``
 or ``>``) clock atom, on which integer time is not exact.  Locations get
@@ -41,7 +40,6 @@ from .tamodel import (
     NetworkModel,
     SyncLabel,
     TimedAutomaton,
-    kind_from_name,
     validate,
 )
 
@@ -88,10 +86,8 @@ def emit(net: NetworkModel) -> str:
     """Serialise a validated network to UPPAAL flat XML text.
 
     Raises ``ValueError`` for what ``load`` could not read back: a channel,
-    integer variable or clock name that is not a word, a channel whose name
-    tells another kind than it has, an automaton name that is empty or has
-    surrounding whitespace (``load`` strips it), or an environment other
-    than the one the shape rule finds (``_environment_index``)."""
+    integer variable or clock name that is not a word, or an automaton
+    name that is empty or has surrounding whitespace (``load`` strips it)."""
     _check_readable(net)
     return "\n".join(_lines(net)) + "\n"
 
@@ -104,23 +100,9 @@ def _check_readable(net: NetworkModel) -> None:
     for what, name in words:
         if not _WORD_RE.fullmatch(name):
             raise ValueError(f"{what} name {name!r} is not a word (letters, digits, underscores)")
-    for decl in net.channels:
-        if (named := kind_from_name(decl.name)) is not decl.kind:
-            raise ValueError(f"channel {decl.name!r} is {decl.kind.value!r}, but its name says {named.value!r}")
     for ta in net.automata:
         if not ta.name or ta.name != ta.name.strip():
             raise ValueError(f"automaton name {ta.name!r} is empty or has surrounding whitespace")
-    if (found := _environment_index(net.automata)) != net.environment_index:
-        raise ValueError(f"environment index {net.environment_index}, but the shape rule finds {found}")
-
-
-def _environment_index(automata) -> int:
-    """How ``load`` finds the environment: the index of the first automaton
-    with one location and an edge that sends ``tock``, or -1."""
-    for i, ta in enumerate(automata):
-        if len(ta.locations) == 1 and SyncLabel("tock", "send") in (e.sync for e in ta.edges):
-            return i
-    return -1
 
 
 def _lines(net: NetworkModel):
@@ -356,17 +338,12 @@ def _load(document: str) -> NetworkModel:
     channels_raw, int_vars = loaded.get(decl_node) or _root_declaration(
         decl_node.text or "" if decl_node is not None else ""
     )
-    channels = tuple(ChannelDecl(name, mode, kind_from_name(name)) for name, mode in channels_raw)
+    channels = tuple(ChannelDecl(name, mode) for name, mode in channels_raw)
     automata = [loaded.get(t) or _load_template(t, syncs, assignments, per_clocks) for t in templates]
 
     if not automata:
         raise XmlLoadError("document contains no templates")
-    net = NetworkModel(
-        automata=tuple(automata),
-        channels=channels,
-        int_vars=tuple(int_vars),
-        environment_index=_environment_index(automata),
-    )
+    net = NetworkModel(automata=tuple(automata), channels=channels, int_vars=tuple(int_vars))
     problems = validate(net)
     if problems:
         raise XmlLoadError("invalid network: " + "; ".join(str(p) for p in problems[:5]))

@@ -260,12 +260,7 @@ def test_prove_stop_base_catches_a_removed_tock_loop():
         stop_ta.clocks,
         tuple(e for e in stop_ta.edges if not (e.source == e.target == "s1")),
     )
-    broken = NetworkModel(
-        (mutated,) + net.automata[1:],
-        net.channels,
-        net.int_vars,
-        net.environment_index,
-    )
+    broken = NetworkModel((mutated,) + net.automata[1:], net.channels, net.int_vars)
     report = prove_stop_base(3, net=broken)
     assert not report.passed
     assert report.failures[0] == (1, "erased-equality")

@@ -135,8 +135,13 @@ def test_syntax_error_carries_position():
         ("P = STOP\n  R = c -> $", (2, 12)),
         # a continuation after a comment and a blank line keeps its line
         ("P = a ->\n-- note\n\n  b -> STOP )", (4, 13)),
+        # end of input stands just after the last token, on any line
+        ("P = a ->   ", (1, 9)),
+        ("P = b -> STOP\n  [] a ->   ", (2, 10)),
+        ("P = b -> STOP\n  [] a ->", (2, 10)),
+        ("P = b -> STOP\n  [] a ->   -- c", (2, 10)),
     ],
-    ids=["unclosed", "trailing", "indented", "continued"],
+    ids=["unclosed", "trailing", "indented", "continued", "end-first", "end-blanks", "end-bare", "end-comment"],
 )
 def test_syntax_errors_report_file_positions(source, position):
     with pytest.raises(CspSyntaxError) as err:

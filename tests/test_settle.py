@@ -15,7 +15,6 @@ from tockta.parser import parse, parse_file
 from tockta.tamodel import (
     Assignment,
     ChannelDecl,
-    ChannelKind,
     Edge,
     GuardExpr,
     IntAtom,
@@ -159,7 +158,7 @@ def test_every_settled_hand_off_is_globally_confluent(spec):
 
 
 # Hand-built networks.  A sends the visible x, then hands off on the
-# urgent flow channel h to B, which then sends z.  Env receives every
+# urgent flow channel startIDh to B, which then sends z.  Env receives every
 # visible channel.  Each variant adds one hazard that must stop settling.
 
 def _ta(name, edges, initial="s0", committed=()):
@@ -173,30 +172,30 @@ def _edge(source, target, channel=None, direction="send", guard=None, updates=()
     return Edge(source, target, GuardExpr(tuple(guard)) if guard else None, sync, tuple(updates))
 
 
-A = _ta("A", [_edge("s0", "s1", "x"), _edge("s1", "s2", "h")])
-B = _ta("B", [_edge("s0", "s1", "h", "receive"), _edge("s1", "s2", "z")])
+A = _ta("A", [_edge("s0", "s1", "x"), _edge("s1", "s2", "startIDh")])
+B = _ta("B", [_edge("s0", "s1", "startIDh", "receive"), _edge("s1", "s2", "z")])
 #: A broadcasts go instead of sending x, and receives k after the hand-off
-A_GO_K = _ta("A", [_edge("s0", "s1", "go"), _edge("s1", "s2", "h"), _edge("s2", "s3", "k", "receive")])
+A_GO_K = _ta("A", [_edge("s0", "s1", "go"), _edge("s1", "s2", "startIDh"), _edge("s2", "s3", "k", "receive")])
 #: on go, moves on to the committed c1, where it sends k
 C_GO_K = _ta("C", [_edge("s0", "s1", "go", "receive"), _edge("s1", "c1"), _edge("c1", "s2", "k")], committed=("c1",))
 
 
-def _network(a=A, b=B, *extra, broadcasts=(), flows=("h",), unheard=(), ints=()):
+def _network(a=A, b=B, *extra, broadcasts=(), flows=("startIDh",), unheard=(), ints=()):
     """A, B and ``extra``, and Env receiving every binary channel but the
     ``unheard`` ones."""
     automata = [a, b, *extra]
     sent = {e.sync.channel for ta in automata for e in ta.edges if e.sync and e.sync.direction == "send"}
     visible = sorted(sent - set(flows) - set(broadcasts) - set(unheard))
     automata.append(_ta("Env", [_edge("s0", "s0", c, "receive") for c in visible]))
-    channels = [ChannelDecl(c, "binary", ChannelKind.USER_EVENT) for c in [*visible, *unheard]]
-    channels += [ChannelDecl(c, "broadcast", ChannelKind.USER_EVENT) for c in broadcasts]
-    channels += [ChannelDecl(c, "urgent-binary", ChannelKind.FLOW) for c in flows]
-    return NetworkModel(tuple(automata), tuple(channels), tuple(ints), environment_index=len(automata) - 1)
+    channels = [ChannelDecl(c, "binary") for c in [*visible, *unheard]]
+    channels += [ChannelDecl(c, "broadcast") for c in broadcasts]
+    channels += [ChannelDecl(c, "urgent-binary") for c in flows]
+    return NetworkModel(tuple(automata), tuple(channels), tuple(ints))
 
 
 #: (b) a hand-off send whose guard only the visible t makes true
 GUARDED_SEND = _network(
-    _ta("A", [_edge("s0", "s1", "x"), _edge("s1", "s2", "h", guard=[IntAtom(("g",), "==", 1)])]),
+    _ta("A", [_edge("s0", "s1", "x"), _edge("s1", "s2", "startIDh", guard=[IntAtom(("g",), "==", 1)])]),
     B,
     _ta("T", [_edge("s0", "s1", "t", updates=[Assignment("g", 1)])]),
     ints=(("g", 0),),
@@ -239,23 +238,23 @@ def test_a_plain_hand_off_settles():
 @pytest.mark.parametrize(
     "net",
     [
-        # (c) a second automaton that can receive h
-        _network(A, B, _ta("B2", [_edge("s0", "s1", "h", "receive"), _edge("s1", "s2", "w")])),
-        # (d) a second sender of h, enabled only after a silent move
-        _network(A, B, _ta("A2", [_edge("s0", "s1"), _edge("s1", "s2", "h"), _edge("s2", "s3", "v")])),
-        # (d) a second sender of h, enabled now
-        _network(A, B, _ta("A2", [_edge("s0", "s1", "h"), _edge("s1", "s2", "v")])),
+        # (c) a second automaton that can receive startIDh
+        _network(A, B, _ta("B2", [_edge("s0", "s1", "startIDh", "receive"), _edge("s1", "s2", "w")])),
+        # (d) a second sender of startIDh, enabled only after a silent move
+        _network(A, B, _ta("A2", [_edge("s0", "s1"), _edge("s1", "s2", "startIDh"), _edge("s2", "s3", "v")])),
+        # (d) a second sender of startIDh, enabled now
+        _network(A, B, _ta("A2", [_edge("s0", "s1", "startIDh"), _edge("s1", "s2", "v")])),
         # (e) a broadcast without guard that moves B after the hand-off only
         _network(
             A,
-            _ta("B", [_edge("s0", "s1", "h", "receive"), _edge("s1", "s2", "z"), _edge("s1", "s3", "bc", "receive")]),
+            _ta("B", [_edge("s0", "s1", "startIDh", "receive"), _edge("s1", "s2", "z"), _edge("s1", "s3", "bc", "receive")]),
             _ta("S", [_edge("s0", "s0", "bc")]),
             broadcasts=("bc",),
         ),
         # (e) the same broadcast, guarded by g==1, which g:=1 makes true
         _network(
             A,
-            _ta("B", [_edge("s0", "s1", "h", "receive"), _edge("s1", "s2", "z"), _edge("s1", "s3", "bc", "receive")]),
+            _ta("B", [_edge("s0", "s1", "startIDh", "receive"), _edge("s1", "s2", "z"), _edge("s1", "s3", "bc", "receive")]),
             _ta("S", [_edge("s0", "s0", "bc", guard=[IntAtom(("g",), "==", 1)])]),
             _ta("T", [_edge("s0", "s1", updates=[Assignment("g", 1)])]),
             broadcasts=("bc",),
@@ -268,7 +267,7 @@ def test_a_plain_hand_off_settles():
             _ta(
                 "B",
                 [
-                    _edge("s0", "s1", "h", "receive"),
+                    _edge("s0", "s1", "startIDh", "receive"),
                     _edge("s1", "s1", "bc", "receive", updates=[Assignment("g", 1)]),
                     _edge("s1", "s2", "w", guard=[IntAtom(("g",), "==", 0)]),
                 ],
@@ -279,18 +278,18 @@ def test_a_plain_hand_off_settles():
         ),
         # (b) a send whose guard only the visible t makes true
         GUARDED_SEND,
-        # (d) a second sender of h, enabled once it receives r, which R sends
+        # (d) a second sender of startIDh, enabled once it receives r, which R sends
         _network(
             A,
             B,
-            _ta("A2", [_edge("s0", "s1", "r", "receive"), _edge("s1", "s2", "h"), _edge("s2", "s3", "v")]),
+            _ta("A2", [_edge("s0", "s1", "r", "receive"), _edge("s1", "s2", "startIDh"), _edge("s2", "s3", "v")]),
             _ta("R", [_edge("s0", "s1", "r")]),
             unheard=("r",),
         ),
         # (a) the move that makes the hand-off pending leaves C committed
         # where nothing can take it on: the hand-off waits for ever
         _network(
-            _ta("A", [_edge("s0", "s1", "go", "receive"), _edge("s1", "s2", "h")]),
+            _ta("A", [_edge("s0", "s1", "go", "receive"), _edge("s1", "s2", "startIDh")]),
             B,
             _ta("C", [_edge("s0", "c1", "go", "receive"), _edge("c1", "s0", "never", "receive")], committed=("c1",)),
             _ta("S", [_edge("s0", "s1", "go")]),
@@ -344,7 +343,7 @@ def test_a_hazard_stops_settling(net):
 def test_a_sender_that_can_always_move_may_still_hand_off():
     # A can move, or is committed, wherever it is, but stays put until its
     # hand-off fires
-    edges = [_edge("s0", "s1", "x"), _edge("s1", "s2", "h"), _edge("s2", "c1"), _edge("c1", "s0")]
+    edges = [_edge("s0", "s1", "x"), _edge("s1", "s2", "startIDh"), _edge("s2", "c1"), _edge("c1", "s0")]
     a = _ta("A", edges, committed=("c1",))
     net = _network(a)
     steps, _ = assert_settling_is_exact(net, 4)
@@ -360,10 +359,10 @@ def test_the_committed_hazard_is_a_timelock_only_before_the_hand_off():
 
 
 def test_a_cycle_of_hand_offs_stops_and_keeps_a_configuration():
-    # after x, A and B hand h1 and h2 back and forth for ever
-    a = _ta("A", [_edge("s0", "a0", "x"), _edge("a0", "a1", "h1"), _edge("a1", "a0", "h2", "receive")])
-    b = _ta("B", [_edge("b0", "b1", "h1", "receive"), _edge("b1", "b0", "h2")], initial="b0")
-    steps, stuck = assert_settling_is_exact(_network(a, b, flows=("h1", "h2")), 3)
+    # after x, A and B hand startIDh1 and startIDh2 back and forth for ever
+    a = _ta("A", [_edge("s0", "a0", "x"), _edge("a0", "a1", "startIDh1"), _edge("a1", "a0", "startIDh2", "receive")])
+    b = _ta("B", [_edge("b0", "b1", "startIDh1", "receive"), _edge("b1", "b0", "startIDh2")], initial="b0")
+    steps, stuck = assert_settling_is_exact(_network(a, b, flows=("startIDh1", "startIDh2")), 3)
     assert steps and stuck  # time never passes the urgent pairs again
 
 
@@ -418,9 +417,9 @@ def assert_only_moves(net, moves):
 
 
 #: X sends the visible x into the committed c1, whence it sends on the
-#: urgent flow channel h
-X_COMMITS = _ta("X", [_edge("s0", "c1", "x"), _edge("c1", "s1", "h")], committed=("c1",))
-R1 = _ta("R1", [_edge("s0", "s1", "h", "receive"), _edge("s1", "s2", "y")])
+#: urgent flow channel startIDh
+X_COMMITS = _ta("X", [_edge("s0", "c1", "x"), _edge("c1", "s1", "startIDh")], committed=("c1",))
+R1 = _ta("R1", [_edge("s0", "s1", "startIDh", "receive"), _edge("s1", "s2", "y")])
 
 
 @pytest.mark.parametrize(
@@ -454,17 +453,17 @@ def test_every_fired_committed_move_is_the_only_move():
     "net, stuck",
     [
         # a hidden send that two automata can receive: a choice
-        (_network(X_COMMITS, R1, _ta("R2", [_edge("s0", "s1", "h", "receive"), _edge("s1", "s2", "z")])), False),
+        (_network(X_COMMITS, R1, _ta("R2", [_edge("s0", "s1", "startIDh", "receive"), _edge("s1", "s2", "z")])), False),
         # two automata committed at once, each with one hidden send
         (
             _network(
-                _ta("X1", [_edge("s0", "c1", "go", "receive"), _edge("c1", "s1", "h")], committed=("c1",)),
+                _ta("X1", [_edge("s0", "c1", "go", "receive"), _edge("c1", "s1", "startIDh")], committed=("c1",)),
                 R1,
-                _ta("X2", [_edge("s0", "c1", "go", "receive"), _edge("c1", "s1", "h2")], committed=("c1",)),
-                _ta("R2", [_edge("s0", "s1", "h2", "receive"), _edge("s1", "s2", "z")]),
+                _ta("X2", [_edge("s0", "c1", "go", "receive"), _edge("c1", "s1", "startIDh2")], committed=("c1",)),
+                _ta("R2", [_edge("s0", "s1", "startIDh2", "receive"), _edge("s1", "s2", "z")]),
                 _ta("S", [_edge("s0", "s1", "go")]),
                 broadcasts=("go",),
-                flows=("h", "h2"),
+                flows=("startIDh", "startIDh2"),
             ),
             False,
         ),
@@ -475,10 +474,10 @@ def test_every_fired_committed_move_is_the_only_move():
             _network(
                 _ta(
                     "X",
-                    [_edge("s0", "c1", "x", guard=[IntAtom(("g",), "==", 0)]), _edge("c1", "s1", "h")],
+                    [_edge("s0", "c1", "x", guard=[IntAtom(("g",), "==", 0)]), _edge("c1", "s1", "startIDh")],
                     committed=("c1",),
                 ),
-                _ta("R1", [_edge("s0", "s1", "y", updates=[Assignment("g", 1)]), _edge("s1", "s2", "h", "receive")]),
+                _ta("R1", [_edge("s0", "s1", "y", updates=[Assignment("g", 1)]), _edge("s1", "s2", "startIDh", "receive")]),
                 ints=(("g", 0),),
             ),
             True,
@@ -661,7 +660,7 @@ def test_the_compiled_hand_off_test_agrees_with_the_reference(workloads):
     # hand-built: a committed automaton that waits, one that can move, and
     # a sum that can or cannot reach its count first
     committed_now = _network(
-        _ta("A", [_edge("s0", "s1", "go", "receive"), _edge("s1", "s2", "h")]),
+        _ta("A", [_edge("s0", "s1", "go", "receive"), _edge("s1", "s2", "startIDh")]),
         B,
         _ta("C", [_edge("s0", "c1", "go", "receive"), _edge("c1", "s0", "never", "receive")], committed=("c1",)),
         _ta("S", [_edge("s0", "s1", "go")]),

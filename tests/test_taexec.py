@@ -19,7 +19,6 @@ from tockta.semantics import BoundExceeded, csp_traces
 from tockta.tamodel import (
     Assignment,
     ChannelDecl,
-    ChannelKind,
     ClockAtom,
     Edge,
     GuardExpr,
@@ -111,7 +110,7 @@ def test_committed_location_blocks_unrelated_steps():
     idle_ta = TimedAutomaton(
         "I", (Location("s0"), Location("s1")), "s0", (), (Edge("s0", "s1"),)
     )
-    net = NetworkModel((committed_ta, idle_ta), (), (), environment_index=0)
+    net = NetworkModel((committed_ta, idle_ta), (), ())
     assert spelled_steps(net, initial_configuration(net)) == ([(None, ((0, 0),))], False)
 
 
@@ -183,12 +182,7 @@ def test_broadcast_fires_with_zero_receivers():
         (),
         (Edge("s0", "s1", sync=SyncLabel("shout", "send")),),
     )
-    net = NetworkModel(
-        (sender,),
-        (ChannelDecl("shout", "broadcast", ChannelKind.USER_EVENT),),
-        (),
-        environment_index=0,
-    )
+    net = NetworkModel((sender,), (ChannelDecl("shout", "broadcast"),), ())
     assert ("shout", ((0, 0),)) in spelled_steps(net, initial_configuration(net))[0]
 
 
@@ -301,7 +295,7 @@ def _silent_chain(kinds, final):
     locations = tuple(Location(f"s{i}", kind) for i, kind in enumerate(kinds))
     edges = tuple(Edge(f"s{i}", f"s{i + 1}") for i in range(len(kinds) - 1))
     ta = TimedAutomaton("T", locations, "s0", (), edges)
-    return NetworkModel((ta,), (), (), environment_index=0)
+    return NetworkModel((ta,), (), ())
 
 
 def test_timelock_reports_a_dead_committed_location():
@@ -417,7 +411,8 @@ def reference_enabled_steps(net, cfg):
 
     moves, sends, receives, committed, urgent = [], {}, {}, set(), False
     for ai, ta in enumerate(net.automata):
-        if ta.location(cfg.locations[ai]).kind is LocationKind.COMMITTED:
+        (location,) = (loc for loc in ta.locations if loc.id == cfg.locations[ai])
+        if location.kind is LocationKind.COMMITTED:
             committed.add(ai)
         for ei, edge in enumerate(ta.edges):
             if edge.source == cfg.locations[ai] and (edge.guard is None or all_hold(ai, edge.guard.atoms)):
@@ -426,8 +421,9 @@ def reference_enabled_steps(net, cfg):
                 else:
                     side = sends if edge.sync.direction == "send" else receives
                     side.setdefault(edge.sync.channel, []).append((ai, ei))
+    modes = {decl.name: decl.mode for decl in net.channels}
     for channel, senders in sends.items():
-        mode = net.channel(channel).mode if net.channel(channel) else "binary"
+        mode = modes.get(channel, "binary")
         for ai, ei in senders:
             others = [(rj, re) for rj, re in receives.get(channel, ()) if rj != ai]
             if mode == "broadcast":
@@ -522,11 +518,11 @@ def _mixed_network(y_guard=ClockAtom("y", ">=", 1), g_guard=ClockAtom("g", ">=",
         ),
     )
     channels = (
-        ChannelDecl("bin", "binary", ChannelKind.USER_EVENT),
-        ChannelDecl("urg", "urgent-binary", ChannelKind.USER_EVENT),
-        ChannelDecl("bc", "broadcast", ChannelKind.USER_EVENT),
+        ChannelDecl("bin", "binary"),
+        ChannelDecl("urg", "urgent-binary"),
+        ChannelDecl("bc", "broadcast"),
     )
-    return NetworkModel((sender, receiver, bystander), channels, (("a", 0), ("b", 1)), 0)
+    return NetworkModel((sender, receiver, bystander), channels, (("a", 0), ("b", 1)))
 
 
 def every_reachable_configuration(net, *, state_cap=2_500, max_depth=20):
@@ -578,7 +574,7 @@ def _over_assigning_network():
             Edge("s1", "s0", GuardExpr((ClockAtom("x", ">=", 1),))),
         ),
     )
-    return NetworkModel((ta,), (), (), 0)
+    return NetworkModel((ta,), (), ())
 
 
 def test_compiled_moves_equal_the_reference_steps_applied_and_capped():

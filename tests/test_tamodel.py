@@ -23,6 +23,7 @@ from tockta.tamodel import (
     SyncLabel,
     TimedAutomaton,
     erasure_set,
+    find_environment,
     kind_from_name,
     validate,
 )
@@ -47,17 +48,17 @@ def test_translated_ads_validates_cleanly():
 
 def test_unresolved_channel_is_reported():
     ta = tiny_ta(edges=[Edge("s0", "s0", sync=SyncLabel("ghost", "send"))])
-    net = NetworkModel((ta,), (), (), environment_index=0)
+    net = NetworkModel((ta,), (), ())
     messages = [str(d) for d in validate(net)]
     assert any("unresolved channel" in m for m in messages)
 
 
 def test_duplicate_channel_is_reported():
     chans = (
-        ChannelDecl("close___sync", "broadcast", ChannelKind.SYNCHRONISATION),
-        ChannelDecl("close___sync", "broadcast", ChannelKind.SYNCHRONISATION),
+        ChannelDecl("close___sync", "broadcast"),
+        ChannelDecl("close___sync", "broadcast"),
     )
-    net = NetworkModel((tiny_ta(),), chans, (), environment_index=0)
+    net = NetworkModel((tiny_ta(),), chans, ())
     messages = [str(d) for d in validate(net)]
     assert any("duplicate channel" in m for m in messages)
 
@@ -109,10 +110,10 @@ def test_erasure_set_of_translated_ads():
 
 def test_erasure_set_empty_without_coordination():
     chans = (
-        ChannelDecl("tock", "broadcast", ChannelKind.TOCK),
-        ChannelDecl("open", "binary", ChannelKind.USER_EVENT),
+        ChannelDecl("tock", "broadcast"),
+        ChannelDecl("open", "binary"),
     )
-    net = NetworkModel((tiny_ta(),), chans, (), environment_index=0)
+    net = NetworkModel((tiny_ta(),), chans, ())
     assert erasure_set(net) == frozenset()
 
 
@@ -127,6 +128,81 @@ def test_kind_metadata_agrees_with_reserved_name_patterns():
             assert (decl.name in erased) == (
                 inferred not in (ChannelKind.USER_EVENT, ChannelKind.TOCK)
             ), decl
+
+
+# One name of each shape kind_from_name knows, with the kind it tells.
+NAME_SHAPES = [
+    ("tock", ChannelKind.TOCK),
+    ("startIDP", ChannelKind.FLOW),
+    ("finishID0", ChannelKind.TERMINATING),
+    ("extID1", ChannelKind.EXT_CHOICE),
+    ("a_exch", ChannelKind.EXT_CHOICE),
+    ("intrpID1", ChannelKind.INTERRUPT),
+    ("a_intrpt", ChannelKind.INTERRUPT),
+    ("excpID1", ChannelKind.EXCEPTION),
+    ("close___sync", ChannelKind.SYNCHRONISATION),
+    ("itau", ChannelKind.HIDDEN_ITAU),
+    ("itau_a", ChannelKind.HIDDEN_ITAU),
+    ("open", ChannelKind.USER_EVENT),
+]
+
+
+# What ``dataclasses.replace`` raises for a field that ``__init__`` does
+# not take: ValueError up to Python 3.12, TypeError from 3.13.
+REPLACE_ERRORS = (ValueError, TypeError)
+
+
+@pytest.mark.parametrize("name, kind", NAME_SHAPES, ids=[name for name, _ in NAME_SHAPES])
+def test_a_channel_takes_the_kind_its_name_tells(name, kind):
+    decl = ChannelDecl(name, "broadcast")
+    assert decl.kind is kind_from_name(name) is kind
+    assert dataclasses.replace(decl, mode="binary").kind is kind
+    with pytest.raises(TypeError):
+        ChannelDecl(name, "binary", ChannelKind.USER_EVENT)
+    with pytest.raises(REPLACE_ERRORS, match="init=False"):
+        dataclasses.replace(decl, kind=ChannelKind.USER_EVENT)
+
+
+def env_shaped(name):
+    """One location with a ``tock!`` edge: the environment's shape."""
+    return tiny_ta(name, [Edge("s0", "s0", sync=SyncLabel("tock", "send"))])
+
+
+def test_the_environment_is_the_first_automaton_of_its_shape():
+    two_locations = tiny_ta("W", [Edge("s0", "s1", sync=SyncLabel("tock", "send"))], (Location("s0"), Location("s1")))
+    receiver = tiny_ta("R", [Edge("s0", "s0", sync=SyncLabel("tock", "receive"))])
+    for automata, index in [
+        ((), -1),
+        ((tiny_ta(), two_locations, receiver), -1),
+        ((tiny_ta(), env_shaped("E1"), env_shaped("E2")), 1),
+        ((env_shaped("E1"), tiny_ta()), 0),
+    ]:
+        net = NetworkModel(automata, (), ())
+        assert net.environment_index == find_environment(automata) == index
+    net = NetworkModel((tiny_ta(), env_shaped("E")), (), ())
+    assert net.environment().name == "E"
+    moved = dataclasses.replace(net, automata=(env_shaped("E"), tiny_ta(), env_shaped("F")))
+    assert moved.environment_index == 0
+    with pytest.raises(TypeError):
+        NetworkModel((env_shaped("E"),), (), (), 0)
+    with pytest.raises(REPLACE_ERRORS, match="init=False"):
+        dataclasses.replace(net, environment_index=0)
+    # validate's refusal is unchanged, and a translated network's
+    # environment is its last automaton
+    assert "no environment automaton designated" in map(str, validate(NetworkModel((tiny_ta(),), (), ())))
+    translated = assemble(ADS)
+    assert translated.environment_index == len(translated.automata) - 1
+
+
+def test_the_derived_fields_survive_pickle_and_copy():
+    net = assemble(ADS)
+    for copied in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net), copy.copy(net)):
+        assert copied == net and repr(copied) == repr(net)
+        assert copied.environment_index == net.environment_index >= 0
+        assert [c.kind for c in copied.channels] == [c.kind for c in net.channels]
+    for decl in net.channels:
+        for copied in (pickle.loads(pickle.dumps(decl)), copy.deepcopy(decl)):
+            assert copied == decl and copied.kind is decl.kind is kind_from_name(decl.name)
 
 
 # Names built around every shape kind_from_name or validate_event_name
