@@ -46,8 +46,6 @@ __all__ = [
 EQUAL_AT_STAGE1 = "EqualAtStage1"
 MISMATCH = "Mismatch"
 
-_WITNESS_LIMIT = 10
-
 
 @dataclass
 class ComparisonReport:
@@ -73,35 +71,27 @@ class ComparisonReport:
         )
 
 
-def compare_traces(
-    csp: TraceSet, ta: TraceSet, *, spec_id: str = "", millis: float = 0.0
-) -> ComparisonReport:
+def compare_traces(csp: TraceSet, ta: TraceSet, *, spec_id: str = "") -> ComparisonReport:
     """Equal exactly when the two sets are, decided on their subset graphs;
-    otherwise a mismatch with the first traces, in sorted order, that only
-    one side has."""
-    if csp.depth != ta.depth:
-        raise ValueError(f"depth mismatch: {csp.depth} vs {ta.depth}")
-    if csp == ta:
-        return ComparisonReport(spec_id, csp.depth, EQUAL_AT_STAGE1, (), millis)
-    witnesses = []
-    for trace in sorted(csp.traces - ta.traces)[:_WITNESS_LIMIT]:
-        witnesses.append(("csp", trace_to_text(trace)))
-    for trace in sorted(ta.traces - csp.traces)[:_WITNESS_LIMIT]:
-        witnesses.append(("ta", trace_to_text(trace)))
-    return ComparisonReport(spec_id, csp.depth, MISMATCH, tuple(witnesses), millis)
+    otherwise a mismatch whose witnesses are, for each side, the least trace
+    of the shortest differing length that only that side has."""
+    difference = csp.first_difference(ta) or ()
+    witnesses = tuple((side, trace_to_text(t)) for side, t in zip(("csp", "ta"), difference) if t is not None)
+    return ComparisonReport(spec_id, csp.depth, MISMATCH if difference else EQUAL_AT_STAGE1, witnesses)
 
 
 def check_spec(
     spec: CspSpec, depth: int, *, spec_id: str = "", net: NetworkModel | None = None
 ) -> ComparisonReport:
-    """Translate and compare both engines' bounded traces."""
+    """Translate and compare both engines' bounded traces, all of it timed."""
     begin = time.perf_counter()
     if net is None:
         net = assemble(spec)
     source = csp_traces(spec, depth)
     target = network_traces(net, depth)
-    millis = (time.perf_counter() - begin) * 1000.0
-    return compare_traces(source, target, spec_id=spec_id, millis=millis)
+    report = compare_traces(source, target, spec_id=spec_id)
+    report.millis = (time.perf_counter() - begin) * 1000.0
+    return report
 
 
 # --- systematic corpus ------------------------------------------------------

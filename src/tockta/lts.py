@@ -8,7 +8,7 @@ moves are never recorded and never count toward a depth bound.
 Bounded traces are a subset graph, and a :class:`TraceSet` is one:
 :func:`subset_graph` closes each state set that a trace shorter than the
 bound reaches, once, and keeps its visible moves.  A trace set compares
-by a walk over pairs of state sets, counts its traces path by path, and
+by one walk over pairs of state sets, counts its traces path by path, and
 unfolds them (its ``traces``) only when they are read.
 
 Each search memoises successors per state and raises
@@ -108,28 +108,38 @@ class TraceSet:
             traces.extend(level)
         return frozenset(traces)
 
-    def __eq__(self, other) -> bool:
-        """Same depth, and every pair of state sets that a common trace
-        reaches within it enables the same labels.  Breadth first, each
-        pair checked once."""
-        if not isinstance(other, TraceSet):
-            return NotImplemented
+    def first_difference(self, other: TraceSet) -> tuple | None:
+        """None when the two sets are equal, otherwise the least trace that
+        only ``self`` has and the least that only ``other`` has (or None),
+        of the shortest length at which they differ.  Breadth first over
+        pairs of state sets, each checked once; after a pair that enables
+        other labels, the levels to it are walked again in trace order."""
         if self.depth != other.depth:
-            return False
+            raise ValueError(f"depth mismatch: {self.depth} vs {other.depth}")
         level = seen = {(self.root, other.root)}
-        for _ in range(self.depth):
+        for length in range(self.depth):
             if any(self.moves[left].keys() != other.moves[right].keys() for left, right in level):
-                return False
+                break
             level = {
                 (t, other.moves[right][label])
                 for left, right in level
                 for label, t in self.moves[left].items()
             } - seen
             seen |= level
-        return True
-
-    def __hash__(self) -> int:
-        return hash((self.traces, self.depth))
+        else:
+            return None
+        least = {(self.root, other.root): ()}
+        for _ in range(length):
+            after: dict = {}
+            for (left, right), trace in sorted(least.items(), key=lambda item: item[1]):
+                for label in sorted(self.moves[left]):
+                    after.setdefault((self.moves[left][label], other.moves[right][label]), trace + (label,))
+            least = after
+        ends = [(trace, self.moves[left].keys(), other.moves[right].keys()) for (left, right), trace in least.items()]
+        return (
+            min((trace + (min(mine - theirs),) for trace, mine, theirs in ends if mine - theirs), default=None),
+            min((trace + (min(theirs - mine),) for trace, mine, theirs in ends if theirs - mine), default=None),
+        )
 
     def __len__(self) -> int:
         """The number of paths from the root, counted level by level; the

@@ -1,10 +1,12 @@
 import json
+import time
 from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
 import pytest
 
+from tockta import harness
 from tockta.cspast import (
     CspSpec,
     ExtChoice,
@@ -28,7 +30,7 @@ from tockta.harness import (
 )
 from tockta.lts import TraceSet
 from tockta.parser import parse, parse_file
-from tockta.semantics import csp_traces
+from tockta.semantics import csp_traces, trace_to_text
 from tockta.taexec import network_traces
 from tockta.tamodel import NetworkModel, TimedAutomaton
 from tockta.translate import TranslationError, assemble
@@ -47,6 +49,9 @@ THREE_CYCLES = parse(
     "P1 = a1 -> tock -> b1 -> P1\n"
     "P2 = a2 -> tock -> b2 -> P2\n"
 )
+FOUR_CYCLES = "MAIN = P0 ||| P1 ||| P2 ||| P3\n" + "".join(f"P{i} = a{i} -> tock -> b{i} -> P{i}\n" for i in range(4))
+# the same, but P3 runs its cycle once and stops
+FOUR_CYCLES_ONE_STOPPING = FOUR_CYCLES.replace("b3 -> P3", "b3 -> STOP")
 
 
 def ts(*traces, depth):
@@ -90,8 +95,30 @@ def test_an_interleaving_in_place_of_an_interrupt_is_caught():
     mutant = parse("P = ((a -> STOP) |~| (b -> STOP)) ||| (c -> STOP)")
     report = check_spec(spec, 5, net=assemble(mutant))
     assert report.verdict == MISMATCH and not report.passed
-    assert report.witnesses[:2] == (("ta", "c,a"), ("ta", "c,a,tock"))
-    assert all(side == "ta" for side, _ in report.witnesses)
+    assert report.witnesses == (("ta", "c,a"),)
+
+
+def test_a_choice_against_an_interrupt_names_the_least_witness():
+    """Either branch of the internal choice may be followed by ``c`` in the
+    network of the interrupt, so ``a,c`` and ``b,c`` are both only there:
+    the witness is the least, whichever the engines reach first, and the
+    CSP sets of the two processes give the same report."""
+    spec = parse("P = ((a -> STOP) |~| (b -> STOP)) [] (c -> STOP)")
+    mutant = parse("P = ((a -> STOP) |~| (b -> STOP)) /\\ (c -> STOP)")
+    expected = (MISMATCH, (("ta", "a,c"),))
+    report = check_spec(spec, 5, net=assemble(mutant))
+    assert (report.verdict, report.witnesses) == expected
+    report = compare_traces(csp_traces(spec, 5), csp_traces(mutant, 5))
+    assert (report.verdict, report.witnesses) == expected
+
+
+def test_millis_times_the_comparison_too(monkeypatch):
+    def slow_compare(*args, **kwargs):
+        time.sleep(0.05)
+        return compare_traces(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "compare_traces", slow_compare)
+    assert check_spec(parse("P = a -> STOP"), 2).millis >= 50
 
 
 def test_storage_order_is_irrelevant():
@@ -124,11 +151,27 @@ def _mutants(p):
     return out
 
 
+def least_witnesses(csp: frozenset, ta: frozenset) -> tuple:
+    """The witness rule on unfolded sets: at the shortest length where the
+    sets differ, the least trace of that length that only one side has,
+    for each side that has one, ``csp`` first."""
+    if csp == ta:
+        return ()
+    shortest = min(map(len, csp ^ ta))
+    only = (("csp", csp - ta), ("ta", ta - csp))
+    return tuple(
+        (side, trace_to_text(min(t for t in extra if len(t) == shortest)))
+        for side, extra in only
+        if any(len(t) == shortest for t in extra)
+    )
+
+
 def test_the_pair_walk_agrees_with_comparing_unfolded_traces():
     """Each corpus process against its own network and its mutants'
     networks: ``compare_traces`` decides on the engines' subset graphs; its
-    verdict must be the equality of the unfolded frozensets, and its report
-    the one it gives on trie copies of them."""
+    verdict must be the equality of the unfolded frozensets, its witnesses
+    the rule computed from them, and its report the one it gives on trie
+    copies of them."""
     networks = {}
     pairs = mismatches = 0
     for entry in generate_corpus():
@@ -145,6 +188,7 @@ def test_the_pair_walk_agrees_with_comparing_unfolded_traces():
                 continue
             walked = compare_traces(source, target)
             assert (walked.verdict == EQUAL_AT_STAGE1) == (source.traces == target.traces)
+            assert walked.witnesses == least_witnesses(source.traces, target.traces)
             copies = [trie_graph(x.traces, x.depth) for x in (source, target)]
             unfolded = compare_traces(*copies)
             assert (walked.verdict, walked.witnesses) == (unfolded.verdict, unfolded.witnesses)
@@ -173,6 +217,27 @@ def test_check_spec_on_an_equal_input_never_unfolds_a_trace_set(spec, depth, mon
     assert check_spec(spec, depth).verdict == EQUAL_AT_STAGE1
     assert calls == []
     assert len(csp_traces(spec, 2).traces) > 1 and calls == [2]  # the counter does see an unfold
+
+
+@pytest.mark.parametrize(
+    "source, network, depth, witnesses",
+    [
+        (FOUR_CYCLES, FOUR_CYCLES_ONE_STOPPING, 10, (("csp", "a3,tock,b3,a3"),)),
+        ("P = ((a -> SKIP) /\\ (b -> SKIP)) ; P", None, 5, (("csp", "b,a"),)),
+        ("P = (a -> STOP) /\\ (c -> STOP)", "P = (a -> STOP) ||| (c -> STOP)", 5, (("ta", "c,a"),)),
+    ],
+    ids=["four-cycles-one-stopping", "interrupt-loop", "interleaving-for-interrupt"],
+)
+def test_check_spec_on_a_mismatch_never_unfolds_a_trace_set(source, network, depth, witnesses, monkeypatch):
+    """The shortest witness comes from the pair walk alone: the stopping
+    variant of four cycles differs from four cycles at length 4, long
+    before depth 10, where the two sets hold over a million traces."""
+    spec = parse(source)
+    net = assemble(parse(network)) if network else None
+    calls = _count_unfolds(monkeypatch)
+    report = check_spec(spec, depth, net=net)
+    assert (report.verdict, report.witnesses) == (MISMATCH, witnesses)
+    assert calls == []
 
 
 def test_counting_traces_never_unfolds(monkeypatch):

@@ -259,8 +259,9 @@ def test_an_explicit_set_must_be_a_bounded_trace_set(traces, depth, why):
 
 
 def test_trace_sets_are_equal_exactly_when_traces_and_depth_are():
-    """Engine-built and explicit (trie) sets alike: equal under ``==``,
-    with equal hashes, exactly when their traces and depths are equal."""
+    """Engine-built and explicit (trie) sets alike: the pair walk finds no
+    difference exactly when their traces are equal, and refuses to compare
+    sets of different depths."""
     specs = [parse("P = a -> STOP"), parse("P = a -> SKIP"), parse("P = (a -> STOP) [] (b -> STOP)")]
     sets = []
     for spec in specs:
@@ -268,12 +269,17 @@ def test_trace_sets_are_equal_exactly_when_traces_and_depth_are():
             built = [csp_traces(spec, depth), network_traces(assemble(spec), depth)]
             sets += built + [trie_graph(built[0].traces, depth)]
     sets += [trie_graph({()}, 0), trie_graph({()}, 1)]
+    equal = 0
     for x in sets:
         for y in sets:
-            same = (x.traces, x.depth) == (y.traces, y.depth)
-            assert (x == y) == same
-            assert not same or hash(x) == hash(y)
-    assert sum(x == y for x in sets for y in sets) > len(sets)
+            if x.depth != y.depth:
+                with pytest.raises(ValueError, match="depth mismatch"):
+                    x.first_difference(y)
+                continue
+            same = x.first_difference(y) is None
+            assert same == (x.traces == y.traces)
+            equal += same
+    assert equal > len(sets)
 
 
 # --- randomised properties ---------------------------------------------------

@@ -78,7 +78,7 @@ def settled_steps(net, depth):
 def assert_settling_is_exact(net, depth):
     traces, stuck, steps = settled_steps(net, depth)
     full_traces, full_stuck = full_search(net, depth)
-    assert traces == full_traces
+    assert traces.first_difference(full_traces) is None
     assert set(stuck) <= set(full_stuck) and bool(stuck) == bool(full_stuck)
     return steps, stuck
 
@@ -399,7 +399,7 @@ def committed_moves(net, depth):
     finally:
         del rt._settle, rt._only_move
     full_traces, full_stuck = full_search(net, depth)
-    assert traces == full_traces
+    assert traces.first_difference(full_traces) is None
     assert set(stuck) <= set(full_stuck) and bool(stuck) == bool(full_stuck)
     return moves, stuck
 
