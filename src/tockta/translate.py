@@ -19,8 +19,9 @@ hidden, or a participant of the innermost scope synchronising on it; a
 group that can fire joins an enclosing such scope as one participant.
 
 Every small automaton returns to its inert initial location after its
-contribution, so recursive definitions close the loop simply by reusing
-the flow channel allocated when the definition was first translated.
+contribution, so recursion re-enters a definition on the start channel
+allocated when it was first translated: a prefix hands off on it, every
+other re-entry goes through a relay automaton.
 
 Timing lives on the environment automaton: its ``tock`` broadcast is
 guarded ``ck>=1`` and resets ``ck``, so one tock is at least one time
@@ -170,7 +171,7 @@ class _Unit:
     tas: list[_TaBuilder] = field(default_factory=list)
     slots: list[_Slot] = field(default_factory=list)
     blockable: list[tuple[_TaBuilder, str]] = field(default_factory=list)
-    # a relay back into an expansion on the stack, under wrappers at most
+    # a relay back into an expansion on the stack, bare or under wrappers
     looped: bool = False
 
     def absorb(self, other: "_Unit", opening: bool = True) -> None:
@@ -339,8 +340,8 @@ class _Compiler:
         key = self.loop_key(p.name, ctx)
         looped = self.active.get(key)
         if looped is not None:
-            # A wrapped reference re-entered its own expansion: relay the
-            # fresh flow action onto the loop entry.
+            # A reference re-entered its own expansion: relay the fresh
+            # flow action onto the loop entry.
             b = _TaBuilder()
             s0 = b.add_loc()
             s1 = b.add_loc(LocationKind.COMMITTED)
@@ -358,17 +359,11 @@ class _Compiler:
         finally:
             del self.active[key]
 
-    def _loop_target(self, p: CspProcess, ctx: _Ctx) -> str | None:
-        """Flow channel to reuse when ``p`` is a reference back into an
-        expansion currently on the stack."""
-        if isinstance(p, Ref):
-            return self.active.get(self.loop_key(p.name, ctx))
-        return None
-
     def _compile_cont(self, p: CspProcess, ctx: _Ctx) -> tuple[str, _Unit]:
-        """Continuation start channel plus its compiled unit (empty on loop)."""
-        looped = self._loop_target(p, ctx)
-        if looped is not None:
+        """Continuation start channel plus its compiled unit (empty when the
+        prefix hands off straight to an expansion on the stack)."""
+        looped = isinstance(p, Ref) and self.active.get(self.loop_key(p.name, ctx))
+        if looped:
             return looped, _Unit()
         info = self.alloc_numbered("startID", ctx.branch, ctx)
         return info.channel, self.compile(p, ctx, info)
@@ -395,30 +390,29 @@ class _Compiler:
     def _operands(self, p, ctx: _Ctx, finishes: tuple, view: View, left_markers: tuple = (), scope=None) -> list:
         """Compile both operands of a binary construct under ``view``, as
         (entry flow action, fresh finish, unit) per side.  ``finishes`` holds
-        each one's termination channel, or None for a fresh ``finishID`` (only
-        an operand with a given finish can be a loop re-entry, which needs
-        no automata).  Both entries are numbered first, then the fresh
-        finishes; then left and right are compiled, as ``scope``'s sides."""
+        each one's termination channel, or None for a fresh ``finishID`` (an
+        operand that loops back into its expansion does so via a relay).  Both
+        entries are numbered first, then the fresh finishes; then left and
+        right are compiled, as ``scope``'s sides."""
         sides = []
         for digit, q, finish, markers in (
             ("0", p.left, finishes[0], ctx.markers + left_markers),
             ("1", p.right, finishes[1], ctx.markers),
         ):
             child = _Ctx(ctx.branch + digit, 0, finish, view, markers)
-            looped = finish and self._loop_target(q, child)
-            info = None if looped else self.alloc_numbered("startID", child.branch, ctx)
-            child.counter = info.counter + 1 if info else 0
-            sides.append((q, child, info, looped or info.channel))
+            info = self.alloc_numbered("startID", child.branch, ctx)
+            child.counter = info.counter + 1
+            sides.append((q, child, info))
         fresh = [
             None if child.finish else self.alloc_numbered("finishID", child.branch, ctx)
-            for _, child, _, _ in sides
+            for _, child, _ in sides
         ]
         out = []
-        for side, (q, child, info, entry), fin in zip("LR", sides, fresh):
+        for side, (q, child, info), fin in zip("LR", sides, fresh):
             child.finish = child.finish or fin.channel
             if scope is not None:
                 scope.side = side
-            out.append((entry, fin, self.compile(q, child, info) if info else _Unit()))
+            out.append((info.channel, fin, self.compile(q, child, info)))
         return out
 
     # individual constructs
@@ -479,9 +473,6 @@ class _Compiler:
         return self._then(unit, p, ctx, start)
 
     def _compile_seq(self, p: Seq, ctx: _Ctx, start: _StartInfo) -> _Unit:
-        looped = self._loop_target(p.right, ctx)
-        if looped is not None:
-            return self.compile(p.left, _Ctx(ctx.branch, ctx.counter, looped, ctx.view, ctx.markers), start)
         handover = self.alloc_numbered("finishID", ctx.branch, ctx)
         left_ctx = _Ctx(ctx.branch, ctx.counter, handover.channel, ctx.view, ctx.markers)
         left = self.compile(p.left, left_ctx, start)
@@ -557,9 +548,9 @@ class _Compiler:
         s1 = b.add_loc(LocationKind.COMMITTED)
         s2 = b.add_loc(LocationKind.COMMITTED)
         (start_l, _, left), (start_r, _, right) = self._operands(p, ctx, (ctx.finish, ctx.finish), ctx.view)
-        if not (left.tas and right.tas) or left.looped or right.looped:
-            # an operand that is itself a loop entry, bare or under wrappers,
-            # starts with no event of its own for the choice to gate
+        if left.looped or right.looped:
+            # an operand that is itself a loop's relay starts with no event
+            # of its own for the choice to gate
             raise TranslationError("an external-choice operand that loops back into its expansion cannot be gated")
         picked = self.new_var(f"pick{start.branch}_{start.counter}")
         # re-arming the choice (recursion) re-opens it

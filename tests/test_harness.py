@@ -223,7 +223,7 @@ def test_check_spec_on_an_equal_input_never_unfolds_a_trace_set(spec, depth, mon
     "source, network, depth, witnesses",
     [
         (FOUR_CYCLES, FOUR_CYCLES_ONE_STOPPING, 10, (("csp", "a3,tock,b3,a3"),)),
-        ("P = ((a -> SKIP) /\\ (b -> SKIP)) ; P", None, 5, (("csp", "b,a"),)),
+        ("P = ((a -> SKIP) /\\ (b -> SKIP)) ; P", "P = ((a -> SKIP) /\\ (b -> STOP)) ; P", 5, (("csp", "b,a"),)),
         ("P = (a -> STOP) /\\ (c -> STOP)", "P = (a -> STOP) ||| (c -> STOP)", 5, (("ta", "c,a"),)),
     ],
     ids=["four-cycles-one-stopping", "interrupt-loop", "interleaving-for-interrupt"],
@@ -233,7 +233,7 @@ def test_check_spec_on_a_mismatch_never_unfolds_a_trace_set(source, network, dep
     variant of four cycles differs from four cycles at length 4, long
     before depth 10, where the two sets hold over a million traces."""
     spec = parse(source)
-    net = assemble(parse(network)) if network else None
+    net = assemble(parse(network))
     calls = _count_unfolds(monkeypatch)
     report = check_spec(spec, depth, net=net)
     assert (report.verdict, report.witnesses) == (MISMATCH, witnesses)
