@@ -53,6 +53,7 @@ from .cspast import (
     wrap,
 )
 from .tamodel import (
+    _RELATIONS,
     Assignment,
     ChannelDecl,
     ClockAtom,
@@ -738,12 +739,16 @@ def _environment(events: frozenset[str], start_action: str, start_var: str, labe
 
 def _movable(tas: list[_TaBuilder], env: _TaBuilder) -> list[_TaBuilder]:
     """The automata of ``tas`` that may ever move in the network ``env``
-    closes, in order (a cone-of-influence reduction).  A worklist over
-    reached (automaton, location) pairs takes every silent or send edge from
-    a reached location, and a receive once some reached location sends on
-    its channel.  Guards are ignored, so every edge a run fires is taken:
-    the others stay in a normal initial location, which neither blocks time
-    nor commits, and dropping them maps reachable configurations one to one.
+    closes, in order (a cone-of-influence reduction).  A worklist over the
+    edges of reached (automaton, location) pairs takes an edge once each of
+    its integer atoms can hold and, for a receive, once some taken edge sends
+    on its channel.  Every variable starts at 0 and ranges over 0 and the
+    values taken edges assign to it: an atom that no combination of those
+    values satisfies waits under its variables and is retried when one of
+    their ranges grows.  Clock atoms are ignored.  So every edge a run fires
+    is taken: the others stay in a normal initial location, which neither
+    blocks time nor commits, and dropping them maps reachable configurations
+    one to one.
     """
     builders = [*tas, env]
     edges_from: list[dict[str, list[Edge]]] = []  # per automaton, by source
@@ -757,23 +762,54 @@ def _movable(tas: list[_TaBuilder], env: _TaBuilder) -> list[_TaBuilder]:
         edges_from.append(index)
     moves = [False] * len(builders)
     sent: set[str] = set()
-    parked: dict[str, list[tuple[int, str]]] = {}  # receives awaiting a sender
-    todo = [(i, "s0") for i in range(len(builders))]
+    ranges: dict[str, set[int]] = {}
+    # (automaton, edges) entries awaiting a sender, or a variable's value
+    receiving: dict[str, list[tuple[int, tuple[Edge]]]] = {}
+    guarded: dict[str, list[tuple[int, tuple[Edge]]]] = {}
+    todo = [(i, index.pop("s0", ())) for i, index in enumerate(edges_from)]
     while todo:
-        i, loc = todo.pop()
-        for edge in edges_from[i].pop(loc, ()):  # taken on the first visit only
+        i, edges = todo.pop()
+        for edge in edges:
+            atom = edge.guard and _blocking(edge.guard, ranges)
+            if atom:
+                for var in atom.variables:
+                    guarded.setdefault(var, []).append((i, (edge,)))
+                continue
             sync = edge.sync
             if sync is not None and sync.channel not in sent:
                 if sync.direction == "receive":
-                    parked.setdefault(sync.channel, []).append((i, edge.target))
+                    receiving.setdefault(sync.channel, []).append((i, (edge,)))
                     continue
                 sent.add(sync.channel)
-                for j, target in parked.pop(sync.channel, ()):
-                    moves[j] = True
-                    todo.append((j, target))
+                todo += receiving.pop(sync.channel, ())
+            for update in edge.updates:
+                values = ranges.get(update.target)
+                if values is None:
+                    values = ranges[update.target] = {0}
+                if update.value not in values:
+                    values.add(update.value)
+                    todo += guarded.pop(update.target, ())
             moves[i] = True
-            todo.append((i, edge.target))
+            if edge.target in edges_from[i]:  # taken on the first visit only
+                todo.append((i, edges_from[i].pop(edge.target)))
     return [b for b, moved in zip(tas, moves) if moved or b.loc_kinds[0] is not LocationKind.NORMAL]
+
+
+def _blocking(guard: GuardExpr, ranges: dict[str, set[int]]) -> IntAtom | None:
+    """The first integer atom of ``guard`` that no values in ``ranges``
+    satisfy (a missing variable holds 0), or None."""
+    for atom in guard.atoms:
+        if isinstance(atom, IntAtom):
+            sums = (0,)
+            for var in atom.variables:
+                sums = {s + v for s in sums for v in ranges.get(var, (0,))}
+            holds = _RELATIONS[atom.op]
+            for s in sums:
+                if holds(s, atom.const):
+                    break
+            else:
+                return atom
+    return None
 
 
 def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
@@ -823,10 +859,22 @@ def assemble(process_or_spec: CspSpec | CspProcess) -> NetworkModel:
     ]
     tas.append(env.freeze(registry.unique("Env"), locations, clocks=(_CLOCK,)))
 
+    # only what some kept edge names is declared
+    named: set[str] = set()
+    for builder in (*kept, env):
+        for edge in builder.edges:
+            if edge.sync is not None:
+                named.add(edge.sync.channel)
+            if edge.guard is not None:
+                for atom in edge.guard.atoms:
+                    if isinstance(atom, IntAtom):
+                        named.update(atom.variables)
+            for update in edge.updates:
+                named.add(update.target)
     net = NetworkModel(
         automata=tuple(tas),
-        channels=tuple(compiler.channels.values()),
-        int_vars=tuple(compiler.int_vars.items()),
+        channels=tuple(decl for name, decl in compiler.channels.items() if name in named),
+        int_vars=tuple(item for item in compiler.int_vars.items() if item[0] in named),
     )
     problems = validate(net)
     if problems:

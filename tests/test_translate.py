@@ -3,14 +3,16 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from test_settle import family
+from test_uppaalxml import large_shape_specs
 
 from tockta import taexec, translate
-from tockta.cspast import Prefix, Skip, Stop
+from tockta.cspast import CspSpec, Prefix, Skip, Stop
 from tockta.harness import EQUAL_AT_STAGE1, check_spec, generate_corpus
 from tockta.lts import reachable
 from tockta.parser import parse, parse_file
 from tockta.semantics import csp_traces, traces_to_text
-from tockta.tamodel import ChannelKind, GuardExpr, IntAtom, LocationKind, SyncLabel
+from tockta.tamodel import Assignment, ChannelKind, Edge, GuardExpr, IntAtom, LocationKind, SyncLabel
 from tockta.taexec import network_traces
 from tockta.translate import TranslationError, assemble
 from tockta.uppaalxml import emit
@@ -239,6 +241,72 @@ def test_a_channel_once_sent_releases_every_receive_waiting_on_it():
     assert translate._movable(tas, env) == [sender, on_x, on_y, first, second, committed]
 
 
+def _waiter(var, guarded_first):
+    """Sends ``w<var>`` and, once ``(x + <var>)==1`` can hold, ``c<var>``,
+    from ``s0``, with the guarded edge listed first or last."""
+    b = translate._TaBuilder()
+    for _ in range(3):
+        b.add_loc()
+    guarded = Edge("s0", "s1", GuardExpr((IntAtom(("x", var), "==", 1),)), SyncLabel(f"c{var}", "send"))
+    go = Edge("s0", "s2", sync=SyncLabel(f"w{var}", "send"))
+    b.edges = [guarded, go] if guarded_first else [go, guarded]
+    return b
+
+
+def _writer(var, value=1, guard=None):
+    """Sets ``var`` to ``value`` on receiving ``w<var>``."""
+    b = _automaton(("s0", "s1", f"w{var}", "receive"))
+    b.edges[0] = replace(b.edges[0], guard=guard, updates=(Assignment(var, value),))
+    return b
+
+
+def test_an_edge_waiting_on_a_later_written_variable_is_still_taken():
+    # Only a guard's second variable is ever written, and only once its
+    # waiter has sent: whichever order a location's edges are tried in, one
+    # of the two guards is checked before its write.  ``never``'s guard
+    # cannot hold, so y never holds 2 and ``on_two`` never receives.
+    waiters = [_waiter("y", True), _waiter("z", False)]
+    writers = [_writer("y"), _writer("z")]
+    on_c = [_automaton(("s0", "s1", f"c{var}", "receive")) for var in "yz"]
+    never = _writer("y", 2, guard=GuardExpr((IntAtom(("y",), ">", 1),)))
+    on_two = _automaton(("s0", "s1", "cy", "receive"))
+    on_two.edges[0] = replace(on_two.edges[0], guard=GuardExpr((IntAtom(("y",), "==", 2),)))
+    env = translate._TaBuilder()
+    env.add_loc()
+    tas = [*on_c, on_two, *waiters, never, *writers]
+    assert translate._movable(tas, env) == [*on_c, *waiters, *writers]
+
+
+def test_a_controller_whose_sum_can_never_hold_is_dropped():
+    # The left participant never starts, so its readiness stays 0 while
+    # the right one's is written: the controller's sum never reaches 2,
+    # and nothing after the right participant ever starts either.
+    spec = parse("P = (STOP ; (a -> STOP)) [|{a}|] (a -> STOP)")
+    net = assemble(spec)
+    assert emit(net).count("<template>") == 4
+    assert readiness_sums(net) == []
+    assert check_spec(spec, 6, net=net).verdict == EQUAL_AT_STAGE1
+
+
+def test_every_declared_name_is_named_by_some_edge(workloads):
+    specs = fixture_and_corpus_specs() + large_shape_specs() + [family(n) for n in range(1, 5)]
+    specs += [
+        CspSpec(definitions={"P": mutant}, main="P")
+        for entry in generate_corpus()
+        for mutant in workloads.mutants(entry.spec.definitions["P"])
+    ]
+    for spec in specs:
+        net = assemble(spec)
+        named = set()
+        for ta in net.automata:
+            for e in ta.edges:
+                named.update([e.sync.channel] if e.sync else ())
+                named.update(v for atom in (e.guard.atoms if e.guard else ()) for v in getattr(atom, "variables", ()))
+                named.update(u.target for u in e.updates)
+        declared = [c.name for c in net.channels] + [name for name, _ in net.int_vars]
+        assert set(declared) <= named, (spec.main, set(declared) - named)
+
+
 def all_reachable_configurations(net):
     rt = taexec._runtime(net)
     every_channel = frozenset(c.name for c in net.channels)
@@ -247,7 +315,7 @@ def all_reachable_configurations(net):
 
 
 def test_every_component_leaves_its_initial_location_in_some_run():
-    for spec in fixture_and_corpus_specs():
+    for spec in fixture_and_corpus_specs() + large_shape_specs():
         net = assemble(spec)
         configurations = all_reachable_configurations(net)
         for i, ta in enumerate(net.automata[: net.environment_index]):
@@ -357,7 +425,7 @@ def test_a_deep_chain_without_recursion_is_not_called_recursion():
 # The SHA-256 of the XML emitted for the five fixtures followed by the 156
 # corpus processes.  It changes only with an intended change to the
 # translation; a refactoring of the translator must leave it as it is.
-XML_DIGEST = "50a1b9f829db1ef3ee51e0988d13a6f3f75e4c9ad74529df5ddc16c75661ad56"
+XML_DIGEST = "8b69141e83a213a3db5f619a6ddbce1d748c38b79f4d4a5ddcc4a279df881371"
 
 
 def test_emitted_xml_is_pinned_on_fixtures_and_corpus():
